@@ -175,7 +175,7 @@ func TestBenchStoreMode(t *testing.T) {
 		t.Fatalf("warm replay missed the store %d times: %+v", st.StoreMisses, st)
 	}
 	// Each distinct module hits the store exactly once in the warm
-	// pass; repeats land in the rehydrated LRU.
+	// pass; repeats land in the plan memo the hit was installed into.
 	want := st.Modules
 	if o.requests < want {
 		want = o.requests

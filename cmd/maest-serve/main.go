@@ -1,6 +1,6 @@
 // Command maest-serve is the long-lived estimation service: the
 // Fig. 1 pipeline behind an HTTP/JSON API with a content-addressed
-// result cache, concurrency limiting, per-request deadlines, request
+// plan cache, concurrency limiting, per-request deadlines, request
 // telemetry (flight recorder + structured access log), and graceful
 // shutdown.
 //
@@ -122,7 +122,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.proc, "proc", "nmos25", "default builtin process for requests naming none")
-	flag.IntVar(&o.cacheSize, "cache", 1024, "result cache capacity in entries (negative disables)")
+	flag.IntVar(&o.cacheSize, "cache", 1024, "plan cache capacity in compiled plans, whose memos hold the cached answers (negative disables)")
 	flag.IntVar(&o.concurrency, "concurrency", 0, "max concurrent estimate requests; excess gets 429 (0 = 2×GOMAXPROCS)")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request estimation deadline")
 	flag.Int64Var(&o.maxBytes, "max-bytes", 8<<20, "request body size limit in bytes")

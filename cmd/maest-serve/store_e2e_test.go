@@ -193,7 +193,7 @@ func TestServeWarmStartFromStore(t *testing.T) {
 	}
 
 	// A warm batch over the whole suite is all cache hits: store hits
-	// hydrate the LRU and count as cached modules on the wire.
+	// fill the plan memos and count as cached modules on the wire.
 	var batch serve.BatchRequest
 	var order []string
 	for name, src := range mods {

@@ -25,6 +25,9 @@ func TestFacadeCoversInternalExports(t *testing.T) {
 		// consumers; the facade already exposes them from core.
 		"engine.FCExactAreas":   "duplicate of core.FCExactAreas",
 		"engine.FCAverageAreas": "duplicate of core.FCAverageAreas",
+		// Serving-layer plumbing for hashing a rendering it already
+		// holds; PlanHashFor is the public form.
+		"engine.HashCanonical": "PlanHashFor covers the public use",
 	}
 
 	facade := referencedSelectors(t, "maest.go")

@@ -55,6 +55,31 @@ func (pl *Plan) estimate(ctx context.Context, o Options) (res *core.Result, err 
 	return res, nil
 }
 
+// CachedEstimate returns the bundle Estimate has memoized for the
+// knobs (WithRows, WithTrackSharing), without computing one.
+func (pl *Plan) CachedEstimate(opts ...Option) (*core.Result, bool) {
+	o := build(opts)
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	res, ok := pl.bundle[scKey{rows: pl.rowsFor(o.Rows), sharing: o.TrackSharing}]
+	return res, ok
+}
+
+// InstallEstimate memoizes a bundle computed elsewhere — a persisted
+// answer read back from a store — as Estimate's answer for the knobs,
+// so later calls return it without recomputing.  The caller vouches
+// that res equals what Estimate would compute; an entry already
+// memoized is kept.
+func (pl *Plan) InstallEstimate(res *core.Result, opts ...Option) {
+	o := build(opts)
+	k := scKey{rows: pl.rowsFor(o.Rows), sharing: o.TrackSharing}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if _, ok := pl.bundle[k]; !ok {
+		pl.bundle[k] = res
+	}
+}
+
 // estimateSC runs the §4.1 Standard-Cell side under its own span.
 // The bundled candidate sweep is always five shapes around the chosen
 // row count (the historical pipeline contract, independent of
@@ -279,19 +304,14 @@ func (pl *Plan) distributions(rows int, gridded bool, model congest.Model) (*con
 // across capacity/budget knob changes — only the scoring reruns.
 func (pl *Plan) Congestion(ctx context.Context, opts ...Option) (*congest.Map, error) {
 	o := build(opts)
-	rows := pl.congestRows(o)
-	k := congKey{
-		distKey:    distKey{rows: rows, gridded: o.Gridded, model: o.CongestModel},
-		capacity:   o.Capacity,
-		feedBudget: o.FeedBudget,
-	}
+	k := pl.congKey(o)
 	pl.mu.Lock()
 	m, ok := pl.maps[k]
 	pl.mu.Unlock()
 	if ok {
 		return m, nil
 	}
-	d, err := pl.distributions(rows, o.Gridded, o.CongestModel)
+	d, err := pl.distributions(k.rows, o.Gridded, o.CongestModel)
 	if err != nil {
 		return nil, err
 	}
@@ -303,4 +323,34 @@ func (pl *Plan) Congestion(ctx context.Context, opts ...Option) (*congest.Map, e
 	pl.maps[k] = m
 	pl.mu.Unlock()
 	return m, nil
+}
+
+// CachedCongestion returns the map Congestion has memoized for the
+// knobs, without computing one.
+func (pl *Plan) CachedCongestion(opts ...Option) (*congest.Map, bool) {
+	k := pl.congKey(build(opts))
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	m, ok := pl.maps[k]
+	return m, ok
+}
+
+// InstallCongestion is InstallEstimate for congestion maps.
+func (pl *Plan) InstallCongestion(m *congest.Map, opts ...Option) {
+	k := pl.congKey(build(opts))
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if _, ok := pl.maps[k]; !ok {
+		pl.maps[k] = m
+	}
+}
+
+// congKey is the memo key of one congestion map: the resolved row
+// count plus every analysis knob.
+func (pl *Plan) congKey(o Options) congKey {
+	return congKey{
+		distKey:    distKey{rows: pl.congestRows(o), gridded: o.Gridded, model: o.CongestModel},
+		capacity:   o.Capacity,
+		feedBudget: o.FeedBudget,
+	}
 }

@@ -29,20 +29,28 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:]) }
 // PlanHash computes the content address Compile would assign, without
 // compiling.  Caches probe with this before paying for compilation.
 func PlanHash(c *netlist.Circuit, p *tech.Process) Hash {
-	return hashWithProcBlob(c, tech.Append(nil, p))
+	ports, devs := canonOrders(c)
+	return hashOrdered(c, tech.Append(nil, p), ports, devs)
 }
 
-// hashWithProcBlob is PlanHash with the process serialization already
-// rendered.  The process is invariant across a whole Delta chain, so
-// every child hash reuses the parent's rendered bytes instead of
-// re-serializing the device library per edit.
-func hashWithProcBlob(c *netlist.Circuit, procBlob []byte) Hash {
-	ports, devs := canonOrders(c)
-	return hashOrdered(c, procBlob, ports, devs)
+// HashCanonical is PlanHash over a circuit already rendered by
+// AppendCanonicalCircuit.  Callers that derive further content
+// addresses from the same rendering (the serving layer's result keys)
+// render once and hash here; the value equals PlanHash's.
+func HashCanonical(canon []byte, p *tech.Process) Hash {
+	h := sha256.New()
+	h.Write(canon)
+	h.Write(tech.Append(nil, p))
+	var out Hash
+	h.Sum(out[:0])
+	return out
 }
 
 // hashOrdered is the innermost hash: canonical orders and process
-// bytes already known, one pooled rendering buffer, one SHA-256.
+// bytes already known, one pooled rendering buffer, one SHA-256.  The
+// process is invariant across a whole Delta chain, so every child hash
+// reuses the parent's rendered process bytes instead of re-serializing
+// the device library per edit.
 func hashOrdered(c *netlist.Circuit, procBlob []byte, ports, devs []int32) Hash {
 	buf := hashBufPool.Get().(*[]byte)
 	b := appendCanonicalOrdered((*buf)[:0], c, ports, devs)
@@ -53,7 +61,7 @@ func hashOrdered(c *netlist.Circuit, procBlob []byte, ports, devs []int32) Hash 
 	return out
 }
 
-// hashBufPool recycles the rendering buffers behind hashWithProcBlob:
+// hashBufPool recycles the rendering buffers behind hashOrdered:
 // the ECO loop hashes one circuit per edit, and growing a fresh
 // multi-KB buffer each time dominated the delta profile.
 var hashBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
@@ -340,9 +348,8 @@ func (pl *Plan) InitialRows() int { return pl.initialRows }
 
 // DefaultRows returns the row count a Delta(ResizeRows(n)) child
 // defaults its execute calls to, or 0 when the plan carries no
-// override.  Callers that content-address execute results (the serving
-// layer) fold this in so a resized child and an explicit WithRows call
-// share one cache entry.
+// override.  The default is not part of the plan's content address, so
+// a cache keyed by Hash must hold only plans for which this is 0.
 func (pl *Plan) DefaultRows() int { return pl.defaultRows }
 
 // expanded returns the transistor-level circuit the full-custom side

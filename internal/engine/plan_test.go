@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"maest/internal/congest"
 	"maest/internal/core"
 	"maest/internal/gen"
 	"maest/internal/hdl"
@@ -53,6 +54,9 @@ end
 	}
 	if got, want := a.Hash().String(), PlanHash(a.Circuit(), p).String(); got != want {
 		t.Fatalf("Hash() = %s, PlanHash = %s", got, want)
+	}
+	if got := HashCanonical(AppendCanonicalCircuit(nil, b.Circuit()), p); got != a.Hash() {
+		t.Fatalf("HashCanonical = %s, Hash() = %s", got, a.Hash())
 	}
 	other := compileMnet(t, `
 module m
@@ -258,6 +262,36 @@ func TestPlanMemoization(t *testing.T) {
 	}
 	if d != d2 {
 		t.Fatal("distributions were recomputed across scoring variants")
+	}
+
+	// The memo accessors see exactly what the execute methods memoized;
+	// an install fills only an empty slot and is then what execute returns.
+	if got, ok := pl.CachedEstimate(WithRows(3)); !ok || got != r1 {
+		t.Fatal("CachedEstimate missed the memoized bundle")
+	}
+	if _, ok := pl.CachedEstimate(WithRows(4)); ok {
+		t.Fatal("CachedEstimate answered knobs never estimated")
+	}
+	if got, ok := pl.CachedCongestion(WithCapacity(50)); !ok || got != m3 {
+		t.Fatal("CachedCongestion missed the memoized map")
+	}
+	pl.InstallEstimate(&core.Result{Module: "stale"}, WithRows(3))
+	pl.InstallCongestion(&congest.Map{Module: "stale"})
+	if r, _ := pl.Estimate(ctx, WithRows(3)); r != r1 {
+		t.Fatal("InstallEstimate replaced a memoized bundle")
+	}
+	if m, _ := pl.Congestion(ctx); m != m1 {
+		t.Fatal("InstallCongestion replaced a memoized map")
+	}
+	installed := &core.Result{Module: "installed"}
+	pl.InstallEstimate(installed, WithRows(4))
+	if r, _ := pl.Estimate(ctx, WithRows(4)); r != installed {
+		t.Fatal("Estimate recomputed an installed bundle")
+	}
+	installedMap := &congest.Map{Module: "installed"}
+	pl.InstallCongestion(installedMap, WithRows(5))
+	if m, _ := pl.Congestion(ctx, WithRows(5)); m != installedMap {
+		t.Fatal("Congestion recomputed an installed map")
 	}
 }
 

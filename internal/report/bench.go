@@ -112,10 +112,11 @@ type TelemetrySnapshot struct {
 // log replayed twice against the real HTTP service over the same
 // store directory.  The cold pass starts with an empty store, so its
 // first-hit time is the full compute path; the warm pass restarts the
-// service (empty LRUs) against the now-populated directory, so its
-// first-hit time is a disk read.  The hit ratio is store hits over
-// replayed requests in the warm pass — repeats within the pass land
-// in the rehydrated LRU, which is the intended production shape.
+// service (empty plan cache) against the now-populated directory, so
+// its first-hit time is a compile plus a disk read.  The hit ratio is
+// store hits over replayed requests in the warm pass — repeats within
+// the pass land in the plan memos the store hits were installed into,
+// which is the intended production shape.
 type StoreSnapshot struct {
 	Requests       int     `json:"requests"`
 	Modules        int     `json:"modules"`

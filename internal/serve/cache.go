@@ -1,6 +1,6 @@
 // Package serve is the long-lived estimation service: the Fig. 1
 // pipeline (circuit schematic + process database in, estimate record
-// out) behind an HTTP/JSON API, with a content-addressed result cache
+// out) behind an HTTP/JSON API, with a content-addressed plan cache
 // and the production robustness — concurrency limiting, per-request
 // timeouts, request-size limits, graceful shutdown — that the
 // floorplanner-in-a-loop workload needs.  Floorplanning search loops
@@ -12,7 +12,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"sync"
 
 	"maest/internal/congest"
@@ -22,195 +21,151 @@ import (
 	"maest/internal/obs"
 )
 
-// Cache metrics: the hit ratio is the serving layer's headline number
-// — it is what separates "estimator CLI behind a socket" from a
-// result store amortizing the floorplanner's repeated queries.  The
-// estimate and congestion caches are separate LRUs with separate
-// counters so their hit ratios can be monitored independently.
+// Cache metrics.  The plan LRU is the service's one in-memory cache; a
+// cached plan's memo holds every estimate and congestion map computed
+// against it, so the estimate and congestion hit ratios count answers
+// served from a plan's memo — the serving layer's headline numbers,
+// monitored per endpoint family.
 var (
-	estimateCacheMetrics = cacheMetrics{
-		hits:     obs.DefCounter("maest_serve_cache_hits_total", "estimate cache hits"),
-		misses:   obs.DefCounter("maest_serve_cache_misses_total", "estimate cache misses"),
-		evicted:  obs.DefCounter("maest_serve_cache_evictions_total", "estimate cache LRU evictions"),
-		resident: obs.DefGauge("maest_serve_cache_entries", "estimate cache resident entries"),
-	}
-	congestCacheMetrics = cacheMetrics{
-		hits:     obs.DefCounter("maest_serve_congest_cache_hits_total", "congestion cache hits"),
-		misses:   obs.DefCounter("maest_serve_congest_cache_misses_total", "congestion cache misses"),
-		evicted:  obs.DefCounter("maest_serve_congest_cache_evictions_total", "congestion cache LRU evictions"),
-		resident: obs.DefGauge("maest_serve_congest_cache_entries", "congestion cache resident entries"),
-	}
-	planCacheMetrics = cacheMetrics{
-		hits:     obs.DefCounter("maest_serve_plan_cache_hits_total", "compiled-plan cache hits"),
-		misses:   obs.DefCounter("maest_serve_plan_cache_misses_total", "compiled-plan cache misses"),
-		evicted:  obs.DefCounter("maest_serve_plan_cache_evictions_total", "compiled-plan cache LRU evictions"),
-		resident: obs.DefGauge("maest_serve_plan_cache_entries", "compiled-plan cache resident entries"),
-	}
+	mPlanHits      = obs.DefCounter("maest_serve_plan_cache_hits_total", "compiled-plan cache hits")
+	mPlanMisses    = obs.DefCounter("maest_serve_plan_cache_misses_total", "compiled-plan cache misses")
+	mPlanEvictions = obs.DefCounter("maest_serve_plan_cache_evictions_total", "compiled-plan cache LRU evictions")
+	gPlanEntries   = obs.DefGauge("maest_serve_plan_cache_entries", "compiled-plan cache resident entries")
+	mEstimateHits  = obs.DefCounter("maest_serve_cache_hits_total", "estimate answers served from a cached plan's memo")
+	mEstimateMiss  = obs.DefCounter("maest_serve_cache_misses_total", "estimate answers missing from the plan's memo")
+	mCongestHits   = obs.DefCounter("maest_serve_congest_cache_hits_total", "congestion maps served from a cached plan's memo")
+	mCongestMiss   = obs.DefCounter("maest_serve_congest_cache_misses_total", "congestion maps missing from the plan's memo")
 )
 
-// cacheMetrics is the counter set one lru instance reports to.
-type cacheMetrics struct {
-	hits, misses, evicted *obs.Counter
-	resident              *obs.Gauge
-}
-
-// Key is the content address of one estimate: SHA-256 over the
-// canonical form of the circuit plus the process name and estimator
-// options.  Two requests with the same key are guaranteed the same
-// Result, so the cache can serve either from the other's work.
+// Key is a content address: SHA-256 over the canonical form of the
+// circuit plus whatever else the addressed answer depends on.  Two
+// requests with the same key are guaranteed the same answer.
 type Key [sha256.Size]byte
 
 // String returns the key in hex, for logs and debugging.
 func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 
-// CacheKey computes the content address of an estimate request.  The
-// circuit is canonicalized before hashing — ports and devices are
-// serialized sorted by name — so the key is invariant under comments,
+// CacheKey computes the content address of an estimate request: the
+// circuit's canonical rendering (engine.AppendCanonicalCircuit) plus
+// the process name and estimator options.  The rendering sorts ports
+// and devices by name, so the key is invariant under comments,
 // whitespace, and declaration order in the source netlist (the
-// estimators themselves are order-invariant, so order-insensitive
-// keys are safe and catch strictly more repeats).
+// estimators themselves are order-invariant, so order-insensitive keys
+// are safe and catch strictly more repeats).
 func CacheKey(c *netlist.Circuit, processName string, opts core.SCOptions) Key {
-	h := sha256.New()
-	writeCanonical(h, c)
-	fmt.Fprintf(h, "process %s\nrows %d\nsharing %t\n", processName, opts.Rows, opts.TrackSharing)
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return resultKey(engine.AppendCanonicalCircuit(nil, c), processName, opts.Rows, opts.TrackSharing)
 }
 
 // CongestKey computes the content address of a congestion analysis:
-// the same canonical circuit rendering as CacheKey plus every knob the
-// map depends on (process, row count, grid variant, demand model,
-// capacity and feed budget).
+// the same canonical rendering as CacheKey plus every knob the map
+// depends on (process, row count, grid variant, demand model, capacity
+// and feed budget).
 func CongestKey(c *netlist.Circuit, processName string, rows int, gridded bool, opts congest.Options) Key {
-	h := sha256.New()
-	writeCanonical(h, c)
-	fmt.Fprintf(h, "congest %s\nrows %d\ngridded %t\nmodel %s\ncapacity %d\nfeedbudget %d\n",
+	return congestKey(engine.AppendCanonicalCircuit(nil, c), processName, rows, gridded, opts)
+}
+
+// resultKey is CacheKey over an already-rendered circuit, so a request
+// renders once for both its result key and its plan hash.
+func resultKey(canon []byte, processName string, rows int, sharing bool) Key {
+	return keyOf(canon, "process %s\nrows %d\nsharing %t\n", processName, rows, sharing)
+}
+
+// congestKey is CongestKey over an already-rendered circuit.
+func congestKey(canon []byte, processName string, rows int, gridded bool, opts congest.Options) Key {
+	return keyOf(canon, "congest %s\nrows %d\ngridded %t\nmodel %s\ncapacity %d\nfeedbudget %d\n",
 		processName, rows, gridded, opts.Model, opts.Capacity, opts.FeedBudget)
+}
+
+// keyOf hashes a canonical rendering followed by the formatted knobs.
+func keyOf(canon []byte, knobs string, args ...any) Key {
+	h := sha256.New()
+	h.Write(canon)
+	fmt.Fprintf(h, knobs, args...)
 	var k Key
 	h.Sum(k[:0])
 	return k
 }
 
-// writeCanonical emits the deterministic, order-normalized circuit
-// rendering every content address here builds on.  The canonical form
-// moved to the engine (plan hashes use the same rendering, which is
-// what lets an estimate and a congestion request share one compiled
-// plan); the existing key derivations delegate so their values are
-// unchanged.
-func writeCanonical(w io.Writer, c *netlist.Circuit) {
-	engine.WriteCanonicalCircuit(w, c)
-}
-
-// lru is a fixed-capacity LRU map from content address to a value.
-// All methods are safe for concurrent use, and a nil *lru is a
-// well-defined disabled cache (lookups miss, stores are dropped).
-// Stored values are shared between callers and must be treated as
-// immutable.
-type lru[V any] struct {
+// PlanCache is a fixed-capacity LRU from plan content address
+// (engine.PlanHash) to compiled plan, so every endpoint asking about
+// the same circuit under the same process shares one compile — and,
+// through the plan's memo, every answer computed against it.  All
+// methods are safe for concurrent use, and a nil *PlanCache is a
+// well-defined disabled cache (lookups miss, stores keep nothing).
+type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
-	order    *list.List // front = most recent; values are *lruEntry[V]
+	order    *list.List // front = most recent; values are *planEntry
 	entries  map[Key]*list.Element
-	metrics  cacheMetrics
 }
 
-type lruEntry[V any] struct {
-	key Key
-	val V
+type planEntry struct {
+	key  Key
+	plan *engine.Plan
 }
 
-// newLRU returns an LRU cache holding at most capacity values,
-// reporting to the given counter set; capacity < 1 returns nil.
-func newLRU[V any](capacity int, metrics cacheMetrics) *lru[V] {
+// NewPlanCache returns a plan cache holding at most capacity plans;
+// capacity < 1 returns the nil (disabled) cache.
+func NewPlanCache(capacity int) *PlanCache {
 	if capacity < 1 {
 		return nil
 	}
-	return &lru[V]{
+	return &PlanCache{
 		capacity: capacity,
 		order:    list.New(),
 		entries:  make(map[Key]*list.Element, capacity),
-		metrics:  metrics,
 	}
 }
 
-// Get returns the cached value for k, marking it most recently used.
-func (c *lru[V]) Get(k Key) (V, bool) {
-	var zero V
+// Get returns the plan cached under k, marking it most recently used.
+func (c *PlanCache) Get(k Key) (*engine.Plan, bool) {
 	if c == nil {
-		return zero, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
-		c.metrics.misses.Inc()
-		return zero, false
+		mPlanMisses.Inc()
+		return nil, false
 	}
 	c.order.MoveToFront(el)
-	c.metrics.hits.Inc()
-	return el.Value.(*lruEntry[V]).val, true
+	mPlanHits.Inc()
+	return el.Value.(*planEntry).plan, true
 }
 
-// Put stores v under k, evicting the least recently used entry when
-// the cache is full.  Storing an existing key refreshes its recency.
-func (c *lru[V]) Put(k Key, v V) {
+// Put caches pl under k, evicting the least recently used plan when
+// the cache is full, and returns the plan now resident under k.  A
+// plan already cached under k wins and is refreshed: equal keys mean
+// equivalent plans, and the resident one's memo holds the answers
+// computed so far.
+func (c *PlanCache) Put(k Key, pl *engine.Plan) *engine.Plan {
 	if c == nil {
-		return
+		return pl
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
-		el.Value.(*lruEntry[V]).val = v
 		c.order.MoveToFront(el)
-		return
+		return el.Value.(*planEntry).plan
 	}
-	c.entries[k] = c.order.PushFront(&lruEntry[V]{key: k, val: v})
+	c.entries[k] = c.order.PushFront(&planEntry{key: k, plan: pl})
 	if c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruEntry[V]).key)
-		c.metrics.evicted.Inc()
+		delete(c.entries, oldest.Value.(*planEntry).key)
+		mPlanEvictions.Inc()
 	}
-	c.metrics.resident.Set(float64(c.order.Len()))
+	gPlanEntries.Set(float64(c.order.Len()))
+	return pl
 }
 
-// Len returns the number of resident entries.
-func (c *lru[V]) Len() int {
+// Len returns the number of resident plans.
+func (c *PlanCache) Len() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// Cache is the estimate result cache: a fixed-capacity LRU from
-// content address to *core.Result.
-type Cache = lru[*core.Result]
-
-// CongestCache is the congestion map cache, keyed by CongestKey.
-type CongestCache = lru[*congest.Map]
-
-// PlanCache maps plan content addresses (engine.PlanHash) to compiled
-// plans, so every endpoint asking about the same circuit under the
-// same process shares one compile — the /v1/estimate →
-// /v1/congestion repeat costs a hash probe, not a re-parse/re-gather.
-type PlanCache = lru[*engine.Plan]
-
-// NewCache returns an estimate LRU cache holding at most capacity
-// results; capacity < 1 returns a nil cache, on which every method is
-// a well-defined no-op (lookups miss, stores are dropped).
-func NewCache(capacity int) *Cache {
-	return newLRU[*core.Result](capacity, estimateCacheMetrics)
-}
-
-// NewCongestCache is NewCache for congestion maps.
-func NewCongestCache(capacity int) *CongestCache {
-	return newLRU[*congest.Map](capacity, congestCacheMetrics)
-}
-
-// NewPlanCache is NewCache for compiled plans.
-func NewPlanCache(capacity int) *PlanCache {
-	return newLRU[*engine.Plan](capacity, planCacheMetrics)
 }

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"maest/internal/core"
+	"maest/internal/engine"
 	"maest/internal/hdl"
 	"maest/internal/netlist"
 	"maest/internal/tech"
@@ -48,11 +48,11 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := NewPlanCache(2)
 	keys := make([]Key, 3)
 	for i := range keys {
 		keys[i] = Key{byte(i)}
-		c.Put(keys[i], &core.Result{Module: fmt.Sprintf("m%d", i)})
+		c.Put(keys[i], new(engine.Plan))
 	}
 	// Capacity 2: key 0 is the LRU victim of inserting key 2.
 	if _, ok := c.Get(keys[0]); ok {
@@ -62,7 +62,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("recent entry evicted")
 	}
 	// Touching key 1 makes key 2 the next victim.
-	c.Put(Key{9}, &core.Result{Module: "m9"})
+	c.Put(Key{9}, new(engine.Plan))
 	if _, ok := c.Get(keys[2]); ok {
 		t.Fatal("LRU order ignores recency of use")
 	}
@@ -74,29 +74,37 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// A re-put keeps the resident plan: equal keys are equivalent plans,
+// and the resident one's memo holds the answers computed so far.
 func TestCacheDisabledAndRefresh(t *testing.T) {
-	var nilCache *Cache
-	nilCache.Put(Key{1}, &core.Result{})
+	var nilCache *PlanCache
+	pl := new(engine.Plan)
+	if got := nilCache.Put(Key{1}, pl); got != pl {
+		t.Fatal("nil cache did not hand the plan back")
+	}
 	if _, ok := nilCache.Get(Key{1}); ok {
 		t.Fatal("nil cache returned a hit")
 	}
-	if NewCache(0) != nil || NewCache(-5) != nil {
+	if NewPlanCache(0) != nil || NewPlanCache(-5) != nil {
 		t.Fatal("non-positive capacity did not disable the cache")
 	}
 
-	c := NewCache(1)
-	c.Put(Key{1}, &core.Result{Module: "old"})
-	c.Put(Key{1}, &core.Result{Module: "new"})
+	c := NewPlanCache(1)
+	first, second := new(engine.Plan), new(engine.Plan)
+	c.Put(Key{1}, first)
+	if got := c.Put(Key{1}, second); got != first {
+		t.Fatal("re-put did not answer the resident plan")
+	}
 	if c.Len() != 1 {
 		t.Fatalf("len = %d after re-put", c.Len())
 	}
-	if res, _ := c.Get(Key{1}); res.Module != "new" {
-		t.Fatalf("re-put kept the stale value %q", res.Module)
+	if got, _ := c.Get(Key{1}); got != first {
+		t.Fatal("re-put replaced the resident plan")
 	}
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache(16)
+	c := NewPlanCache(16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -105,7 +113,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := Key{byte(i % 32)}
 				if i%3 == 0 {
-					c.Put(k, &core.Result{Module: fmt.Sprintf("g%d", g)})
+					c.Put(k, new(engine.Plan))
 				} else {
 					c.Get(k)
 				}

@@ -478,57 +478,64 @@ func parseKey(s string) (Key, error) {
 }
 
 // decodeEdits turns a wire edit script into the engine's typed edit
-// algebra.  Shape errors (unknown op, missing operands, unknown
-// process) are 400s; semantic errors (ghost devices, methodology
-// mixing, zero rows) are left for Plan.Delta so the delta route
-// answers exactly what a full estimate of the edited netlist would.
-func decodeEdits(bodies []EditBody) ([]engine.Edit, error) {
+// algebra, splitting off resize_rows: the last one's row count is
+// returned as the script's row default (0 when there is none) rather
+// than as an edit.  Shape errors (unknown op, missing operands,
+// unknown process) are 400s and a resize below one row is a 422;
+// other semantic errors (ghost devices, methodology mixing) are left
+// for Plan.Delta so the delta route answers exactly what a full
+// estimate of the edited netlist would.
+func decodeEdits(bodies []EditBody) ([]engine.Edit, int, error) {
 	edits := make([]engine.Edit, 0, len(bodies))
+	rows := 0
 	for i, e := range bodies {
 		switch e.Op {
 		case "add_net":
 			if e.Name == "" {
-				return nil, reqErr("edit %d: add_net needs a name", i)
+				return nil, 0, reqErr("edit %d: add_net needs a name", i)
 			}
 			edits = append(edits, engine.AddNet(e.Name, e.Devices...))
 		case "remove_net":
 			if e.Name == "" {
-				return nil, reqErr("edit %d: remove_net needs a name", i)
+				return nil, 0, reqErr("edit %d: remove_net needs a name", i)
 			}
 			edits = append(edits, engine.RemoveNet(e.Name))
 		case "connect_pin":
 			if e.Device == "" || e.Net == "" {
-				return nil, reqErr("edit %d: connect_pin needs device and net", i)
+				return nil, 0, reqErr("edit %d: connect_pin needs device and net", i)
 			}
 			edits = append(edits, engine.ConnectPin(e.Device, e.Net))
 		case "disconnect_pin":
 			if e.Device == "" || e.Net == "" {
-				return nil, reqErr("edit %d: disconnect_pin needs device and net", i)
+				return nil, 0, reqErr("edit %d: disconnect_pin needs device and net", i)
 			}
 			edits = append(edits, engine.DisconnectPin(e.Device, e.Net))
 		case "add_cell":
 			if e.Name == "" || e.Type == "" {
-				return nil, reqErr("edit %d: add_cell needs name and type", i)
+				return nil, 0, reqErr("edit %d: add_cell needs name and type", i)
 			}
 			edits = append(edits, engine.AddCell(e.Name, e.Type, e.Nets...))
 		case "remove_cell":
 			if e.Name == "" {
-				return nil, reqErr("edit %d: remove_cell needs a name", i)
+				return nil, 0, reqErr("edit %d: remove_cell needs a name", i)
 			}
 			edits = append(edits, engine.RemoveCell(e.Name))
 		case "resize_rows":
-			edits = append(edits, engine.ResizeRows(e.Rows))
+			if e.Rows < 1 {
+				return nil, 0, fmt.Errorf("%w: edit %d: resize to %d rows; need at least 1", core.ErrEstimate, i, e.Rows)
+			}
+			rows = e.Rows
 		case "swap_process":
 			p, err := tech.Lookup(e.Process)
 			if err != nil {
-				return nil, reqErr("edit %d: %v", i, err)
+				return nil, 0, reqErr("edit %d: %v", i, err)
 			}
 			edits = append(edits, engine.SwapProcess(p))
 		default:
-			return nil, reqErr("edit %d: unknown op %q", i, e.Op)
+			return nil, 0, reqErr("edit %d: unknown op %q", i, e.Op)
 		}
 	}
-	return edits, nil
+	return edits, rows, nil
 }
 
 // encodeResult converts an estimate into its wire shape.

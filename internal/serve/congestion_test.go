@@ -24,7 +24,7 @@ func TestCongestionAndCacheHit(t *testing.T) {
 	s := New(Options{})
 	body := marshal(t, CongestionRequest{Netlist: testdata(t, "demo.mnet"), Rows: 3, Model: "crossing"})
 
-	hits0, misses0 := congestCacheMetrics.hits.Value(), congestCacheMetrics.misses.Value()
+	hits0, misses0 := mCongestHits.Value(), mCongestMiss.Value()
 	first := decodeCongestion(t, do(s, "POST", "/v1/congestion", body))
 	if first.CacheHit {
 		t.Fatal("first request reported a cache hit")
@@ -55,26 +55,30 @@ func TestCongestionAndCacheHit(t *testing.T) {
 	if marshal(t, first) != marshal(t, second) {
 		t.Fatalf("cached answer differs:\n%+v\n%+v", first, second)
 	}
-	if hits := congestCacheMetrics.hits.Value() - hits0; hits != 1 {
+	if hits := mCongestHits.Value() - hits0; hits != 1 {
 		t.Fatalf("congest cache hits = %d, want 1", hits)
 	}
-	if misses := congestCacheMetrics.misses.Value() - misses0; misses != 1 {
+	if misses := mCongestMiss.Value() - misses0; misses != 1 {
 		t.Fatalf("congest cache misses = %d, want 1", misses)
 	}
 }
 
-// The congestion and estimate caches are separate: the same circuit
-// through both endpoints never collides.
+// Estimate and congestion answers share the circuit's one cached plan
+// but never each other's memo entries: the same circuit through both
+// endpoints never collides.
 func TestCongestionDoesNotShareEstimateCache(t *testing.T) {
 	s := New(Options{})
 	netlist := testdata(t, "demo.mnet")
-	decodeEstimate(t, do(s, "POST", "/v1/estimate", marshal(t, EstimateRequest{Netlist: netlist, Rows: 3})))
+	est := decodeEstimate(t, do(s, "POST", "/v1/estimate", marshal(t, EstimateRequest{Netlist: netlist, Rows: 3})))
 	resp := decodeCongestion(t, do(s, "POST", "/v1/congestion", marshal(t, CongestionRequest{Netlist: netlist, Rows: 3})))
 	if resp.CacheHit {
 		t.Fatal("congestion answer claimed a hit from the estimate cache")
 	}
-	if s.Cache().Len() != 1 || s.CongestCache().Len() != 1 {
-		t.Fatalf("cache sizes %d/%d, want 1/1", s.Cache().Len(), s.CongestCache().Len())
+	if resp.Key == est.Key {
+		t.Fatal("congestion and estimate answers share a content address")
+	}
+	if n := s.PlanCache().Len(); n != 1 {
+		t.Fatalf("plan cache holds %d plans, want 1", n)
 	}
 }
 

@@ -153,6 +153,27 @@ func TestDeltaRowsSemantics(t *testing.T) {
 	if !plain.CacheHit {
 		t.Fatal("empty delta script missed the parent's cache entry")
 	}
+
+	// A resize mixed with structural edits must not leave its row count
+	// behind as a hidden default of the cached child plan: a later full
+	// estimate of the edited circuit at automatic rows answers exactly
+	// what a fresh server does.
+	mixed := append(append([]EditBody(nil), deltaEditScript...), EditBody{Op: "resize_rows", Rows: 3})
+	edited := decodeEstimate(t, do(s, "POST", "/v1/estimate/delta",
+		marshal(t, DeltaRequest{Parent: base.Plan, Edits: mixed})))
+	if edited.SC == nil || edited.SC.Rows != 3 {
+		t.Fatalf("structural edits + resize_rows(3) answered %+v", edited.SC)
+	}
+	auto := marshal(t, EstimateRequest{Netlist: deltaEditedMnet})
+	got := decodeEstimate(t, do(s, "POST", "/v1/estimate", auto))
+	want := decodeEstimate(t, do(New(Options{}), "POST", "/v1/estimate", auto))
+	if got.Plan != edited.Plan {
+		t.Fatalf("full estimate resolved plan %s, want the delta's %s", got.Plan, edited.Plan)
+	}
+	got.CacheHit = want.CacheHit
+	if a, b := marshal(t, got), marshal(t, want); a != b {
+		t.Fatalf("automatic-rows estimate after a resized delta differs from a fresh server's:\n%s\n%s", a, b)
+	}
 }
 
 func TestDeltaSwapProcess(t *testing.T) {

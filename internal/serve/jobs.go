@@ -16,6 +16,7 @@ import (
 	"maest/internal/floorplan"
 	"maest/internal/netlist"
 	"maest/internal/obs"
+	"maest/internal/store"
 	"maest/internal/tech"
 )
 
@@ -58,6 +59,7 @@ type job struct {
 	procName string
 	proc     *tech.Process
 	circs    []*netlist.Circuit
+	planKeys []Key // plan hash of each circuit, in circs order
 	nets     []floorplan.Net
 	cfg      jobConfig
 
@@ -294,7 +296,7 @@ func (jm *jobManager) execute(ctx context.Context, j *job) (*FloorplanResult, er
 	mods := make([]floorplan.PlanModule, len(j.circs))
 	for i, c := range j.circs {
 		var pl *engine.Plan
-		pl, err = jm.s.planWithKey(ctx, Key(engine.PlanHash(c, j.proc)), c, j.proc)
+		pl, err = jm.s.plan(ctx, j.planKeys[i], c, j.proc)
 		if err != nil {
 			return nil, err
 		}
@@ -322,16 +324,14 @@ func (jm *jobManager) execute(ctx context.Context, j *job) (*FloorplanResult, er
 
 // persist writes a terminal job record into NSFloorplan, write-behind.
 func (jm *jobManager) persist(j *job) {
-	jm.s.stier.putJob(j.key, j.snapshot())
+	jm.s.stier.put(store.NSFloorplan, j.key, j.snapshot())
 }
 
 // persisted probes the store for a finished record from a previous
-// process life.
+// process life; float64 JSON round trips are exact, so the re-encoded
+// poll answer is byte-identical across a restart.
 func (jm *jobManager) persisted(key Key) (*JobResponse, bool) {
-	if jm.s.stier == nil {
-		return nil, false
-	}
-	return jm.s.stier.getJob(key)
+	return load[JobResponse](jm.s.stier, store.NSFloorplan, key)
 }
 
 // drain stops the worker pool for shutdown: running anneals are
@@ -374,7 +374,7 @@ func (jm *jobManager) drain() {
 // Identical requests — byte-level differences in netlist formatting
 // included — share one job, which is also what lets a restarted
 // server answer a resubmit from the persisted record.
-func jobID(chip, procName string, circs []*netlist.Circuit, nets []floorplan.Net, cfg jobConfig) (string, Key) {
+func jobID(chip, procName string, canons [][]byte, nets []floorplan.Net, cfg jobConfig) (string, Key) {
 	h := sha256.New()
 	io.WriteString(h, "maest-floorplan-job-v1\x00")
 	io.WriteString(h, chip)
@@ -383,8 +383,8 @@ func jobID(chip, procName string, circs []*netlist.Circuit, nets []floorplan.Net
 	h.Write([]byte{0})
 	fmt.Fprintf(h, "cw=%g ww=%g seed=%d budget=%d cand=%d ts=%t\x00",
 		cfg.congestWeight, cfg.wireWeight, cfg.seed, cfg.budget, cfg.candidates, cfg.trackSharing)
-	for _, c := range circs {
-		h.Write(engine.AppendCanonicalCircuit(nil, c))
+	for _, canon := range canons {
+		h.Write(canon)
 		h.Write([]byte{0})
 	}
 	for _, n := range nets {
@@ -455,6 +455,8 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 		return
 	}
 	circs := make([]*netlist.Circuit, len(req.Modules))
+	canons := make([][]byte, len(req.Modules))
+	planKeys := make([]Key, len(req.Modules))
 	names := make(map[string]bool, len(req.Modules))
 	for i, m := range req.Modules {
 		c, err := parseCircuit(m.Format, m.Name, m.Netlist, proc)
@@ -468,6 +470,7 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 		}
 		names[c.Name] = true
 		circs[i] = c
+		canons[i], planKeys[i] = render(nil, c, proc)
 	}
 	nets := make([]floorplan.Net, len(req.Nets))
 	for i, n := range req.Nets {
@@ -512,12 +515,12 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 		chip = "chip"
 	}
 
-	id, key := jobID(chip, procName, circs, nets, cfg)
+	id, key := jobID(chip, procName, canons, nets, cfg)
 	info.setDigest(key)
 	j := &job{
 		id: id, key: key,
 		chip: chip, procName: procName, proc: proc,
-		circs: circs, nets: nets, cfg: cfg,
+		circs: circs, planKeys: planKeys, nets: nets, cfg: cfg,
 		state: JobAccepted,
 		done:  make(chan struct{}),
 	}

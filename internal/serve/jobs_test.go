@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"maest/internal/store"
 )
 
 // fpRequest builds a floorplan submission over n chained-inverter
@@ -373,7 +375,7 @@ func TestJobSubmitAfterDrain(t *testing.T) {
 	if resp := decodeJob(t, do(s, "GET", "/v1/jobs/"+queuedID, "")); resp.State != JobCancelled {
 		t.Fatalf("queued job state %q after drain", resp.State)
 	}
-	if rec, ok := s.stier.getJob(mustKey(t, queuedID)); !ok || rec.State != JobCancelled {
+	if rec, ok := load[JobResponse](s.stier, store.NSFloorplan, mustKey(t, queuedID)); !ok || rec.State != JobCancelled {
 		t.Fatalf("queued job not persisted as cancelled: ok=%v rec=%+v", ok, rec)
 	}
 	// Submits after drain shed with 429.

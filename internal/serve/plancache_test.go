@@ -14,12 +14,12 @@ func TestEstimateAndCongestionShareOnePlan(t *testing.T) {
 	s := New(Options{})
 	netlist := testdata(t, "demo.mnet")
 
-	hits0, misses0 := planCacheMetrics.hits.Value(), planCacheMetrics.misses.Value()
+	hits0, misses0 := mPlanHits.Value(), mPlanMisses.Value()
 	decodeEstimate(t, do(s, "POST", "/v1/estimate", marshal(t, EstimateRequest{Netlist: netlist})))
 	if n := s.PlanCache().Len(); n != 1 {
 		t.Fatalf("plan cache holds %d plans after the estimate, want 1", n)
 	}
-	if misses := planCacheMetrics.misses.Value() - misses0; misses != 1 {
+	if misses := mPlanMisses.Value() - misses0; misses != 1 {
 		t.Fatalf("plan cache misses = %d after the estimate, want 1", misses)
 	}
 
@@ -27,10 +27,10 @@ func TestEstimateAndCongestionShareOnePlan(t *testing.T) {
 	if n := s.PlanCache().Len(); n != 1 {
 		t.Fatalf("plan cache holds %d plans after the congestion request, want 1 (shared compile)", n)
 	}
-	if hits := planCacheMetrics.hits.Value() - hits0; hits != 1 {
+	if hits := mPlanHits.Value() - hits0; hits != 1 {
 		t.Fatalf("plan cache hits = %d after the congestion request, want 1", hits)
 	}
-	if misses := planCacheMetrics.misses.Value() - misses0; misses != 1 {
+	if misses := mPlanMisses.Value() - misses0; misses != 1 {
 		t.Fatalf("plan cache misses = %d after the congestion request, want 1 (no second compile)", misses)
 	}
 
@@ -53,7 +53,7 @@ func TestBatchSharesPlansAcrossRequests(t *testing.T) {
 		return fmt.Sprintf("module %s\nport in a\nport out y\ndevice g1 INV a n1\ndevice g2 INV n1 n2\ndevice g3 INV n2 y\nend\n", name)
 	}
 	decodeEstimate(t, do(s, "POST", "/v1/estimate", marshal(t, EstimateRequest{Netlist: mk("m0")})))
-	misses0 := planCacheMetrics.misses.Value()
+	misses0 := mPlanMisses.Value()
 
 	w := do(s, "POST", "/v1/estimate/batch", marshal(t, BatchRequest{
 		Modules: []ModuleInput{{Netlist: mk("m0")}, {Netlist: mk("m1")}},
@@ -61,7 +61,7 @@ func TestBatchSharesPlansAcrossRequests(t *testing.T) {
 	if w.Code != 200 {
 		t.Fatalf("batch status %d: %s", w.Code, w.Body.String())
 	}
-	if misses := planCacheMetrics.misses.Value() - misses0; misses != 1 {
+	if misses := mPlanMisses.Value() - misses0; misses != 1 {
 		t.Fatalf("batch compiled %d new plans, want 1 (m0 already compiled)", misses)
 	}
 	if n := s.PlanCache().Len(); n != 2 {

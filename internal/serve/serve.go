@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"maest/internal/congest"
@@ -34,13 +35,14 @@ var (
 )
 
 // Options configures a Server.  The zero value serves with sensible
-// production defaults (nmos25, 1024-entry cache, 2×GOMAXPROCS
+// production defaults (nmos25, 1024-plan cache, 2×GOMAXPROCS
 // concurrent estimates, 30 s deadline, 8 MiB request bodies).
 type Options struct {
 	// Process is the default built-in process for requests that do
 	// not name one.  Empty means "nmos25".
 	Process string
-	// CacheSize is the result cache capacity in entries; 0 selects
+	// CacheSize is the plan cache capacity in compiled plans (each
+	// plan's memo holds every answer computed against it); 0 selects
 	// 1024, negative disables caching.
 	CacheSize int
 	// MaxConcurrent bounds the estimate requests running at once;
@@ -87,10 +89,11 @@ type Options struct {
 	// Interval of 0) disables it.
 	Watchdog WatchdogOptions
 	// Store, when non-nil, is the persistent plan store mounted as a
-	// write-behind tier under the LRUs: an LRU miss probes the store
-	// before paying compile+execute (a hit hydrates the LRU), and
-	// computed results are persisted asynchronously.  The caller owns
-	// the store's lifecycle; call Server.FlushStore before closing it.
+	// write-behind tier under the plan cache: a plan-memo miss probes
+	// the store before paying for the execute (a hit is installed into
+	// the memo), and computed results are persisted asynchronously.
+	// The caller owns the store's lifecycle; call Server.FlushStore
+	// before closing it.
 	Store *store.Store
 	// TraceStore, when non-nil, persists tail-sampled request traces
 	// (write-behind, NSTrace namespace) and enables the /debug/trace*
@@ -149,9 +152,7 @@ func (o Options) withDefaults() Options {
 // they stay responsive under overload.
 type Server struct {
 	opts     Options
-	cache    *Cache
-	congests *CongestCache
-	plans    *PlanCache
+	plans    *PlanCache // the one in-memory cache; plan memos hold the answers
 	slots    chan struct{}
 	mux      *http.ServeMux
 	flight   *obs.Flight   // nil when the recorder is disabled
@@ -170,13 +171,11 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	obs.RegisterBuildInfo()
 	s := &Server{
-		opts:     opts,
-		cache:    NewCache(opts.CacheSize),
-		congests: NewCongestCache(opts.CacheSize),
-		plans:    NewPlanCache(opts.CacheSize),
-		slots:    make(chan struct{}, opts.MaxConcurrent),
-		mux:      http.NewServeMux(),
-		flight:   obs.NewFlight(opts.FlightSize),
+		opts:   opts,
+		plans:  NewPlanCache(opts.CacheSize),
+		slots:  make(chan struct{}, opts.MaxConcurrent),
+		mux:    http.NewServeMux(),
+		flight: obs.NewFlight(opts.FlightSize),
 	}
 	if opts.AccessLog != nil {
 		s.access = newAccessLogger(opts.AccessLog)
@@ -231,28 +230,15 @@ func (s *Server) Watchdog() *Watchdog { return s.watchdog }
 // ServeHTTP dispatches to the service routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Cache returns the server's result cache (nil when disabled).
-func (s *Server) Cache() *Cache { return s.cache }
-
-// CongestCache returns the congestion map cache (nil when disabled).
-func (s *Server) CongestCache() *CongestCache { return s.congests }
-
 // PlanCache returns the compiled-plan cache (nil when disabled).
 func (s *Server) PlanCache() *PlanCache { return s.plans }
 
-// plan returns the compiled plan for one circuit + process pair,
-// probing the plan cache by content address before paying for
-// compilation.  Every endpoint resolves plans here, which is what
-// makes an estimate followed by a congestion question on the same
-// body share one parse/gather.
-func (s *Server) plan(ctx context.Context, circ *netlist.Circuit, proc *tech.Process) (*engine.Plan, error) {
-	return s.planWithKey(ctx, Key(engine.PlanHash(circ, proc)), circ, proc)
-}
-
-// planWithKey is plan with the content address already computed —
-// handlers that also answer the plan key to the client avoid hashing
-// the circuit twice.
-func (s *Server) planWithKey(ctx context.Context, k Key, circ *netlist.Circuit, proc *tech.Process) (*engine.Plan, error) {
+// plan returns the compiled plan under content address k (the plan
+// hash of circ under proc), compiling on a plan-cache miss.  Every
+// endpoint resolves plans here, which is what makes an estimate
+// followed by a congestion question on the same body share one
+// parse/gather — and one memo.
+func (s *Server) plan(ctx context.Context, k Key, circ *netlist.Circuit, proc *tech.Process) (*engine.Plan, error) {
 	if pl, ok := s.plans.Get(k); ok {
 		return pl, nil
 	}
@@ -260,9 +246,71 @@ func (s *Server) planWithKey(ctx context.Context, k Key, circ *netlist.Circuit, 
 	if err != nil {
 		return nil, err
 	}
-	s.plans.Put(k, pl)
 	s.stier.putPlanMeta(k, pl)
-	return pl, nil
+	return s.plans.Put(k, pl), nil
+}
+
+// render appends a circuit's canonical rendering to dst and returns it
+// with the circuit's plan hash.  A request renders each circuit once;
+// its result key derives from the same bytes.
+func render(dst []byte, circ *netlist.Circuit, proc *tech.Process) ([]byte, Key) {
+	canon := engine.AppendCanonicalCircuit(dst, circ)
+	return canon, Key(engine.HashCanonical(canon, proc))
+}
+
+// canonPool recycles the renderings behind estimateKeys, which live
+// only until their keys are hashed.
+var canonPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// estimateKeys derives both content addresses of an estimate question,
+// the plan hash and the result key, from one rendering of circ.
+func estimateKeys(circ *netlist.Circuit, proc *tech.Process, procName string, rows int, sharing bool) (planKey, key Key) {
+	buf := canonPool.Get().(*[]byte)
+	canon, planKey := render((*buf)[:0], circ, proc)
+	key = resultKey(canon, procName, rows, sharing)
+	*buf = canon
+	canonPool.Put(buf)
+	return planKey, key
+}
+
+// estimateOpts is the engine knob list of one estimate question.
+func estimateOpts(rows int, sharing bool) []engine.Option {
+	return []engine.Option{engine.WithRows(rows), engine.WithTrackSharing(sharing)}
+}
+
+// cachedEstimate answers an estimate from the plan's memo or, failing
+// that, the persistent store; a store hit is installed into the memo so
+// the next repeat is served from memory.  stored reports a store hit.
+func (s *Server) cachedEstimate(pl *engine.Plan, key Key, opts []engine.Option) (res *core.Result, hit, stored bool) {
+	if res, ok := pl.CachedEstimate(opts...); ok {
+		mEstimateHits.Inc()
+		return res, true, false
+	}
+	mEstimateMiss.Inc()
+	if res, ok := load[core.Result](s.stier, store.NSResult, key); ok {
+		pl.InstallEstimate(res, opts...)
+		return res, true, true
+	}
+	return nil, false, false
+}
+
+// estimate resolves one estimate against a resolved plan: memo, then
+// store, then the estimator, whose fresh answer persists write-behind.
+// hit reports whether the answer came from either cache.
+func (s *Server) estimate(ctx context.Context, pl *engine.Plan, key Key, opts []engine.Option, info *reqInfo) (*core.Result, bool, error) {
+	res, hit, stored := s.cachedEstimate(pl, key, opts)
+	info.setCacheHit(hit)
+	info.setStoreHit(stored)
+	info.mark("cache")
+	if hit {
+		return res, true, nil
+	}
+	res, err := s.estimateWithDeadline(ctx, pl, opts, key)
+	if err != nil {
+		return nil, false, err
+	}
+	info.mark("estimate")
+	return res, false, nil
 }
 
 // StoreStats snapshots the persistent store (ok=false when disabled).
@@ -305,21 +353,6 @@ func (s *Server) FlushTraces() {
 // no trace store is mounted.
 func (s *Server) SyncTraces() {
 	s.ttier.sync()
-}
-
-// storeResult probes the persistent store for an LRU miss and, on a
-// hit, hydrates the LRU so the next repeat is a memory hit.
-func (s *Server) storeResult(key Key, info *reqInfo) (*core.Result, bool) {
-	if s.stier == nil {
-		return nil, false
-	}
-	res, ok := s.stier.getResult(key)
-	if ok {
-		s.cache.Put(key, res)
-		info.setStoreHit(true)
-	}
-	info.mark("store")
-	return res, ok
 }
 
 // Flight returns the server's flight recorder (nil when disabled).
@@ -410,8 +443,9 @@ func (s *Server) fail(w http.ResponseWriter, info *reqInfo, err error) {
 	writeError(w, info, err)
 }
 
-// handleEstimate answers POST /v1/estimate: decode → cache → estimate
-// → encode, the Fig. 1 flow as a request/response pipeline.
+// handleEstimate answers POST /v1/estimate: decode → plan → memo →
+// store → estimate → encode, the Fig. 1 flow as a request/response
+// pipeline.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *reqInfo) {
 	if !s.acquire() {
 		s.reject(w, info)
@@ -442,52 +476,25 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 		return
 	}
 	info.mark("parse")
-	opts := core.SCOptions{Rows: req.Rows, TrackSharing: req.TrackSharing}
-	key := CacheKey(circ, procName, opts)
-	planKey := Key(engine.PlanHash(circ, proc))
+	planKey, key := estimateKeys(circ, proc, procName, req.Rows, req.TrackSharing)
 	info.setDigest(key)
 	info.setPlan(planKey)
-	if res, ok := s.cache.Get(key); ok {
-		info.setCacheHit(true)
-		info.mark("cache")
-		resp := encodeResult(res, procName, key, true)
-		resp.Plan = planKey.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	info.mark("cache")
-	if res, ok := s.storeResult(key, info); ok {
-		// A disk hit is a cache hit as far as the client is concerned:
-		// the answer is the persisted computation, byte-identical to a
-		// fresh one.  The plan is still compiled (memoized) so the
-		// answer's plan key stays chainable — a warm restart serves
-		// results this process never computed, and an ECO delta
-		// against them must find the parent plan, not a 404.
-		if _, err := s.planWithKey(ctx, planKey, circ, proc); err != nil {
-			s.fail(w, info, err)
-			return
-		}
-		info.mark("compile")
-		info.setCacheHit(true)
-		resp := encodeResult(res, procName, key, true)
-		resp.Plan = planKey.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	pl, err := s.planWithKey(ctx, planKey, circ, proc)
+	// The plan resolves first even when the answer is cached, so the
+	// answer's plan key stays chainable: a warm restart serves results
+	// this process never computed, and an ECO delta against them must
+	// find the parent plan, not a 404.
+	pl, err := s.plan(ctx, planKey, circ, proc)
 	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
 	info.mark("compile")
-	res, err := s.estimateWithDeadline(ctx, pl, opts, key)
+	res, hit, err := s.estimate(ctx, pl, key, estimateOpts(req.Rows, req.TrackSharing), info)
 	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
-	info.mark("estimate")
-	resp := encodeResult(res, procName, key, false)
+	resp := encodeResult(res, procName, key, hit)
 	resp.Plan = planKey.String()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -496,9 +503,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 // path.  The request names a previously compiled plan by content
 // address and carries a typed edit script; the engine's incremental
 // Delta route produces the child plan — bit-identical to recompiling
-// the edited netlist — and the answer is cached under the same key a
-// full /v1/estimate of the edited circuit would use, so the two routes
-// share cache entries in both directions.
+// the edited netlist — which is cached under its content address, so
+// a delta answer and a full /v1/estimate of the edited circuit resolve
+// to one plan and share its memo in both directions.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqInfo) {
 	if !s.acquire() {
 		s.reject(w, info)
@@ -523,7 +530,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 		s.fail(w, info, err)
 		return
 	}
-	edits, err := decodeEdits(req.Edits)
+	// A resize_rows edit is the script's row default, not an edit of the
+	// circuit: it stays here as an execute knob and never reaches
+	// Plan.Delta, so the plan cache only ever holds plain compiles.
+	edits, scriptRows, err := decodeEdits(req.Edits)
 	if err != nil {
 		s.fail(w, info, err)
 		return
@@ -539,54 +549,28 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 		return
 	}
 	childKey := Key(child.Hash())
-	if childKey != parentKey {
-		// A rows-only script keeps the parent's content address (rows
-		// are an execute knob, not plan identity); storing that child
-		// would replace the parent with one carrying a hidden row
-		// default.  The plan cache only ever maps a key to the plain
-		// compile of that content.
-		s.plans.Put(childKey, child)
-	}
+	child = s.plans.Put(childKey, child)
 	info.mark("delta")
 
 	// The child's process name came through the plan (the parent's, or
-	// the swap_process target); its row default came through any
-	// resize_rows edit.  Folding both into the result key is what makes
-	// a delta answer and a full estimate of the same edited circuit the
-	// same cache entry — and keeps a resized child from colliding with
-	// the same circuit at §5 automatic rows.
+	// the swap_process target).  Folding it and the resolved rows into
+	// the result key is what makes a delta answer and a full estimate of
+	// the same edited circuit the same content address — and keeps a
+	// resized answer from colliding with §5 automatic rows.
 	procName := child.Process().Name
 	rows := req.Rows
 	if rows == 0 {
-		rows = child.DefaultRows()
+		rows = scriptRows
 	}
-	opts := core.SCOptions{Rows: rows, TrackSharing: req.TrackSharing}
-	key := CacheKey(child.Circuit(), procName, opts)
+	key := resultKey(engine.AppendCanonicalCircuit(nil, child.Circuit()), procName, rows, req.TrackSharing)
 	info.setDigest(key)
 	info.setPlan(childKey)
-	if res, ok := s.cache.Get(key); ok {
-		info.setCacheHit(true)
-		info.mark("cache")
-		resp := encodeResult(res, procName, key, true)
-		resp.Plan = childKey.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	info.mark("cache")
-	if res, ok := s.storeResult(key, info); ok {
-		info.setCacheHit(true)
-		resp := encodeResult(res, procName, key, true)
-		resp.Plan = childKey.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	res, err := s.estimateWithDeadline(ctx, child, opts, key)
+	res, hit, err := s.estimate(ctx, child, key, estimateOpts(rows, req.TrackSharing), info)
 	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
-	info.mark("estimate")
-	resp := encodeResult(res, procName, key, false)
+	resp := encodeResult(res, procName, key, hit)
 	resp.Plan = childKey.String()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -594,33 +578,38 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 // estimateWithDeadline runs one estimate against a compiled plan,
 // honoring ctx.  The estimator itself is not preemptible, so on
 // timeout the answer is 504 while the computation finishes on its
-// goroutine and still populates the cache — an immediate retry of the
-// same request becomes a hit.
-func (s *Server) estimateWithDeadline(ctx context.Context, pl *engine.Plan, opts core.SCOptions, key Key) (*core.Result, error) {
+// goroutine, still filling the plan's memo and the store — an
+// immediate retry of the same request becomes a hit.
+func (s *Server) estimateWithDeadline(ctx context.Context, pl *engine.Plan, opts []engine.Option, key Key) (*core.Result, error) {
 	type outcome struct {
 		res *core.Result
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := pl.Estimate(ctx, engine.WithRows(opts.Rows), engine.WithTrackSharing(opts.TrackSharing))
+		res, err := pl.Estimate(ctx, opts...)
 		if err == nil {
-			s.cache.Put(key, res)
-			s.stier.putResult(key, res)
+			s.stier.put(store.NSResult, key, res)
 		}
 		done <- outcome{res, err}
 	}()
+	var o outcome
 	select {
-	case o := <-done:
-		return o.res, o.err
+	case o = <-done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	// An answer landing after the deadline is still late: the check
+	// makes the 504 deterministic instead of a coin flip between two
+	// ready channels.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return o.res, o.err
 }
 
-// handleBatch answers POST /v1/estimate/batch: cache-check every
-// module, fan the misses out through the EstimateChipCtx worker pool,
-// and merge, preserving request order.
+// handleBatch answers POST /v1/estimate/batch: resolve every module's
+// plan and check its memo and the store, fan the misses out through
+// the engine's worker pool, and merge, preserving request order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqInfo) {
 	if !s.acquire() {
 		s.reject(w, info)
@@ -650,7 +639,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 		s.fail(w, info, err)
 		return
 	}
-	opts := core.SCOptions{Rows: req.Rows, TrackSharing: req.TrackSharing}
+	opts := estimateOpts(req.Rows, req.TrackSharing)
 
 	keys := make([]Key, len(req.Modules))
 	results := make([]*core.Result, len(req.Modules))
@@ -664,24 +653,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 			s.fail(w, info, reqErr("module %d: %v", i, err))
 			return
 		}
-		keys[i] = CacheKey(c, procName, opts)
-		if res, ok := s.cache.Get(keys[i]); ok {
-			results[i] = res
-			cached[i] = true
-			hits++
-		} else if res, ok := s.stier.getResult(keys[i]); ok {
-			// Store hits hydrate the LRU and count as cached modules:
-			// the disk tier is part of the cache from the wire's view.
-			s.cache.Put(keys[i], res)
+		var planKey Key
+		planKey, keys[i] = estimateKeys(c, proc, procName, req.Rows, req.TrackSharing)
+		pl, err := s.plan(ctx, planKey, c, proc)
+		if err != nil {
+			s.fail(w, info, err)
+			return
+		}
+		// Store hits count as cached modules: the disk tier is part of
+		// the cache from the wire's view.
+		if res, hit, _ := s.cachedEstimate(pl, keys[i], opts); hit {
 			results[i] = res
 			cached[i] = true
 			hits++
 		} else {
-			pl, err := s.plan(ctx, c, proc)
-			if err != nil {
-				s.fail(w, info, err)
-				return
-			}
 			missPlans = append(missPlans, pl)
 			missIdx = append(missIdx, i)
 		}
@@ -698,8 +683,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 		if workers <= 0 {
 			workers = s.opts.Workers
 		}
-		fresh, err := engine.EstimatePlans(ctx, missPlans,
-			engine.WithRows(opts.Rows), engine.WithTrackSharing(opts.TrackSharing), engine.WithWorkers(workers))
+		fresh, err := engine.EstimatePlans(ctx, missPlans, append(opts, engine.WithWorkers(workers))...)
 		if err != nil {
 			s.fail(w, info, err)
 			return
@@ -707,8 +691,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 		for j, res := range fresh {
 			i := missIdx[j]
 			results[i] = res
-			s.cache.Put(keys[i], res)
-			s.stier.putResult(keys[i], res)
+			s.stier.put(store.NSResult, keys[i], res)
 		}
 	}
 	info.mark("estimate")
@@ -720,9 +703,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleCongestion answers POST /v1/congestion: decode → cache →
-// analyze → encode.  The congestion map is deterministic in the
-// request content, so answers are cached under the same
+// handleCongestion answers POST /v1/congestion: decode → plan → memo →
+// store → analyze → encode.  The congestion map is deterministic in
+// the request content, so answers are persisted under the same
 // content-addressed key scheme as estimates (CongestKey folds in the
 // analysis knobs the estimate key does not have).
 func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *reqInfo) {
@@ -763,18 +746,19 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 		s.fail(w, info, err)
 		return
 	}
+	info.mark("parse")
 	// The compiled plan supplies the gathered statistics (shared with
 	// any earlier /v1/estimate on the same body via the plan cache)
-	// and the resolved row count the cache key names: §5 automatic
-	// rows for standard cells, the ⌈√N⌉ grid for full custom.
-	planKey := Key(engine.PlanHash(circ, proc))
+	// and the resolved row count the content address names: §5
+	// automatic rows for standard cells, the ⌈√N⌉ grid for full custom.
+	canon, planKey := render(nil, circ, proc)
 	info.setPlan(planKey)
-	pl, err := s.planWithKey(ctx, planKey, circ, proc)
+	pl, err := s.plan(ctx, planKey, circ, proc)
 	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
-	info.mark("parse")
+	info.mark("compile")
 	rows := req.Rows
 	if rows == 0 {
 		if req.Gridded {
@@ -783,39 +767,32 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 			rows = pl.InitialRows()
 		}
 	}
-	opts := congest.Options{Model: model, Capacity: req.Capacity, FeedBudget: req.FeedBudget}
-	key := CongestKey(circ, procName, rows, req.Gridded, opts)
+	key := congestKey(canon, procName, rows, req.Gridded,
+		congest.Options{Model: model, Capacity: req.Capacity, FeedBudget: req.FeedBudget})
 	info.setDigest(key)
-	if m, ok := s.congests.Get(key); ok {
-		info.setCacheHit(true)
-		info.mark("cache")
-		writeJSON(w, http.StatusOK, encodeMap(m, procName, key, true))
-		return
-	}
-	info.mark("cache")
-	if s.stier != nil {
-		if m, ok := s.stier.getCongest(key); ok {
-			s.congests.Put(key, m)
-			info.setCacheHit(true)
+	opts := []engine.Option{engine.WithRows(rows), engine.WithGridded(req.Gridded), engine.WithCongestModel(model),
+		engine.WithCapacity(req.Capacity), engine.WithFeedBudget(req.FeedBudget)}
+	m, hit := pl.CachedCongestion(opts...)
+	if hit {
+		mCongestHits.Inc()
+	} else {
+		mCongestMiss.Inc()
+		if m, hit = load[congest.Map](s.stier, store.NSCongest, key); hit {
+			pl.InstallCongestion(m, opts...)
 			info.setStoreHit(true)
-			info.mark("store")
-			writeJSON(w, http.StatusOK, encodeMap(m, procName, key, true))
+		}
+	}
+	info.setCacheHit(hit)
+	info.mark("cache")
+	if !hit {
+		if m, err = pl.Congestion(ctx, opts...); err != nil {
+			s.fail(w, info, err)
 			return
 		}
-		info.mark("store")
+		info.mark("analyze")
+		s.stier.put(store.NSCongest, key, m)
 	}
-
-	m, err := pl.Congestion(ctx,
-		engine.WithRows(rows), engine.WithGridded(req.Gridded), engine.WithCongestModel(model),
-		engine.WithCapacity(req.Capacity), engine.WithFeedBudget(req.FeedBudget))
-	if err != nil {
-		s.fail(w, info, err)
-		return
-	}
-	info.mark("analyze")
-	s.congests.Put(key, m)
-	s.stier.putCongest(key, m)
-	writeJSON(w, http.StatusOK, encodeMap(m, procName, key, false))
+	writeJSON(w, http.StatusOK, encodeMap(m, procName, key, hit))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

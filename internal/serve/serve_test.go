@@ -55,7 +55,7 @@ func TestEstimateAndCacheHit(t *testing.T) {
 	s := New(Options{})
 	body := marshal(t, EstimateRequest{Netlist: testdata(t, "demo.mnet")})
 
-	hits0, misses0 := estimateCacheMetrics.hits.Value(), estimateCacheMetrics.misses.Value()
+	hits0, misses0 := mEstimateHits.Value(), mEstimateMiss.Value()
 	first := decodeEstimate(t, do(s, "POST", "/v1/estimate", body))
 	if first.CacheHit {
 		t.Fatal("first request reported a cache hit")
@@ -79,10 +79,10 @@ func TestEstimateAndCacheHit(t *testing.T) {
 	if marshal(t, first) != marshal(t, second) {
 		t.Fatalf("cached answer differs:\n%+v\n%+v", first, second)
 	}
-	if hits := estimateCacheMetrics.hits.Value() - hits0; hits != 1 {
+	if hits := mEstimateHits.Value() - hits0; hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
-	if misses := estimateCacheMetrics.misses.Value() - misses0; misses != 1 {
+	if misses := mEstimateMiss.Value() - misses0; misses != 1 {
 		t.Fatalf("cache misses = %d, want 1", misses)
 	}
 }

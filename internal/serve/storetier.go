@@ -2,23 +2,19 @@ package serve
 
 import (
 	"encoding/json"
-	"sync"
 
-	"maest/internal/congest"
-	"maest/internal/core"
 	"maest/internal/engine"
 	"maest/internal/obs"
 	"maest/internal/store"
 )
 
-// The write-behind tier between the in-memory LRUs and the persistent
-// store.  Reads are synchronous (an LRU miss probes the store before
-// paying for compile+execute, and a store hit hydrates the LRU);
-// writes are asynchronous: the request path enqueues the computed
-// value and a writer goroutine does the JSON marshal and disk append
-// off the latency path.  The store is a cache of recomputable results,
-// so a write dropped under backpressure costs a future recompute, not
-// correctness.
+// The persistent tier under the plan cache.  Reads are synchronous: a
+// plan-memo miss probes the store before paying for the execute, and a
+// store hit is installed into the memo.  Writes are write-behind: the
+// request path enqueues the computed value and the writer goroutine
+// does the JSON marshal and disk append off the latency path.  The
+// store is a cache of recomputable results, so a write dropped under
+// backpressure costs a future recompute, not correctness.
 var (
 	mStoreWrites     = obs.DefCounter("maest_store_writebehind_writes_total", "results persisted by the write-behind tier")
 	mStoreWriteErrs  = obs.DefCounter("maest_store_writebehind_errors_total", "write-behind persists that failed")
@@ -50,149 +46,71 @@ type storeWrite struct {
 	val any
 }
 
-// storeTier wraps an open store with the write-behind queue.  A nil
+// storeTier wraps an open store with its write-behind queue.  A nil
 // *storeTier is a well-defined disabled tier: lookups miss, persists
-// are dropped — the same idiom as the nil LRU caches.
+// are dropped.
 type storeTier struct {
-	st    *store.Store
-	queue chan storeWrite
-	wg    sync.WaitGroup
-
-	mu     sync.RWMutex // guards closed vs. in-flight enqueues
-	closed bool
+	st *store.Store
+	q  *writeBehind[storeWrite]
 }
 
 // newStoreTier starts the writer goroutine over an open store.
 func newStoreTier(st *store.Store) *storeTier {
-	t := &storeTier{st: st, queue: make(chan storeWrite, 4096)}
-	t.wg.Add(1)
-	go t.writer()
+	t := &storeTier{st: st}
+	t.q = newWriteBehind(4096, mStoreWriteDrops, gStoreQueue, t.persist)
 	return t
 }
 
-func (t *storeTier) writer() {
-	defer t.wg.Done()
-	for w := range t.queue {
-		gStoreQueue.Set(float64(len(t.queue)))
-		b, err := json.Marshal(w.val)
-		if err == nil {
-			err = t.st.Put(w.ns, w.key, b)
-		}
-		if err != nil {
-			mStoreWriteErrs.Inc()
-			continue
-		}
-		mStoreWrites.Inc()
+func (t *storeTier) persist(w storeWrite) {
+	b, err := json.Marshal(w.val)
+	if err == nil {
+		err = t.st.Put(w.ns, w.key, b)
 	}
+	if err != nil {
+		mStoreWriteErrs.Inc()
+		return
+	}
+	mStoreWrites.Inc()
 }
 
-// enqueue hands one persist to the writer, dropping it (with a
-// counter) when the queue is full or the tier is flushing — the
-// request path never blocks on the disk.
-func (t *storeTier) enqueue(ns store.Namespace, key Key, val any) {
+// put persists one value under key, write-behind: the request path
+// never blocks on the disk.
+func (t *storeTier) put(ns store.Namespace, key Key, val any) {
 	if t == nil {
 		return
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		mStoreWriteDrops.Inc()
-		return
-	}
-	select {
-	case t.queue <- storeWrite{ns: ns, key: store.Key(key), val: val}:
-	default:
-		mStoreWriteDrops.Inc()
-	}
+	t.q.enqueue(storeWrite{ns: ns, key: store.Key(key), val: val})
 }
 
 // flush stops intake and blocks until every queued persist has reached
-// the store.  Call before closing the store.
+// the store.  Call before closing the store; safe to call more than once.
 func (t *storeTier) flush() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	t.closed = true
-	t.mu.Unlock()
-	close(t.queue)
-	t.wg.Wait()
+	t.q.flush()
 }
 
-// getResult probes the store for a persisted estimate.  Store hits
-// decode back to the exact Result the original computation produced:
-// Go's float64 JSON round trip is exact (shortest-representation
-// encode, exact parse), so the re-encoded response is byte-identical
-// to a fresh computation's — the differential test enforces it.
-func (t *storeTier) getResult(key Key) (*core.Result, bool) {
+// load probes the store for one persisted value.  A hit decodes back to
+// exactly what was persisted: Go's float64 JSON round trip is exact
+// (shortest-representation encode, exact parse), so the re-encoded
+// answer is byte-identical to a fresh computation's — the differential
+// tests enforce it.  Undecodable payloads (a schema from a future
+// version, say) degrade to a miss: the service recomputes and
+// overwrites.
+func load[T any](t *storeTier, ns store.Namespace, key Key) (*T, bool) {
 	if t == nil {
 		return nil, false
 	}
-	b, ok, err := t.st.Get(store.NSResult, store.Key(key))
+	b, ok, err := t.st.Get(ns, store.Key(key))
 	if err != nil || !ok {
 		return nil, false
 	}
-	var res core.Result
-	if json.Unmarshal(b, &res) != nil {
-		// Undecodable payloads (a schema from a future version, say)
-		// degrade to a miss: the service recomputes and overwrites.
+	v := new(T)
+	if json.Unmarshal(b, v) != nil {
 		return nil, false
 	}
-	return &res, true
-}
-
-// getCongest is getResult for congestion maps.
-func (t *storeTier) getCongest(key Key) (*congest.Map, bool) {
-	if t == nil {
-		return nil, false
-	}
-	b, ok, err := t.st.Get(store.NSCongest, store.Key(key))
-	if err != nil || !ok {
-		return nil, false
-	}
-	var m congest.Map
-	if json.Unmarshal(b, &m) != nil {
-		return nil, false
-	}
-	return &m, true
-}
-
-// getJob probes the store for a persisted floorplan job record.  Like
-// getResult, a hit decodes back to the exact record the original
-// process persisted — float64 JSON round trips are exact — so the
-// re-encoded poll answer is byte-identical across a restart.
-func (t *storeTier) getJob(key Key) (*JobResponse, bool) {
-	if t == nil {
-		return nil, false
-	}
-	b, ok, err := t.st.Get(store.NSFloorplan, store.Key(key))
-	if err != nil || !ok {
-		return nil, false
-	}
-	var rec JobResponse
-	if json.Unmarshal(b, &rec) != nil {
-		return nil, false
-	}
-	return &rec, true
-}
-
-// putJob persists one terminal job record, write-behind.
-func (t *storeTier) putJob(key Key, rec *JobResponse) {
-	t.enqueue(store.NSFloorplan, key, rec)
-}
-
-// putResult persists one estimate, write-behind.
-func (t *storeTier) putResult(key Key, res *core.Result) {
-	t.enqueue(store.NSResult, key, res)
-}
-
-// putCongest persists one congestion map, write-behind.
-func (t *storeTier) putCongest(key Key, m *congest.Map) {
-	t.enqueue(store.NSCongest, key, m)
+	return v, true
 }
 
 // putPlanMeta persists one compiled plan's metadata, write-behind.
@@ -201,7 +119,7 @@ func (t *storeTier) putPlanMeta(key Key, pl *engine.Plan) {
 		return
 	}
 	stats := pl.Stats()
-	t.enqueue(store.NSPlanMeta, key, &PlanMeta{
+	t.put(store.NSPlanMeta, key, &PlanMeta{
 		Module:  stats.CircuitName,
 		Process: pl.Process().Name,
 		Devices: stats.N,

@@ -3,9 +3,14 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
+	"maest/internal/congest"
+	"maest/internal/core"
 	"maest/internal/store"
 )
 
@@ -21,21 +26,20 @@ func openTestStore(t *testing.T, dir string) *store.Store {
 }
 
 // TestStoreTierDisabled pins the nil-tier contract: every method is a
-// well-defined no-op, mirroring the nil LRU caches.
+// well-defined no-op, mirroring the nil plan cache.
 func TestStoreTierDisabled(t *testing.T) {
 	var tier *storeTier
-	if _, ok := tier.getResult(Key{}); ok {
+	if _, ok := load[core.Result](tier, store.NSResult, Key{}); ok {
 		t.Error("nil tier answered a result lookup")
 	}
-	if _, ok := tier.getCongest(Key{}); ok {
+	if _, ok := load[congest.Map](tier, store.NSCongest, Key{}); ok {
 		t.Error("nil tier answered a congestion lookup")
 	}
 	if _, ok := tier.stats(); ok {
 		t.Error("nil tier has stats")
 	}
-	tier.putResult(Key{}, nil)
-	tier.putCongest(Key{}, nil)
-	tier.enqueue(store.NSResult, Key{}, nil)
+	tier.put(store.NSResult, Key{}, nil)
+	tier.putPlanMeta(Key{}, nil)
 	tier.flush()
 	tier.flush()
 
@@ -77,28 +81,12 @@ func TestStoreTierUndecodablePayload(t *testing.T) {
 	}
 	tier := newStoreTier(st)
 	defer tier.flush()
-	if _, ok := tier.getResult(key); ok {
+	if _, ok := load[core.Result](tier, store.NSResult, key); ok {
 		t.Error("undecodable result payload served")
 	}
-	if _, ok := tier.getCongest(key); ok {
+	if _, ok := load[congest.Map](tier, store.NSCongest, key); ok {
 		t.Error("undecodable congestion payload served")
 	}
-}
-
-// TestStoreTierEnqueueAfterFlushDrops: estimate goroutines can outlive
-// a 504'd request and persist after shutdown began; those writes must
-// drop with a counter, not panic on a closed channel.
-func TestStoreTierEnqueueAfterFlushDrops(t *testing.T) {
-	st := openTestStore(t, t.TempDir())
-	defer st.Close()
-	tier := newStoreTier(st)
-	tier.flush()
-	drops0 := mStoreWriteDrops.Value()
-	tier.enqueue(store.NSResult, Key(sha256.Sum256([]byte("late"))), map[string]int{"a": 1})
-	if got := mStoreWriteDrops.Value() - drops0; got != 1 {
-		t.Fatalf("drop counter moved by %v, want 1", got)
-	}
-	tier.flush() // idempotent
 }
 
 // TestServeStoreWarmRestart is the package-level warm-start contract:
@@ -129,7 +117,7 @@ func TestServeStoreWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warm instance: fresh LRUs, same directory.
+	// Warm instance: fresh plan cache, same directory.
 	st2 := openTestStore(t, dir)
 	defer st2.Close()
 	s2 := New(Options{Store: st2})
@@ -196,9 +184,82 @@ func TestServeStoreWarmRestart(t *testing.T) {
 	}
 }
 
+// TestStoreHitInstallsIntoMemo: after a restart, the first repeat of a
+// persisted estimate and of a persisted congestion map is a store hit
+// that installs the answer into the plan's memo, so the second repeat
+// never reads the disk — and both stay byte-identical to the fresh
+// computation.
+func TestStoreHitInstallsIntoMemo(t *testing.T) {
+	dir := t.TempDir()
+	demo := testdata(t, "demo.mnet")
+	routes := []struct{ path, body string }{
+		{"/v1/estimate", marshal(t, EstimateRequest{Netlist: demo, Rows: 2})},
+		{"/v1/congestion", marshal(t, CongestionRequest{Netlist: demo, Model: "crossing"})},
+	}
+	answer := func(s *Server, path, body string, hit bool) string {
+		t.Helper()
+		w := do(s, "POST", path, body)
+		if w.Code != 200 {
+			t.Fatalf("%s: %d %s", path, w.Code, w.Body.String())
+		}
+		flag := fmt.Sprintf(`"cache_hit":%t`, hit)
+		if !strings.Contains(w.Body.String(), flag) {
+			t.Fatalf("%s: answer lacks %s: %s", path, flag, w.Body.String())
+		}
+		return strings.Replace(w.Body.String(), flag, `"cache_hit":false`, 1)
+	}
+
+	st1 := openTestStore(t, dir)
+	s1 := New(Options{Store: st1})
+	fresh := make([]string, len(routes))
+	for i, r := range routes {
+		fresh[i] = answer(s1, r.path, r.body, false)
+	}
+	s1.FlushStore()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	s2 := New(Options{Store: st2})
+	defer s2.FlushStore()
+	for i, r := range routes {
+		hits0 := scrapeMetric(t, s2, "maest_store_hits_total")
+		if got := answer(s2, r.path, r.body, true); got != fresh[i] {
+			t.Fatalf("%s: store answer differs from fresh:\n%s\n%s", r.path, got, fresh[i])
+		}
+		if n := scrapeMetric(t, s2, "maest_store_hits_total") - hits0; n != 1 {
+			t.Fatalf("%s: first repeat added %d store hits, want 1", r.path, n)
+		}
+		if got := answer(s2, r.path, r.body, true); got != fresh[i] {
+			t.Fatalf("%s: memo answer differs from fresh:\n%s\n%s", r.path, got, fresh[i])
+		}
+		if n := scrapeMetric(t, s2, "maest_store_hits_total") - hits0; n != 1 {
+			t.Fatalf("%s: second repeat read the store (%d hits in all), want a memo hit", r.path, n)
+		}
+	}
+}
+
+// scrapeMetric reads one counter from the server's /metrics exposition.
+func scrapeMetric(t *testing.T, s *Server, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(do(s, "GET", "/metrics", "").Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metric %s not exposed", name)
+	return 0
+}
+
 // TestServeStoreBatchWarm: a warm batch answers every module from the
 // store (reported as cached on the wire) after a restart wiped the
-// LRUs.
+// plan cache.
 func TestServeStoreBatchWarm(t *testing.T) {
 	dir := t.TempDir()
 	demo := testdata(t, "demo.mnet")

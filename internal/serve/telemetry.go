@@ -228,7 +228,7 @@ func (ri *reqInfo) setPlan(k Key) {
 }
 
 // setStoreHit records that the answer came from the persistent store
-// tier rather than the in-memory LRU.
+// tier rather than a plan's memo.
 func (ri *reqInfo) setStoreHit(hit bool) {
 	if ri == nil {
 		return

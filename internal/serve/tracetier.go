@@ -12,8 +12,8 @@ import (
 
 // The trace tier: the write-behind path from the tail sampler to the
 // persistent store's NSTrace namespace.  A kept trace's flight record
-// is enqueued here by instrument(); a writer goroutine encodes it with
-// the obs trace codec and appends it to the store off the latency
+// is enqueued here by instrument(); the writeBehind writer encodes it
+// with the obs trace codec and appends it to the store off the latency
 // path.  Like the result tier, a trace dropped under backpressure
 // costs history, not correctness — the drop counter says how much.
 //
@@ -56,17 +56,7 @@ type traceEntry struct {
 // a no-op, the same idiom as the nil *storeTier.
 type traceTier struct {
 	st *store.Store
-
-	// The queue is a plain slice under a condition variable rather
-	// than a channel: flush-to-empty must be repeatable (tests and the
-	// restart e2e sync the queue mid-run, then keep serving), and a
-	// closed channel only flushes once.
-	mu      sync.Mutex
-	cond    sync.Cond
-	queue   []obs.FlightRecord
-	closed  bool
-	writing bool // writer holds a drained batch not yet persisted
-	wg      sync.WaitGroup
+	q  *writeBehind[obs.FlightRecord]
 
 	idxMu   sync.RWMutex
 	byTrace map[[16]byte][]store.Key
@@ -74,17 +64,14 @@ type traceTier struct {
 
 	writes atomic.Int64
 	errs   atomic.Int64
-	drops  atomic.Int64
 }
 
 // newTraceTier rebuilds the hop index from the store's NSTrace
 // namespace and starts the writer goroutine.
 func newTraceTier(st *store.Store) *traceTier {
 	t := &traceTier{st: st, byTrace: make(map[[16]byte][]store.Key)}
-	t.cond.L = &t.mu
 	t.rebuildIndex()
-	t.wg.Add(1)
-	go t.writer()
+	t.q = newWriteBehind(traceQueueCap, mTraceDrops, gTraceQueue, t.persist)
 	return t
 }
 
@@ -124,42 +111,15 @@ func (t *traceTier) rebuildIndex() {
 	t.idxMu.Unlock()
 }
 
-func (t *traceTier) writer() {
-	defer t.wg.Done()
-	t.mu.Lock()
-	for {
-		for len(t.queue) == 0 && !t.closed {
-			t.cond.Wait()
-		}
-		if len(t.queue) == 0 {
-			t.mu.Unlock()
-			return
-		}
-		batch := t.queue
-		t.queue = nil
-		t.writing = true
-		gTraceQueue.Set(0)
-		t.mu.Unlock()
-
-		for i := range batch {
-			t.persist(&batch[i])
-		}
-
-		t.mu.Lock()
-		t.writing = false
-		t.cond.Broadcast() // wake sync() waiters
-	}
-}
-
 // persist encodes one flight record and appends it under its hop key.
-func (t *traceTier) persist(rec *obs.FlightRecord) {
+func (t *traceTier) persist(rec obs.FlightRecord) {
 	key, ok := traceHopKey(rec.Trace, rec.Span)
 	if !ok {
 		t.errs.Add(1)
 		mTraceErrs.Inc()
 		return
 	}
-	payload := obs.EncodeTrace(nil, rec)
+	payload := obs.EncodeTrace(nil, &rec)
 	if err := t.st.Put(store.NSTrace, key, payload); err != nil {
 		t.errs.Add(1)
 		mTraceErrs.Inc()
@@ -228,31 +188,16 @@ func (t *traceTier) enqueue(rec obs.FlightRecord) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if t.closed || len(t.queue) >= traceQueueCap {
-		t.mu.Unlock()
-		t.drops.Add(1)
-		mTraceDrops.Inc()
-		return
-	}
-	t.queue = append(t.queue, rec)
-	gTraceQueue.Set(float64(len(t.queue)))
-	t.mu.Unlock()
-	t.cond.Signal()
+	t.q.enqueue(rec)
 }
 
 // sync blocks until every trace enqueued so far has reached the store,
-// without stopping intake — the deterministic settling point tests and
-// the restart e2e use before asserting on store contents.
+// without stopping intake.
 func (t *traceTier) sync() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	for len(t.queue) > 0 || t.writing {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
+	t.q.sync()
 }
 
 // flush stops intake and blocks until the queue has drained.  Call
@@ -261,11 +206,7 @@ func (t *traceTier) flush() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.closed = true
-	t.mu.Unlock()
-	t.cond.Broadcast()
-	t.wg.Wait()
+	t.q.flush()
 }
 
 // getTrace reads every persisted hop of one trace back from the store,
@@ -368,7 +309,7 @@ func (t *traceTier) tierStats() (TraceTierStats, bool) {
 	return TraceTierStats{
 		Writes:  t.writes.Load(),
 		Errors:  t.errs.Load(),
-		Dropped: t.drops.Load(),
+		Dropped: t.q.droppedCount(),
 		Indexed: t.indexed(),
 	}, true
 }

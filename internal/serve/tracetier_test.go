@@ -230,18 +230,6 @@ func TestDebugTracesFilters(t *testing.T) {
 	}
 }
 
-func TestTraceTierEnqueueAfterFlushDrops(t *testing.T) {
-	st := openTestStore(t, t.TempDir())
-	defer st.Close()
-	tier := newTraceTier(st)
-	tier.flush()
-	tier.enqueue(obs.FlightRecord{Trace: strings.Repeat("a", 32), Span: strings.Repeat("b", 16)})
-	if stats, _ := tier.tierStats(); stats.Dropped != 1 || stats.Writes != 0 {
-		t.Fatalf("post-flush enqueue: %+v", stats)
-	}
-	tier.flush() // idempotent
-}
-
 func TestTraceTierBadSpanIDCountsError(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
 	defer st.Close()

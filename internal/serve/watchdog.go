@@ -179,7 +179,7 @@ func (wd *Watchdog) probe(ctx context.Context) ([]string, float64, error) {
 	// production requests, so the watchdog measures the deployed
 	// pipeline, not a parallel one.
 	compile := func(ctx context.Context, c *netlist.Circuit, p *tech.Process) (*engine.Plan, error) {
-		return wd.s.plan(ctx, c, p)
+		return wd.s.plan(ctx, Key(engine.PlanHash(c, p)), c, p)
 	}
 	fresh, err := report.BuildAccuracyCtx(ctx, wd.opts.GoldenDir, proc, seed, compile)
 	if err != nil {

@@ -684,7 +684,7 @@ func PlanChipOptCtx(ctx context.Context, d *EstimateDB, opts PlanOptions) (*Floo
 }
 
 // Serving: the estimator behind an HTTP/JSON API (cmd/maest-serve)
-// with a content-addressed result cache, concurrency limiting,
+// with a content-addressed plan cache, concurrency limiting,
 // per-request deadlines, and graceful shutdown.  The handler is
 // exported so the service can be embedded in a larger mux.
 type (
@@ -693,8 +693,6 @@ type (
 	// EstimateServer is the HTTP handler serving /v1/estimate,
 	// /v1/estimate/batch, /healthz, and /metrics.
 	EstimateServer = serve.Server
-	// EstimateCache is the content-addressed LRU result cache.
-	EstimateCache = serve.Cache
 	// EstimateCacheKey is the SHA-256 identity of one estimation
 	// question (canonicalized circuit + process + options).
 	EstimateCacheKey = serve.Key
@@ -710,10 +708,6 @@ type (
 
 // NewEstimateServer returns the estimation service handler.
 func NewEstimateServer(opts ServeOptions) *EstimateServer { return serve.New(opts) }
-
-// NewEstimateCache returns a content-addressed result cache holding
-// up to capacity entries (capacity < 1 disables caching).
-func NewEstimateCache(capacity int) *EstimateCache { return serve.NewCache(capacity) }
 
 // CacheKeyFor computes the content-addressed identity of one
 // estimation question: the same circuit (however its source text was

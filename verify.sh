@@ -16,6 +16,10 @@ go build ./...
 # The examples tree is built explicitly: example programs have no
 # tests, so only a build catches API drift there.
 go build ./examples/...
+# The load benchmark is its own module linking the serve and engine
+# packages, so neither ./... run above reaches it; vet and short-test
+# it so API drift there fails here rather than in a benchmark run.
+(cd loadbench && go vet ./... && go test -short ./...)
 # The engine and the serving layer share compiled plans across
 # goroutines, the obs flight recorder is a lock-striped ring hammered
 # by every request, and the persistent store mixes request-path reads
