@@ -86,9 +86,18 @@ device g4 NAND2 n2 n3 y
 end
 `
 	p := maest.NMOS25()
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := maest.Pipeline(strings.NewReader(mnet), p, maest.SCOptions{Rows: 2}); err != nil {
+		c, err := maest.ParseMnet(strings.NewReader(mnet))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := maest.Compile(c, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pl.Estimate(ctx, maest.WithRows(2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -501,9 +510,10 @@ func BenchmarkFeedThroughProfileAblation(b *testing.B) {
 	b.ReportMetric(fanRatio, "profile/central(fanout)")
 }
 
-// E17 — observability overhead: Estimate with tracing disabled must
-// match the untraced seed (the nil-sink fast path adds no
-// allocations), and the JSONL-traced run bounds the enabled cost.
+// E17 — observability overhead: a cold compile + estimate with
+// tracing disabled must match the untraced seed (the nil-sink fast
+// path adds no allocations), and the JSONL-traced run bounds the
+// enabled cost.
 func BenchmarkEstimateObservabilityOff(b *testing.B) {
 	p := tech.NMOS25()
 	c, err := gen.RandomCircuit(gen.RandomConfig{
@@ -516,7 +526,11 @@ func BenchmarkEstimateObservabilityOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := maest.EstimateCtx(ctx, c, p, maest.SCOptions{Rows: 4}); err != nil {
+		pl, err := maest.CompileCtx(ctx, c, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pl.Estimate(ctx, maest.WithRows(4)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -534,7 +548,11 @@ func BenchmarkEstimateObservabilityOn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := maest.EstimateCtx(ctx, c, p, maest.SCOptions{Rows: 4}); err != nil {
+		pl, err := maest.CompileCtx(ctx, c, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pl.Estimate(ctx, maest.WithRows(4)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,9 +19,9 @@
 // overflow probabilities weighted by -congest-weight.
 //
 // The observability flags match maest: -trace streams JSONL spans
-// (per-module estimate spans under the chip span, then the floorplan
-// span) and prints the summary tree to stderr, -metrics dumps the
-// pipeline metrics, -pprof CPU-profiles the run.
+// (per-module estimate spans under the chip span, then the
+// floorplan.anneal span) and prints the summary tree to stderr,
+// -metrics dumps the pipeline metrics, -pprof CPU-profiles the run.
 package main
 
 import (
@@ -114,7 +114,10 @@ func run(o options, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	plan, err := floorplan.PlanChipCtx(ctx, d)
+	// A database is planned as fixed-shape modules by the greedy
+	// slicing pass; -anneal is the search over compiled plans.
+	mods, nets := floorplan.FromDB(d)
+	plan, err := floorplan.PlanModules(ctx, d.Chip, mods, nets, floorplan.WithBudget(0))
 	if err != nil {
 		return err
 	}
@@ -124,8 +127,8 @@ func run(o options, args []string) (err error) {
 		fmt.Printf("  %-16s at (%6.0f,%6.0f)  %6.0f × %-6.0f shape #%d\n",
 			b.Name, b.X, b.Y, b.W, b.H, b.ShapeIndex)
 	}
-	if len(d.Nets) > 0 {
-		gr, err := floorplan.GlobalRoute(d, plan, p, 8)
+	if len(nets) > 0 {
+		gr, err := floorplan.GlobalRoute(nets, plan, p, 8)
 		if err != nil {
 			return err
 		}
@@ -235,9 +238,16 @@ func generateDB(ctx context.Context, p *tech.Process, modules int, seed int64) (
 	if err != nil {
 		return nil, err
 	}
-	// The worker pool gives each module its own estimate span under
-	// one chip span and exercises the utilization metrics.
-	results, err := engine.EstimateChip(ctx, chip.Modules, p, engine.WithTrackSharing(true))
+	// Compile every module, then estimate the plans on the worker
+	// pool: each module gets its own estimate span under one chip span,
+	// and the pool exercises the utilization metrics.
+	plans := make([]*engine.Plan, len(chip.Modules))
+	for i, c := range chip.Modules {
+		if plans[i], err = engine.CompileCtx(ctx, c, p); err != nil {
+			return nil, err
+		}
+	}
+	results, err := engine.EstimatePlans(ctx, plans, engine.WithTrackSharing(true))
 	if err != nil {
 		return nil, err
 	}

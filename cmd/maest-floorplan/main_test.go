@@ -48,8 +48,8 @@ func TestRunExperiment(t *testing.T) {
 }
 
 // TestRunGenerateTraced checks the chip-scale trace: per-module
-// estimate spans under the estimate_chip span, then the floorplan
-// span.
+// estimate spans under the estimate_chip span, then the
+// floorplan.anneal span.
 func TestRunGenerateTraced(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.jsonl")
@@ -60,7 +60,7 @@ func TestRunGenerateTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"span":"estimate_chip"`, `"span":"estimate"`, `"span":"floorplan"`} {
+	for _, want := range []string{`"span":"estimate_chip"`, `"span":"estimate"`, `"span":"floorplan.anneal"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("trace missing %s:\n%s", want, data)
 		}

@@ -55,7 +55,10 @@ func main() {
 	fmt.Printf("estimate database: %d modules, %d global nets, %d bytes\n",
 		len(d.Modules), len(d.Nets), buf.Len())
 
-	plan, err := maest.PlanChip(d)
+	// The records become fixed-shape planner modules; the greedy
+	// slicing pass (no annealing) picks one shape per module.
+	mods, nets := maest.FloorplanInputs(d)
+	plan, err := maest.PlanModules(context.Background(), d.Chip, mods, nets, maest.WithBudget(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func main() {
 
 	// Chip-level wiring demand: the global interconnections the Fig. 1
 	// database carries are routed over a coarse congestion grid.
-	gr, err := maest.GlobalRoute(d, plan, proc, 8)
+	gr, err := maest.GlobalRoute(nets, plan, proc, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -109,10 +109,7 @@ func TestEstimateOrderInvariance(t *testing.T) {
 	var scAreas, fcAreas []float64
 	for _, ord := range orders {
 		c := build(ord)
-		res, err := maest.Estimate(c, p, maest.SCOptions{Rows: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := estimate(t, c, p, maest.WithRows(3))
 		scAreas = append(scAreas, res.SC.Area)
 		fcAreas = append(fcAreas, res.FCExact.Area)
 	}

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -274,8 +275,11 @@ func Read(r io.Reader) (*Database, error) {
 	return d, Validate(d)
 }
 
-// Validate checks referential integrity: every net pin must reference
-// an existing module, and every module must carry at least one shape.
+// Validate checks referential integrity — every net pin must reference
+// an existing module, and every module must carry at least one shape —
+// and that every size and congestion figure is a finite number in its
+// range.  The text format parses NaN and ±Inf like any other float, so
+// this is where they are refused.
 func Validate(d *Database) error {
 	names := make(map[string]bool, len(d.Modules))
 	for _, m := range d.Modules {
@@ -287,19 +291,22 @@ func Validate(d *Database) error {
 			return fmt.Errorf("%w: module %q has no shapes", ErrDB, m.Name)
 		}
 		for _, s := range m.Shapes {
-			if s.W <= 0 || s.H <= 0 {
-				return fmt.Errorf("%w: module %q shape %q has non-positive size", ErrDB, m.Name, s.Label)
+			if !(s.W > 0 && s.H > 0) || math.IsInf(s.W, 0) || math.IsInf(s.H, 0) {
+				return fmt.Errorf("%w: module %q shape %q size %gx%g is not positive and finite", ErrDB, m.Name, s.Label, s.W, s.H)
 			}
 		}
 		if c := m.Congestion; c != nil {
 			if c.Rows < 1 {
 				return fmt.Errorf("%w: module %q congest rows %d < 1", ErrDB, m.Name, c.Rows)
 			}
-			if c.PeakOverflow < 0 || c.PeakOverflow > 1 {
+			if !(c.PeakOverflow >= 0 && c.PeakOverflow <= 1) {
 				return fmt.Errorf("%w: module %q congest overflow %g outside [0,1]", ErrDB, m.Name, c.PeakOverflow)
 			}
-			if c.PeakUtil < 0 {
-				return fmt.Errorf("%w: module %q congest utilization %g < 0", ErrDB, m.Name, c.PeakUtil)
+			if !(c.PeakUtil >= 0) || math.IsInf(c.PeakUtil, 1) {
+				return fmt.Errorf("%w: module %q congest utilization %g is not finite and ≥ 0", ErrDB, m.Name, c.PeakUtil)
+			}
+			if math.IsNaN(c.ExpectedFeeds) || math.IsInf(c.ExpectedFeeds, 0) {
+				return fmt.Errorf("%w: module %q congest expected feeds %g is not finite", ErrDB, m.Name, c.ExpectedFeeds)
 			}
 			if c.HotChannel < -1 {
 				return fmt.Errorf("%w: module %q congest hot channel %d", ErrDB, m.Name, c.HotChannel)

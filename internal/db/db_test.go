@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,6 +107,36 @@ func TestReadRejectsMalformed(t *testing.T) {
 		if _, err := Read(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: accepted malformed input", c.name)
 		}
+	}
+}
+
+// TestReadRejectsNonFinite pins that NaN and ±Inf, which ParseFloat
+// accepts, never reach the planner through a shape size or a
+// congestion figure.
+func TestReadRejectsNonFinite(t *testing.T) {
+	const head = "chip a\nmodule m 1 1 1\n"
+	const shape = "shape s 1 10 10\n"
+	cases := []struct{ name, body string }{
+		{"NaN width", "shape s 1 NaN 10\n"},
+		{"NaN height", "shape s 1 10 NaN\n"},
+		{"+Inf width", "shape s 1 +Inf 10\n"},
+		{"Inf height", "shape s 1 10 Inf\n"},
+		{"-Inf width", "shape s 1 -Inf 10\n"},
+		{"NaN and +Inf shapes", "shape s 1 NaN 10\nshape s 1 +Inf 10\n"},
+		{"NaN peak util", shape + "congest occupancy 2 NaN 0.1 0 1.0\n"},
+		{"+Inf peak util", shape + "congest occupancy 2 +Inf 0.1 0 1.0\n"},
+		{"NaN peak overflow", shape + "congest occupancy 2 0.5 NaN 0 1.0\n"},
+		{"NaN expected feeds", shape + "congest occupancy 2 0.5 0.1 0 NaN\n"},
+		{"-Inf expected feeds", shape + "congest occupancy 2 0.5 0.1 0 -Inf\n"},
+	}
+	for _, c := range cases {
+		if _, err := Read(strings.NewReader(head + c.body + "end\n")); !errors.Is(err, ErrDB) {
+			t.Errorf("%s: err = %v, want ErrDB", c.name, err)
+		}
+	}
+	// The finite neighbours of those inputs still parse.
+	if _, err := Read(strings.NewReader(head + shape + "congest occupancy 2 0.5 0.1 0 1.0\nend\n")); err != nil {
+		t.Fatalf("finite record rejected: %v", err)
 	}
 }
 

@@ -16,6 +16,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(sample.String())
 	f.Add("chip c\nend\n")
 	f.Add("module m 1 1 1\n")
+	f.Add("chip c\nmodule m 1 1 1\nshape s 1 NaN 10\nend\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, input string) {
 		d, err := Read(strings.NewReader(input))

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"maest/internal/core"
-	"maest/internal/netlist"
 	"maest/internal/obs"
-	"maest/internal/tech"
 )
 
 // Chip-scale metrics: the worker pool is the throughput engine of the
@@ -26,52 +24,27 @@ var (
 	mChipUtil    = obs.DefHistogram("maest_chip_worker_utilization_ratio", "per-worker busy fraction of a chip estimate", obs.RatioBuckets)
 )
 
-// EstimateChip compiles and estimates every module of a partitioned
-// chip concurrently — the paper's workflow estimates each module
-// independently before floor planning, which parallelizes perfectly.
-// Results are returned in module order.  When several modules fail,
+// EstimatePlans estimates already-compiled plans concurrently — the
+// paper's workflow estimates each module independently before floor
+// planning, which parallelizes perfectly.  Callers compile (or
+// cache-hit) each module first, then fan the estimation out here.
+// Results are returned in plan order.
+//
+// The pool runs under an "estimate_chip" span parenting one estimate
+// per plan.  Cancellation is prompt: plans not yet started are
+// skipped and ctx.Err is surfaced itself.  When several plans fail,
 // every failure is reported (errors.Join), each tagged with its
 // module name.  Honored options: WithRows, WithTrackSharing,
 // WithWorkers (≤ 0 selects GOMAXPROCS).
-func EstimateChip(ctx context.Context, modules []*netlist.Circuit, p *tech.Process, opts ...Option) ([]*core.Result, error) {
+func EstimatePlans(ctx context.Context, plans []*Plan, opts ...Option) (res []*core.Result, err error) {
 	o := build(opts)
-	return chipPool(ctx, len(modules), o.Workers,
-		func(ctx context.Context, i int) (*core.Result, error) {
-			// Compile clones the process per plan, so the pool needs
-			// no per-worker clone to stay race-clean under callers
-			// that mutate theirs concurrently.
-			pl, err := CompileCtx(ctx, modules[i], p)
-			if err != nil {
-				return nil, err
-			}
-			return pl.estimate(ctx, o)
-		},
-		func(i int) string { return modules[i].Name })
-}
-
-// EstimatePlans is EstimateChip over already-compiled plans: the
-// serving layer's batch endpoint compiles (or cache-hits) each module
-// first, then fans the estimation out here.  Results are returned in
-// plan order.
-func EstimatePlans(ctx context.Context, plans []*Plan, opts ...Option) ([]*core.Result, error) {
-	o := build(opts)
-	return chipPool(ctx, len(plans), o.Workers,
-		func(ctx context.Context, i int) (*core.Result, error) {
-			return plans[i].estimate(ctx, o)
-		},
-		func(i int) string { return plans[i].circ.Name })
-}
-
-// chipPool is the shared worker pool: an "estimate_chip" span
-// parenting one estimate per module, prompt cancellation (modules not
-// yet started are skipped; the pool surfaces ctx.Err itself), full
-// failure aggregation, and worker-utilization metrics.
-func chipPool(ctx context.Context, n, workers int, work func(context.Context, int) (*core.Result, error), name func(int) string) (res []*core.Result, err error) {
 	ctx, sp := obs.Start(ctx, "estimate_chip")
 	defer func() { sp.EndErr(err) }()
+	n := len(plans)
 	if n == 0 {
 		return nil, estErr("chip has no modules")
 	}
+	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -92,7 +65,7 @@ func chipPool(ctx context.Context, n, workers int, work func(context.Context, in
 		go func(w int) {
 			defer wg.Done()
 			for i := range idx {
-				// Cancellation check per module: a module already
+				// Cancellation check per plan: a plan already
 				// estimating runs to completion (the estimator is not
 				// preemptible), but unstarted ones are skipped so the
 				// pool winds down promptly.
@@ -100,7 +73,7 @@ func chipPool(ctx context.Context, n, workers int, work func(context.Context, in
 					continue
 				}
 				start := time.Now()
-				results[i], errs[i] = work(ctx, i)
+				results[i], errs[i] = plans[i].estimate(ctx, o)
 				busy[w] += time.Since(start)
 			}
 		}(w)
@@ -143,7 +116,7 @@ feed:
 	var failures []error
 	for i, e := range errs {
 		if e != nil {
-			failures = append(failures, fmt.Errorf("%w (module %q)", e, name(i)))
+			failures = append(failures, fmt.Errorf("%w (module %q)", e, plans[i].circ.Name))
 		}
 	}
 	if len(failures) > 0 {

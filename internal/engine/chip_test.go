@@ -9,16 +9,18 @@ import (
 	"testing"
 	"time"
 
+	"maest/internal/core"
 	"maest/internal/gen"
 	"maest/internal/netlist"
 	"maest/internal/obs"
 	"maest/internal/tech"
 )
 
-func chipModules(t testing.TB, n int) []*netlist.Circuit {
+// chipPlans compiles n deterministic random modules.
+func chipPlans(t testing.TB, n int) []*Plan {
 	t.Helper()
 	p := tech.NMOS25()
-	var out []*netlist.Circuit
+	var out []*Plan
 	for i := 0; i < n; i++ {
 		c, err := gen.RandomCircuit(gen.RandomConfig{
 			Name: fmt.Sprintf("m%d", i), Gates: 30 + i*5, Inputs: 4, Outputs: 3, Seed: int64(i + 1),
@@ -26,40 +28,70 @@ func chipModules(t testing.TB, n int) []*netlist.Circuit {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, c)
+		pl, err := Compile(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, pl)
 	}
 	return out
 }
 
-func TestEstimateChipMatchesSequential(t *testing.T) {
-	p := tech.NMOS25()
-	mods := chipModules(t, 6)
-	par, err := EstimateChip(context.Background(), mods, p, WithWorkers(4))
+// badPlan compiles a module whose estimate fails inside Plan.Estimate:
+// the inverter g1 has an output pin but no input, which the gate-level
+// statistics accept and the Full-Custom transistor expansion rejects.
+func badPlan(t *testing.T, name string) *Plan {
+	t.Helper()
+	b := netlist.NewBuilder(name)
+	b.AddDevice("g1", "INV", "a")
+	b.AddDevice("g2", "INV", "a", "b")
+	b.AddPort("pb", netlist.Out, "b")
+	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par) != len(mods) {
+	pl, err := Compile(c, tech.NMOS25())
+	if err != nil {
+		t.Fatalf("compile %s: %v", name, err)
+	}
+	return pl
+}
+
+func TestEstimateChipMatchesSequential(t *testing.T) {
+	plans := chipPlans(t, 6)
+	par, err := EstimatePlans(context.Background(), plans, WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(par) != len(plans) {
 		t.Fatalf("results = %d", len(par))
 	}
-	for i, c := range mods {
-		seq, err := Estimate(context.Background(), c, p)
+	p := tech.NMOS25()
+	for i, pl := range plans {
+		// A fresh compile, so the comparison is not a memo hit on the
+		// plan the pool just filled.
+		fresh, err := Compile(pl.Circuit(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par[i].Module != c.Name {
-			t.Fatalf("result %d is for %q, want %q", i, par[i].Module, c.Name)
+		seq, err := fresh.Estimate(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := pl.Circuit().Name
+		if par[i].Module != name {
+			t.Fatalf("result %d is for %q, want %q", i, par[i].Module, name)
 		}
 		if par[i].SC.Area != seq.SC.Area || par[i].FCExact.Area != seq.FCExact.Area {
-			t.Fatalf("module %q: parallel and sequential estimates differ", c.Name)
+			t.Fatalf("module %q: parallel and sequential estimates differ", name)
 		}
 	}
 }
 
 func TestEstimateChipWorkerClamping(t *testing.T) {
-	p := tech.NMOS25()
-	mods := chipModules(t, 2)
+	plans := chipPlans(t, 2)
 	for _, workers := range []int{-1, 0, 1, 16} {
-		res, err := EstimateChip(context.Background(), mods, p, WithWorkers(workers))
+		res, err := EstimatePlans(context.Background(), plans, WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -70,45 +102,22 @@ func TestEstimateChipWorkerClamping(t *testing.T) {
 }
 
 func TestEstimateChipErrors(t *testing.T) {
-	p := tech.NMOS25()
-	if _, err := EstimateChip(context.Background(), nil, p, WithWorkers(2)); err == nil {
-		t.Error("empty chip accepted")
+	if _, err := EstimatePlans(context.Background(), nil, WithWorkers(2)); !errors.Is(err, core.ErrEstimate) {
+		t.Errorf("empty chip: err = %v, want ErrEstimate", err)
 	}
-	// One bad module (unknown type) fails the whole chip with its
-	// name in the error.
-	b := netlist.NewBuilder("bad")
-	b.AddDevice("g1", "WARP", "a", "b")
-	b.AddDevice("g2", "INV", "b", "a")
-	bad, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mods := append(chipModules(t, 2), bad)
-	if _, err := EstimateChip(context.Background(), mods, p, WithWorkers(4)); err == nil {
+	// One plan failing inside Plan.Estimate fails the whole chip.
+	plans := append(chipPlans(t, 2), badPlan(t, "bad"))
+	if _, err := EstimatePlans(context.Background(), plans, WithWorkers(4)); err == nil {
 		t.Error("bad module accepted")
 	}
-}
-
-func badModule(t *testing.T, name string) *netlist.Circuit {
-	t.Helper()
-	b := netlist.NewBuilder(name)
-	b.AddDevice("g1", "WARP", "a", "b")
-	b.AddDevice("g2", "INV", "b", "a")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 func TestEstimateChipAggregatesAllErrors(t *testing.T) {
 	// Every failing module must be named in the joined error, not
 	// just the lowest-index one.
-	p := tech.NMOS25()
-	mods := chipModules(t, 2)
-	mods = append(mods, badModule(t, "badA"))
-	mods = append(mods, badModule(t, "badB"))
-	_, err := EstimateChip(context.Background(), mods, p, WithWorkers(4))
+	plans := chipPlans(t, 2)
+	plans = append(plans, badPlan(t, "badA"), badPlan(t, "badB"))
+	_, err := EstimatePlans(context.Background(), plans, WithWorkers(4))
 	if err == nil {
 		t.Fatal("bad modules accepted")
 	}
@@ -117,10 +126,13 @@ func TestEstimateChipAggregatesAllErrors(t *testing.T) {
 			t.Errorf("joined error missing module %q: %v", name, err)
 		}
 	}
+	if !errors.Is(err, core.ErrEstimate) {
+		t.Errorf("joined error lost ErrEstimate: %v", err)
+	}
 }
 
 // cancelSink cancels a context after n "estimate" spans have
-// completed — a deterministic way to cancel EstimateChip mid-pool.
+// completed — a deterministic way to cancel EstimatePlans mid-pool.
 type cancelSink struct {
 	mu     sync.Mutex
 	after  int
@@ -140,19 +152,18 @@ func (s *cancelSink) Record(d *obs.SpanData) {
 	}
 }
 
-// Cancellation mid-pool: unstarted modules are skipped and ctx.Err()
-// is surfaced, not an aggregate of per-module failures.
+// Cancellation mid-pool: unstarted plans are skipped and ctx.Err() is
+// surfaced, not an aggregate of per-module failures.
 func TestEstimateChipCancelledMidPool(t *testing.T) {
-	p := tech.NMOS25()
-	mods := chipModules(t, 16)
+	plans := chipPlans(t, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sink := &cancelSink{after: 1, cancel: cancel}
 	ctx = obs.WithSink(ctx, sink)
 
-	// One worker: after the first module's span ends the context is
+	// One worker: after the first plan's span ends the context is
 	// cancelled, so the pool must skip (nearly) all remaining work.
-	res, err := EstimateChip(ctx, mods, p, WithWorkers(1))
+	res, err := EstimatePlans(ctx, plans, WithWorkers(1))
 	if res != nil {
 		t.Fatal("cancelled chip estimate returned results")
 	}
@@ -162,7 +173,7 @@ func TestEstimateChipCancelledMidPool(t *testing.T) {
 	sink.mu.Lock()
 	estimated := sink.seen
 	sink.mu.Unlock()
-	// The module in flight at cancel time may complete; everything
+	// The plan in flight at cancel time may complete; everything
 	// queued behind it must not run.
 	if estimated > 2 {
 		t.Fatalf("%d modules estimated after cancellation, want ≤ 2", estimated)
@@ -171,12 +182,11 @@ func TestEstimateChipCancelledMidPool(t *testing.T) {
 
 // A context cancelled before the call estimates nothing.
 func TestEstimateChipCancelledUpFront(t *testing.T) {
-	p := tech.NMOS25()
-	mods := chipModules(t, 4)
+	plans := chipPlans(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	count := &countSink{}
-	if _, err := EstimateChip(obs.WithSink(ctx, count), mods, p, WithWorkers(2)); !errors.Is(err, context.Canceled) {
+	if _, err := EstimatePlans(obs.WithSink(ctx, count), plans, WithWorkers(2)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := count.estimates(); n != 0 {
@@ -208,11 +218,10 @@ func (s *countSink) estimates() int {
 // Deadline expiry mid-pool surfaces DeadlineExceeded (the serving
 // layer maps this to 504).
 func TestEstimateChipDeadline(t *testing.T) {
-	p := tech.NMOS25()
-	mods := chipModules(t, 8)
+	plans := chipPlans(t, 8)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	if _, err := EstimateChip(ctx, mods, p, WithWorkers(2)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := EstimatePlans(ctx, plans, WithWorkers(2)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -18,7 +18,7 @@ func (pl *Plan) Estimate(ctx context.Context, opts ...Option) (*core.Result, err
 	return pl.estimate(ctx, build(opts))
 }
 
-// estimate is Estimate after option resolution — the entry EstimateChip
+// estimate is Estimate after option resolution — the entry EstimatePlans
 // and the serving layer use to avoid re-resolving per module.
 func (pl *Plan) estimate(ctx context.Context, o Options) (res *core.Result, err error) {
 	ctx, sp := obs.Start(ctx, "estimate")

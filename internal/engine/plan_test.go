@@ -181,7 +181,11 @@ func TestEstimateDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Estimate(context.Background(), c, p)
+		pl, err := Compile(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pl.Estimate(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

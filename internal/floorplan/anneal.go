@@ -30,14 +30,17 @@ type planner interface {
 	Congestion(ctx context.Context, opts ...engine.Option) (*congest.Map, error)
 }
 
-// PlanModule pairs a module name with its compiled engine plan — the
-// Plan-driven planner's input.  The plan answers both questions the
+// PlanModule is one module entering the planner.  It carries exactly
+// one of Plan or Shapes.  A compiled Plan answers both questions the
 // search asks: shape candidates (Plan.Candidates) and per-channel
 // overflow risk (Plan.Congestion, backed by the shared distribution
-// memo).
+// memo).  Fixed Shapes — an estimate database's records, a naive
+// guess, measured layouts — are used as given, in order (a placed
+// block's ShapeIndex indexes them), and add no routability term.
 type PlanModule struct {
-	Name string
-	Plan *engine.Plan
+	Name   string
+	Plan   *engine.Plan
+	Shapes []Shape
 }
 
 // Default search knobs.  DefaultBudget is sized so a ten-module chip
@@ -70,10 +73,9 @@ type Option func(*config)
 // congestion scoring off.
 func WithCongestWeight(w float64) Option { return func(c *config) { c.congestWeight = w } }
 
-// WithWireWeight sets the wire-length weight, the same trade
-// PlanOptions.WireWeight expresses for the legacy path: the area term
-// becomes area + w·wirelength·√area.  Zero (the default) scores pure
-// area.
+// WithWireWeight sets the wire-length weight: every Pareto-optimal
+// root shape is realized and the area term becomes
+// area + w·wirelength·√area.  Zero (the default) scores pure area.
 func WithWireWeight(w float64) Option { return func(c *config) { c.wireWeight = w } }
 
 // WithSeed fixes the annealer's random source.  Plans are
@@ -82,8 +84,9 @@ func WithWireWeight(w float64) Option { return func(c *config) { c.wireWeight = 
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
 // WithBudget sets the annealing move budget.  Zero or negative
-// disables annealing, leaving the deterministic greedy pass (the
-// legacy PlanChip behavior).
+// disables annealing, leaving the deterministic greedy pass: modules
+// clustered by connectivity into a balanced slicing tree, the
+// cheapest root shape realized.
 func WithBudget(n int) Option { return func(c *config) { c.budget = n } }
 
 // WithCandidates sets how many shape candidates to request per module
@@ -114,8 +117,8 @@ type Progress struct {
 	Current float64
 }
 
-// PlanModules floor-plans compiled modules: shape candidates come
-// from each module's engine.Plan, the slicing search minimizes
+// PlanModules floor-plans modules: shape candidates come from each
+// module's engine.Plan or fixed Shapes, the slicing search minimizes
 //
 //	(area + wireWeight·wirelength·√area) · (1 + congestWeight·routability)
 //
@@ -166,8 +169,9 @@ func PlanModules(ctx context.Context, chip string, mods []PlanModule, nets []Net
 	return run(ctx, chip, ms, nets, cfg)
 }
 
-// resolveModules validates the input and asks each module's plan for
-// its shape candidates.
+// resolveModules validates the input and resolves each module's
+// shape candidates: asked of its plan, or checked from its fixed
+// list.
 func resolveModules(ctx context.Context, mods []PlanModule, nets []Net, cfg config) ([]*mod, error) {
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("%w: no modules", ErrPlan)
@@ -178,32 +182,28 @@ func resolveModules(ctx context.Context, mods []PlanModule, nets []Net, cfg conf
 		if pm.Name == "" {
 			return nil, fmt.Errorf("%w: module %d has no name", ErrPlan, i)
 		}
-		if pm.Plan == nil {
-			return nil, fmt.Errorf("%w: module %q has no compiled plan", ErrPlan, pm.Name)
-		}
 		if byName[pm.Name] != nil {
 			return nil, fmt.Errorf("%w: duplicate module %q", ErrPlan, pm.Name)
 		}
-		// Clamp the candidate request into the module's feasible row
-		// range [1, N]; Plan.Candidates is strict and would refuse a
-		// count the module cannot honor.
-		count := cfg.candidates
-		if n := pm.Plan.Stats().N; count > n {
-			count = n
+		m := &mod{name: pm.Name, shapes: pm.Shapes}
+		switch {
+		case pm.Plan != nil && len(pm.Shapes) > 0:
+			return nil, fmt.Errorf("%w: module %q carries both a plan and fixed shapes", ErrPlan, pm.Name)
+		case pm.Plan != nil:
+			shapes, err := planShapes(ctx, pm.Plan, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%w: module %q: %v", ErrPlan, pm.Name, err)
+			}
+			m.shapes, m.plan = shapes, pm.Plan
+		case len(pm.Shapes) == 0:
+			return nil, fmt.Errorf("%w: module %q has neither a compiled plan nor shapes", ErrPlan, pm.Name)
+		default:
+			for _, s := range pm.Shapes {
+				if !(s.W > 0 && s.H > 0) || math.IsInf(s.W, 0) || math.IsInf(s.H, 0) {
+					return nil, fmt.Errorf("%w: module %q shape %gx%g is not positive and finite", ErrPlan, pm.Name, s.W, s.H)
+				}
+			}
 		}
-		if count < 1 {
-			count = 1
-		}
-		cands, err := pm.Plan.Candidates(ctx,
-			engine.WithCandidates(count), engine.WithTrackSharing(cfg.trackSharing))
-		if err != nil {
-			return nil, fmt.Errorf("%w: module %q: %v", ErrPlan, pm.Name, err)
-		}
-		shapes := make([]shapeCand, len(cands))
-		for si, c := range cands {
-			shapes[si] = shapeCand{w: c.Width, h: c.Height, rows: c.Rows}
-		}
-		m := &mod{name: pm.Name, shapes: shapes, plan: pm.Plan}
 		byName[pm.Name] = m
 		ms[i] = m
 	}
@@ -217,6 +217,30 @@ func resolveModules(ctx context.Context, mods []PlanModule, nets []Net, cfg conf
 		}
 	}
 	return ms, nil
+}
+
+// planShapes asks a compiled plan for its shape candidates, clamping
+// the request into the module's feasible row range [1, N]:
+// Plan.Candidates is strict and would refuse a count the module cannot
+// honor.
+func planShapes(ctx context.Context, pl *engine.Plan, cfg config) ([]Shape, error) {
+	count := cfg.candidates
+	if n := pl.Stats().N; count > n {
+		count = n
+	}
+	if count < 1 {
+		count = 1
+	}
+	cands, err := pl.Candidates(ctx,
+		engine.WithCandidates(count), engine.WithTrackSharing(cfg.trackSharing))
+	if err != nil {
+		return nil, err
+	}
+	shapes := make([]Shape, len(cands))
+	for i, c := range cands {
+		shapes[i] = Shape{W: c.Width, H: c.Height, Rows: c.Rows}
+	}
+	return shapes, nil
 }
 
 // searcher carries one search's shared state: the routability memo
@@ -238,9 +262,9 @@ type routKey struct {
 	rows int
 }
 
-// run is the shared search core behind both entry points: greedy
-// clustering + slicing combination always, simulated annealing over
-// the clustering order when the budget allows.
+// run is the search core: greedy clustering + slicing combination
+// always, simulated annealing over the clustering order when the
+// budget allows.
 func run(ctx context.Context, chip string, ms []*mod, nets []Net, cfg config) (*Plan, error) {
 	sc := &searcher{
 		ctx:    ctx,
@@ -333,7 +357,7 @@ func (sc *searcher) eval(order []*mod) (*Plan, error) {
 	for i, m := range order {
 		n := &node{leaf: m}
 		for si, s := range m.shapes {
-			n.combos = append(n.combos, combo{w: s.w, h: s.h, shapeIdx: si})
+			n.combos = append(n.combos, combo{w: s.W, h: s.H, shapeIdx: si})
 		}
 		n.combos = pareto(n.combos)
 		leaves[i] = n
@@ -352,8 +376,8 @@ func (sc *searcher) eval(order []*mod) (*Plan, error) {
 		return plan
 	}
 	if sc.cfg.wireWeight <= 0 && sc.cfg.congestWeight <= 0 {
-		// Pure minimum area: one realization, the legacy PlanChip
-		// behavior (first strictly-smaller index wins ties).
+		// Pure minimum area: one realization (first strictly-smaller
+		// index wins ties).
 		best := 0
 		for i, c := range root.combos {
 			if c.w*c.h < root.combos[best].w*root.combos[best].h {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -178,6 +179,26 @@ func TestPlanModulesValidation(t *testing.T) {
 	if _, err := PlanModules(ctx, name, mods, bad); !errors.Is(err, ErrPlan) {
 		t.Fatalf("unknown net module: %v", err)
 	}
+
+	square := []Shape{{W: 10, H: 10}}
+	both := []PlanModule{{Name: "m", Plan: mods[0].Plan, Shapes: square}}
+	if _, err := PlanModules(ctx, name, both, nil); !errors.Is(err, ErrPlan) {
+		t.Fatalf("plan and shapes both set: %v", err)
+	}
+	neither := []PlanModule{{Name: "m", Shapes: []Shape{}}}
+	if _, err := PlanModules(ctx, name, neither, nil); !errors.Is(err, ErrPlan) {
+		t.Fatalf("empty shape list: %v", err)
+	}
+	for _, s := range []Shape{
+		{W: math.NaN(), H: 10}, {W: 10, H: math.NaN()},
+		{W: math.Inf(1), H: 10}, {W: 10, H: math.Inf(-1)},
+		{W: 0, H: 10}, {W: 10, H: -1},
+	} {
+		fixed := []PlanModule{{Name: "ok", Shapes: square}, {Name: "m", Shapes: append(square, s)}}
+		if _, err := PlanModules(ctx, name, fixed, nil, WithBudget(0)); !errors.Is(err, ErrPlan) {
+			t.Fatalf("shape %gx%g: err = %v", s.W, s.H, err)
+		}
+	}
 }
 
 func TestPlanModulesProgressReports(t *testing.T) {
@@ -228,28 +249,31 @@ func TestGoldenPlanText(t *testing.T) {
 	}
 }
 
-// TestLegacyShimMatchesSearchCore pins the deprecation contract: the
-// db-driven PlanChipOpt shim must produce exactly the plan the search
-// core yields for the converted inputs.
-func TestLegacyShimMatchesSearchCore(t *testing.T) {
-	d := sampleDB()
-	legacy, err := PlanChipOpt(d, PlanOptions{WireWeight: 10})
+// TestFixedShapesMatchSearchCore pins the fixed-shape path: a greedy
+// wire-weighted PlanModules over fixed shapes must produce exactly the
+// plan the search core yields for those modules under the bare
+// objective — resolving fixed shapes adds nothing, and the seed and
+// candidate defaults the entry point fills in never reach a greedy
+// fixed-shape search.
+func TestFixedShapesMatchSearchCore(t *testing.T) {
+	chip, mods, nets := sampleChip()
+	plan := planGreedy(t, chip, mods, nets, WithWireWeight(10))
+	ms, err := resolveModules(context.Background(), mods, nets, config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, nets := fromDB(d)
-	direct, err := run(context.Background(), d.Chip, ms, nets, config{wireWeight: 10})
+	direct, err := run(context.Background(), chip, ms, nets, config{wireWeight: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if err := WritePlanText(&a, legacy); err != nil {
+	if err := WritePlanText(&a, plan); err != nil {
 		t.Fatal(err)
 	}
 	if err := WritePlanText(&b, direct); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("shim diverged from search core:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
+		t.Fatalf("fixed-shape plan diverged from search core:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"maest/internal/baseline"
-	"maest/internal/db"
 	"maest/internal/engine"
 	"maest/internal/gen"
 	"maest/internal/layout"
@@ -24,25 +23,24 @@ import (
 
 // ShapeSource produces candidate shapes for a module — the knob the
 // experiment varies (estimator vs. naive guess).
-type ShapeSource func(c *netlist.Circuit, p *tech.Process) ([]db.Shape, error)
+type ShapeSource func(c *netlist.Circuit, p *tech.Process) ([]Shape, error)
 
 // EstimatorShapes is the paper's estimator in its §7-extended
 // configuration (track sharing on, so the shapes track what a real
 // sharing router produces): standard-cell shape candidates across row
 // counts.
-func EstimatorShapes(c *netlist.Circuit, p *tech.Process) ([]db.Shape, error) {
-	res, err := engine.Estimate(context.Background(), c, p, engine.WithTrackSharing(true))
+func EstimatorShapes(c *netlist.Circuit, p *tech.Process) ([]Shape, error) {
+	pl, err := engine.Compile(c, p)
 	if err != nil {
 		return nil, err
 	}
-	var out []db.Shape
+	res, err := pl.Estimate(context.Background(), engine.WithTrackSharing(true))
+	if err != nil {
+		return nil, err
+	}
+	var out []Shape
 	for _, sc := range res.SCCandidates {
-		out = append(out, db.Shape{
-			Label: fmt.Sprintf("sc-rows%d", sc.Rows),
-			Rows:  sc.Rows,
-			W:     sc.Width,
-			H:     sc.Height,
-		})
+		out = append(out, Shape{W: sc.Width, H: sc.Height, Rows: sc.Rows})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("floorplan: module %q produced no shapes", c.Name)
@@ -53,7 +51,7 @@ func EstimatorShapes(c *netlist.Circuit, p *tech.Process) ([]db.Shape, error) {
 // NaiveShapes is the designer rule of thumb the estimator replaces: a
 // single square of active area × factor.
 func NaiveShapes(factor float64) ShapeSource {
-	return func(c *netlist.Circuit, p *tech.Process) ([]db.Shape, error) {
+	return func(c *netlist.Circuit, p *tech.Process) ([]Shape, error) {
 		s, err := netlist.Gather(c, p)
 		if err != nil {
 			return nil, err
@@ -63,7 +61,7 @@ func NaiveShapes(factor float64) ShapeSource {
 			return nil, err
 		}
 		side := math.Sqrt(a)
-		return []db.Shape{{Label: "naive", Rows: 0, W: side, H: side}}, nil
+		return []Shape{{W: side, H: side}}, nil
 	}
 }
 
@@ -106,7 +104,7 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 	}
 
 	// Current shape belief per module.
-	shapes := make(map[string][]db.Shape, len(chip.Modules))
+	shapes := make(map[string][]Shape, len(chip.Modules))
 	circuits := make(map[string]*netlist.Circuit, len(chip.Modules))
 	for _, c := range chip.Modules {
 		ss, err := src(c, p)
@@ -135,28 +133,25 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 		return m, nil
 	}
 
+	nets := make([]Net, len(chip.GlobalNets))
+	for i, gn := range chip.GlobalNets {
+		pins := make([]NetPin, len(gn.Pins))
+		for j, pin := range gn.Pins {
+			pins[j] = NetPin{Module: pin.Module, Port: pin.Port}
+		}
+		nets[i] = Net{Name: gn.Name, Pins: pins}
+	}
+
 	res := &ExperimentResult{}
+	mods := make([]PlanModule, len(chip.Modules))
 	for iter := 1; iter <= maxIters; iter++ {
 		res.Iterations = iter
-		d := &db.Database{Chip: chip.Name}
-		for _, c := range chip.Modules {
-			sc, err := netlist.Gather(c, p)
-			if err != nil {
-				return nil, err
-			}
-			d.Modules = append(d.Modules, db.Module{
-				Name: c.Name, Devices: sc.N, Nets: sc.H, Ports: sc.NumPorts,
-				Shapes: shapes[c.Name],
-			})
+		for i, c := range chip.Modules {
+			mods[i] = PlanModule{Name: c.Name, Shapes: shapes[c.Name]}
 		}
-		for _, gn := range chip.GlobalNets {
-			pins := make([]db.GlobalPin, len(gn.Pins))
-			for i, pin := range gn.Pins {
-				pins[i] = db.GlobalPin{Module: pin.Module, Port: pin.Port}
-			}
-			d.Nets = append(d.Nets, db.GlobalNet{Name: gn.Name, Pins: pins})
-		}
-		plan, err := PlanChip(d)
+		// The deterministic greedy pass: each iteration re-plans from
+		// the corrected shapes alone.
+		plan, err := PlanModules(context.Background(), chip.Name, mods, nets, WithBudget(0))
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +174,7 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 			misfits++
 			// Correct the belief: the measured shape at this and
 			// neighbouring row counts.
-			var corrected []db.Shape
+			var corrected []Shape
 			for _, r := range []int{rows - 1, rows, rows + 1} {
 				if r < 1 {
 					continue
@@ -188,12 +183,7 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 				if err != nil {
 					return nil, err
 				}
-				corrected = append(corrected, db.Shape{
-					Label: fmt.Sprintf("real-rows%d", r),
-					Rows:  r,
-					W:     float64(m.Width),
-					H:     float64(m.Height),
-				})
+				corrected = append(corrected, Shape{W: float64(m.Width), H: float64(m.Height), Rows: r})
 			}
 			shapes[b.Name] = corrected
 		}

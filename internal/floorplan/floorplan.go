@@ -1,22 +1,19 @@
 // Package floorplan is the chip floor planner the estimator feeds
 // (paper §1, refs. Mason [2] and Ulysses [3]): it takes module shape
 // candidates plus global interconnections and produces a slicing
-// floor plan, choosing one shape per module.  The planner runs off
-// compiled engine.Plans (PlanModules: §4 shape candidates via
-// Plan.Candidates, channel overflow risk via Plan.Congestion); the
-// legacy internal/db entry points (PlanChip, PlanChipOpt) survive as
-// thin shims over the same search core.  It also hosts the §7
+// floor plan, choosing one shape per module.  PlanModules is the one
+// entry point: a module enters either as a compiled engine.Plan (§4
+// shape candidates via Plan.Candidates, channel overflow risk via
+// Plan.Congestion) or as a fixed list of shapes, which is how an
+// estimate database is planned (FromDB).  It also hosts the §7
 // experiment measuring how estimate quality changes the number of
 // floor-planning iterations.
 package floorplan
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"maest/internal/db"
 	"maest/internal/obs"
@@ -65,7 +62,7 @@ type Plan struct {
 	// (area + wireWeight·wirelength·√area) · (1 + congestWeight·routability).
 	Cost float64
 	// Congestion details the winning plan's per-channel overflow risk
-	// for every Plan-backed module (PlanModules path only).
+	// for every Plan-backed module (fixed-shape modules have none).
 	Congestion []ModuleCongest
 	// Stats reports the search effort that produced the plan.
 	Stats SearchStats
@@ -126,8 +123,7 @@ func (p *Plan) Utilization() float64 {
 func (p *Plan) BlockByName(name string) *Placed { return p.byName[name] }
 
 // Net is one global interconnection between modules, the planner's
-// own net shape (decoupled from internal/db so Plan-driven callers
-// never build a database).
+// own net shape (so callers never build an estimate database).
 type Net struct {
 	Name string
 	Pins []NetPin
@@ -139,21 +135,23 @@ type NetPin struct {
 	Port   string
 }
 
+// Shape is one fixed candidate shape of a module: its dimensions in λ
+// and the standard-cell row count behind it (0 when it has none, e.g.
+// a full-custom or naive square shape).
+type Shape struct {
+	W, H float64
+	Rows int
+}
+
 // mod is the search core's view of one module: its candidate shapes
-// plus, on the Plan-driven path, the compiled plan that answers
+// plus, for Plan-backed modules, the compiled plan that answers
 // congestion questions and the module's global-net pin count (its
 // weight in the routability term).
 type mod struct {
 	name   string
-	shapes []shapeCand
-	plan   planner // nil on the legacy db path
+	shapes []Shape
+	plan   planner // nil for fixed-shape modules
 	pins   int
-}
-
-// shapeCand is one candidate shape of a module.
-type shapeCand struct {
-	w, h float64
-	rows int
 }
 
 // shape candidates carried through the slicing combination, with
@@ -175,87 +173,19 @@ type node struct {
 	combos      []combo
 }
 
-// PlanChip floor-plans an estimate database: modules are clustered by
-// global connectivity into a balanced slicing tree, each node
-// combines child shape lists under both cut directions, and the
-// minimum-area root shape is realized.
-//
-// PlanChip predates the engine.Plan pipeline and is retained as a
-// thin shim over the same search core PlanModules drives; new code
-// should compile modules with engine.Compile and call PlanModules,
-// which adds candidate generation, congestion-aware cost and
-// annealing on top of this deterministic greedy pass.
-func PlanChip(d *db.Database) (*Plan, error) {
-	return PlanChipOpt(d, PlanOptions{})
-}
-
-// PlanOptions tunes the legacy planner's objective.
-type PlanOptions struct {
-	// WireWeight trades chip area against global wire length: every
-	// Pareto-optimal root shape is realized and scored as
-	// area + WireWeight · wirelength · √area-normalization.  Zero
-	// selects pure minimum area (one realization).
-	WireWeight float64
-}
-
-// PlanChipOpt floor-plans a database with an explicit objective.
-// Like PlanChip it is a compatibility shim over the Plan-driven
-// search core; see PlanModules for the full objective.
-func PlanChipOpt(d *db.Database, opts PlanOptions) (*Plan, error) {
-	return PlanChipOptCtx(context.Background(), d, opts)
-}
-
-// PlanChipCtx is PlanChip with observability.
-func PlanChipCtx(ctx context.Context, d *db.Database) (*Plan, error) {
-	return PlanChipOptCtx(ctx, d, PlanOptions{})
-}
-
-// PlanChipOptCtx is PlanChipOpt with observability: a "floorplan"
-// span carrying the chip dimensions and utilization plus the planner
-// metrics.
-func PlanChipOptCtx(ctx context.Context, d *db.Database, opts PlanOptions) (plan *Plan, err error) {
-	_, sp := obs.Start(ctx, "floorplan")
-	sp.SetString("chip", d.Chip)
-	sp.SetInt("modules", int64(len(d.Modules)))
-	defer func(t0 time.Time) {
-		mPlanSec.Observe(time.Since(t0).Seconds())
-		if err == nil {
-			mPlans.Inc()
-			mPlanBlock.Add(int64(len(plan.Blocks)))
-			mPlanUtil.Observe(plan.Utilization())
-			sp.SetFloat("width", plan.Width)
-			sp.SetFloat("height", plan.Height)
-			sp.SetFloat("utilization", plan.Utilization())
-			sp.SetFloat("wirelength", plan.WireLength)
-		}
-		sp.EndErr(err)
-	}(time.Now())
-	return planChipOpt(ctx, d, opts)
-}
-
-func planChipOpt(ctx context.Context, d *db.Database, opts PlanOptions) (*Plan, error) {
-	if err := db.Validate(d); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrPlan, err)
-	}
-	if len(d.Modules) == 0 {
-		return nil, fmt.Errorf("%w: no modules", ErrPlan)
-	}
-	ms, nets := fromDB(d)
-	return run(ctx, d.Chip, ms, nets, config{wireWeight: opts.WireWeight})
-}
-
-// fromDB converts a legacy estimate database into the search core's
-// module and net shapes, preserving shape order (so ShapeIndex keeps
-// indexing the database's candidate list).
-func fromDB(d *db.Database) ([]*mod, []Net) {
-	ms := make([]*mod, len(d.Modules))
-	for i := range d.Modules {
-		m := &d.Modules[i]
-		shapes := make([]shapeCand, len(m.Shapes))
+// FromDB converts an estimate database into PlanModules inputs: one
+// fixed-shape module per record, shapes in database order (so a placed
+// block's ShapeIndex indexes the record's Shapes), and the global nets.
+// Plan the result with PlanModules; WithBudget(0) gives the
+// deterministic greedy slicing pass.
+func FromDB(d *db.Database) ([]PlanModule, []Net) {
+	ms := make([]PlanModule, len(d.Modules))
+	for i, m := range d.Modules {
+		shapes := make([]Shape, len(m.Shapes))
 		for si, s := range m.Shapes {
-			shapes[si] = shapeCand{w: s.W, h: s.H, rows: s.Rows}
+			shapes[si] = Shape{W: s.W, H: s.H, Rows: s.Rows}
 		}
-		ms[i] = &mod{name: m.Name, shapes: shapes}
+		ms[i] = PlanModule{Name: m.Name, Shapes: shapes}
 	}
 	nets := make([]Net, len(d.Nets))
 	for i, n := range d.Nets {
@@ -294,8 +224,8 @@ func clusterOrder(ms []*mod, nets []Net) []*mod {
 	idx := make([]*mod, len(ms))
 	copy(idx, ms)
 	sort.Slice(idx, func(i, j int) bool {
-		ai := idx[i].shapes[0].w * idx[i].shapes[0].h
-		aj := idx[j].shapes[0].w * idx[j].shapes[0].h
+		ai := idx[i].shapes[0].W * idx[i].shapes[0].H
+		aj := idx[j].shapes[0].W * idx[j].shapes[0].H
 		if ai != aj {
 			return ai > aj
 		}
@@ -402,7 +332,7 @@ func realize(n *node, comboIdx int, x, y float64, plan *Plan) {
 	if n.leaf != nil {
 		p := Placed{
 			Name: n.leaf.name, X: x, Y: y, W: c.w, H: c.h,
-			ShapeIndex: c.shapeIdx, Rows: n.leaf.shapes[c.shapeIdx].rows,
+			ShapeIndex: c.shapeIdx, Rows: n.leaf.shapes[c.shapeIdx].Rows,
 		}
 		plan.Blocks = append(plan.Blocks, p)
 		plan.byName[p.Name] = &plan.Blocks[len(plan.Blocks)-1]

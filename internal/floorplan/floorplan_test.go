@@ -1,12 +1,114 @@
 package floorplan
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"maest/internal/db"
 )
 
+// sampleChip is a three-module fixed-shape chip: a has two candidate
+// shapes, b and c one each; b connects to both a and c.
+func sampleChip() (string, []PlanModule, []Net) {
+	mods := []PlanModule{
+		{Name: "a", Shapes: []Shape{{W: 100, H: 50, Rows: 2}, {W: 50, H: 100, Rows: 4}}},
+		{Name: "b", Shapes: []Shape{{W: 80, H: 40, Rows: 2}}},
+		{Name: "c", Shapes: []Shape{{W: 60, H: 60, Rows: 2}}},
+	}
+	nets := []Net{
+		{Name: "n1", Pins: []NetPin{{Module: "a", Port: "x"}, {Module: "b", Port: "y"}}},
+		{Name: "n2", Pins: []NetPin{{Module: "b", Port: "z"}, {Module: "c", Port: "w"}}},
+	}
+	return "demo", mods, nets
+}
+
+// planGreedy runs the deterministic greedy pass (no annealing).
+func planGreedy(t *testing.T, chip string, mods []PlanModule, nets []Net, opts ...Option) *Plan {
+	t.Helper()
+	plan, err := PlanModules(context.Background(), chip, mods, nets, append([]Option{WithBudget(0)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// samplePlan is the greedy minimum-area plan of sampleChip.
+func samplePlan(t *testing.T) *Plan {
+	t.Helper()
+	chip, mods, nets := sampleChip()
+	return planGreedy(t, chip, mods, nets)
+}
+
+func TestPlanFixedShapesBasics(t *testing.T) {
+	plan := samplePlan(t)
+	if plan.Chip != "demo" || len(plan.Blocks) != 3 {
+		t.Fatalf("plan = %+v", plan)
+	}
+	if plan.Width <= 0 || plan.Height <= 0 {
+		t.Fatal("degenerate chip")
+	}
+	if plan.WireLength <= 0 {
+		t.Fatal("no wire length computed")
+	}
+	if u := plan.Utilization(); u <= 0 || u > 1+1e-9 {
+		t.Fatalf("utilization = %g", u)
+	}
+	// Fixed shapes carry no plan, so no routability or congestion.
+	if plan.Routability != 0 || plan.Congestion != nil {
+		t.Fatalf("fixed-shape plan scored congestion: %g %+v", plan.Routability, plan.Congestion)
+	}
+	if plan.Cost != plan.Area() || plan.Stats.Iterations != 0 || plan.Stats.Evals != 1 {
+		t.Fatalf("greedy pass: cost %g area %g stats %+v", plan.Cost, plan.Area(), plan.Stats)
+	}
+}
+
+func TestPlanBlocksDisjointAndInsideChip(t *testing.T) {
+	plan := samplePlan(t)
+	eps := 1e-9
+	for i, a := range plan.Blocks {
+		if a.X < -eps || a.Y < -eps || a.X+a.W > plan.Width+eps || a.Y+a.H > plan.Height+eps {
+			t.Fatalf("block %s outside chip: %+v (chip %gx%g)", a.Name, a, plan.Width, plan.Height)
+		}
+		for j := i + 1; j < len(plan.Blocks); j++ {
+			b := plan.Blocks[j]
+			if a.X < b.X+b.W-eps && b.X < a.X+a.W-eps &&
+				a.Y < b.Y+b.H-eps && b.Y < a.Y+a.H-eps {
+				t.Fatalf("blocks %s and %s overlap", a.Name, b.Name)
+			}
+		}
+	}
+}
+
+func TestPlanUsesShapeCandidates(t *testing.T) {
+	// With two shapes for module a, the planner must pick a valid
+	// index and the slot must match that shape.
+	plan := samplePlan(t)
+	a := plan.BlockByName("a")
+	if a == nil {
+		t.Fatal("module a missing")
+	}
+	_, mods, _ := sampleChip()
+	shapes := mods[0].Shapes
+	if a.ShapeIndex < 0 || a.ShapeIndex >= len(shapes) {
+		t.Fatalf("shape index = %d", a.ShapeIndex)
+	}
+	s := shapes[a.ShapeIndex]
+	if a.W != s.W || a.H != s.H || a.Rows != s.Rows {
+		t.Fatalf("slot %gx%g rows %d != shape %+v", a.W, a.H, a.Rows, s)
+	}
+}
+
+func TestPlanSingleModule(t *testing.T) {
+	plan := planGreedy(t, "one", []PlanModule{{Name: "m", Shapes: []Shape{{W: 30, H: 20}}}}, nil)
+	if plan.Width != 30 || plan.Height != 20 {
+		t.Fatalf("plan = %gx%g", plan.Width, plan.Height)
+	}
+}
+
+// sampleDB is sampleChip as an estimate database.
 func sampleDB() *db.Database {
 	return &db.Database{
 		Chip: "demo",
@@ -29,90 +131,27 @@ func sampleDB() *db.Database {
 	}
 }
 
-func TestPlanChipBasics(t *testing.T) {
-	plan, err := PlanChip(sampleDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Chip != "demo" || len(plan.Blocks) != 3 {
-		t.Fatalf("plan = %+v", plan)
-	}
-	if plan.Width <= 0 || plan.Height <= 0 {
-		t.Fatal("degenerate chip")
-	}
-	if plan.WireLength <= 0 {
-		t.Fatal("no wire length computed")
-	}
-	if u := plan.Utilization(); u <= 0 || u > 1+1e-9 {
-		t.Fatalf("utilization = %g", u)
-	}
-}
-
-func TestPlanBlocksDisjointAndInsideChip(t *testing.T) {
-	plan, err := PlanChip(sampleDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := 1e-9
-	for i, a := range plan.Blocks {
-		if a.X < -eps || a.Y < -eps || a.X+a.W > plan.Width+eps || a.Y+a.H > plan.Height+eps {
-			t.Fatalf("block %s outside chip: %+v (chip %gx%g)", a.Name, a, plan.Width, plan.Height)
-		}
-		for j := i + 1; j < len(plan.Blocks); j++ {
-			b := plan.Blocks[j]
-			if a.X < b.X+b.W-eps && b.X < a.X+a.W-eps &&
-				a.Y < b.Y+b.H-eps && b.Y < a.Y+a.H-eps {
-				t.Fatalf("blocks %s and %s overlap", a.Name, b.Name)
-			}
-		}
-	}
-}
-
-func TestPlanUsesShapeCandidates(t *testing.T) {
-	// With two shapes for module a, the planner must pick a valid
-	// index and the slot must match that shape.
-	plan, err := PlanChip(sampleDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := plan.BlockByName("a")
-	if a == nil {
-		t.Fatal("module a missing")
-	}
-	shapes := sampleDB().Modules[0].Shapes
-	if a.ShapeIndex < 0 || a.ShapeIndex >= len(shapes) {
-		t.Fatalf("shape index = %d", a.ShapeIndex)
-	}
-	s := shapes[a.ShapeIndex]
-	if a.W != s.W || a.H != s.H {
-		t.Fatalf("slot %gx%g != shape %gx%g", a.W, a.H, s.W, s.H)
-	}
-}
-
-func TestPlanSingleModule(t *testing.T) {
-	d := &db.Database{
-		Chip: "one",
-		Modules: []db.Module{{Name: "m", Devices: 1, Nets: 1, Ports: 1,
-			Shapes: []db.Shape{{Label: "s", W: 30, H: 20}}}},
-	}
-	plan, err := PlanChip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Width != 30 || plan.Height != 20 {
-		t.Fatalf("plan = %gx%g", plan.Width, plan.Height)
+// FromDB keeps shape order (ShapeIndex indexes the record's shapes)
+// and the nets, and nothing else.
+func TestFromDB(t *testing.T) {
+	mods, nets := FromDB(sampleDB())
+	_, wantMods, wantNets := sampleChip()
+	if !reflect.DeepEqual(mods, wantMods) || !reflect.DeepEqual(nets, wantNets) {
+		t.Fatalf("FromDB = %+v %+v\nwant %+v %+v", mods, nets, wantMods, wantNets)
 	}
 }
 
 func TestPlanRejectsInvalidDB(t *testing.T) {
+	ctx := context.Background()
 	d := sampleDB()
 	d.Modules[0].Shapes = nil
-	if _, err := PlanChip(d); err == nil {
-		t.Fatal("shapeless module accepted")
+	mods, nets := FromDB(d)
+	if _, err := PlanModules(ctx, d.Chip, mods, nets, WithBudget(0)); !errors.Is(err, ErrPlan) {
+		t.Fatalf("shapeless module: err = %v", err)
 	}
-	empty := &db.Database{Chip: "e"}
-	if _, err := PlanChip(empty); err == nil {
-		t.Fatal("empty database accepted")
+	mods, nets = FromDB(&db.Database{Chip: "e"})
+	if _, err := PlanModules(ctx, "e", mods, nets, WithBudget(0)); !errors.Is(err, ErrPlan) {
+		t.Fatalf("empty database: err = %v", err)
 	}
 }
 
@@ -145,7 +184,11 @@ func TestParetoCap(t *testing.T) {
 }
 
 func TestClusterOrderPutsConnectedAdjacent(t *testing.T) {
-	ms, nets := fromDB(sampleDB())
+	_, mods, nets := sampleChip()
+	ms, err := resolveModules(context.Background(), mods, nets, config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	order := clusterOrder(ms, nets)
 	if len(order) != 3 {
 		t.Fatalf("order = %d modules", len(order))
@@ -170,18 +213,10 @@ func abs(v int) int {
 func TestWireLengthReflectsDistance(t *testing.T) {
 	// Two modules connected by a net: wire length equals the centre
 	// distance (half-perimeter).
-	d := &db.Database{
-		Chip: "two",
-		Modules: []db.Module{
-			{Name: "a", Devices: 1, Nets: 1, Ports: 1, Shapes: []db.Shape{{Label: "s", W: 10, H: 10}}},
-			{Name: "b", Devices: 1, Nets: 1, Ports: 1, Shapes: []db.Shape{{Label: "s", W: 10, H: 10}}},
-		},
-		Nets: []db.GlobalNet{{Name: "n", Pins: []db.GlobalPin{{Module: "a", Port: "p"}, {Module: "b", Port: "q"}}}},
-	}
-	plan, err := PlanChip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	square := []Shape{{W: 10, H: 10}}
+	plan := planGreedy(t, "two",
+		[]PlanModule{{Name: "a", Shapes: square}, {Name: "b", Shapes: square}},
+		[]Net{{Name: "n", Pins: []NetPin{{Module: "a", Port: "p"}, {Module: "b", Port: "q"}}}})
 	a, b := plan.BlockByName("a"), plan.BlockByName("b")
 	want := math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y)
 	if math.Abs(plan.WireLength-want) > 1e-9 {
@@ -189,16 +224,10 @@ func TestWireLengthReflectsDistance(t *testing.T) {
 	}
 }
 
-func TestPlanChipOptWireAware(t *testing.T) {
-	d := sampleDB()
-	areaPlan, err := PlanChip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wirePlan, err := PlanChipOpt(d, PlanOptions{WireWeight: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestPlanFixedShapesWireAware(t *testing.T) {
+	chip, mods, nets := sampleChip()
+	areaPlan := planGreedy(t, chip, mods, nets)
+	wirePlan := planGreedy(t, chip, mods, nets, WithWireWeight(10))
 	// The wire-aware plan never has a worse combined score, and the
 	// area-only plan never has a larger area.
 	if wirePlan.Area() < areaPlan.Area() {
@@ -210,6 +239,9 @@ func TestPlanChipOptWireAware(t *testing.T) {
 	if scoreOf(wirePlan, 10) > scoreOf(areaPlan, 10)+1e-9 {
 		t.Fatalf("wire-aware plan scored worse: %g vs %g",
 			scoreOf(wirePlan, 10), scoreOf(areaPlan, 10))
+	}
+	if wirePlan.Cost != scoreOf(wirePlan, 10) {
+		t.Fatalf("cost %g != area + wire score %g", wirePlan.Cost, scoreOf(wirePlan, 10))
 	}
 	// Both remain legal.
 	for _, plan := range []*Plan{areaPlan, wirePlan} {

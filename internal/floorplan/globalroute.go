@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"maest/internal/db"
 	"maest/internal/tech"
 )
 
@@ -32,10 +31,10 @@ type GlobalRouteResult struct {
 	WiringArea float64
 }
 
-// GlobalRoute routes every database net over the plan with L-shaped
+// GlobalRoute routes every global net over the plan with L-shaped
 // (one-bend) star routes from each net's first pin, accumulating
 // usage on a grid×grid congestion map.
-func GlobalRoute(d *db.Database, plan *Plan, p *tech.Process, grid int) (*GlobalRouteResult, error) {
+func GlobalRoute(nets []Net, plan *Plan, p *tech.Process, grid int) (*GlobalRouteResult, error) {
 	if grid < 1 {
 		return nil, fmt.Errorf("%w: grid %d < 1", ErrPlan, grid)
 	}
@@ -57,7 +56,7 @@ func GlobalRoute(d *db.Database, plan *Plan, p *tech.Process, grid int) (*Global
 		}
 		return b.X + b.W/2, b.Y + b.H/2, true
 	}
-	for _, net := range d.Nets {
+	for _, net := range nets {
 		var sx, sy float64
 		first := true
 		for _, pin := range net.Pins {

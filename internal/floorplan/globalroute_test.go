@@ -8,13 +8,10 @@ import (
 )
 
 func TestGlobalRouteConservation(t *testing.T) {
-	d := sampleDB()
-	plan, err := PlanChip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, nets := sampleChip()
+	plan := samplePlan(t)
 	p := tech.NMOS25()
-	res, err := GlobalRoute(d, plan, p, 8)
+	res, err := GlobalRoute(nets, plan, p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +35,12 @@ func TestGlobalRouteConservation(t *testing.T) {
 }
 
 func TestGlobalRouteGridSizes(t *testing.T) {
-	d := sampleDB()
-	plan, err := PlanChip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, nets := sampleChip()
+	plan := samplePlan(t)
 	p := tech.NMOS25()
 	prevLen := -1.0
 	for _, grid := range []int{1, 4, 16} {
-		res, err := GlobalRoute(d, plan, p, grid)
+		res, err := GlobalRoute(nets, plan, p, grid)
 		if err != nil {
 			t.Fatalf("grid %d: %v", grid, err)
 		}
@@ -61,22 +55,19 @@ func TestGlobalRouteGridSizes(t *testing.T) {
 }
 
 func TestGlobalRouteErrors(t *testing.T) {
-	d := sampleDB()
-	plan, err := PlanChip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, nets := sampleChip()
+	plan := samplePlan(t)
 	p := tech.NMOS25()
-	if _, err := GlobalRoute(d, plan, p, 0); err == nil {
+	if _, err := GlobalRoute(nets, plan, p, 0); err == nil {
 		t.Error("grid 0 accepted")
 	}
-	if _, err := GlobalRoute(d, &Plan{}, p, 4); err == nil {
+	if _, err := GlobalRoute(nets, &Plan{}, p, 4); err == nil {
 		t.Error("degenerate plan accepted")
 	}
 	// Net referencing an unplaced module.
-	d2 := sampleDB()
-	d2.Nets[0].Pins[0].Module = "ghost"
-	if _, err := GlobalRoute(d2, plan, p, 4); err == nil {
+	_, _, ghost := sampleChip()
+	ghost[0].Pins[0].Module = "ghost"
+	if _, err := GlobalRoute(ghost, plan, p, 4); err == nil {
 		t.Error("unplaced module accepted")
 	}
 }

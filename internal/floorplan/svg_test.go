@@ -7,10 +7,7 @@ import (
 )
 
 func TestPlanWriteSVG(t *testing.T) {
-	plan, err := PlanChip(sampleDB())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := samplePlan(t)
 	var buf bytes.Buffer
 	if err := WriteSVG(&buf, plan, 2); err != nil {
 		t.Fatal(err)

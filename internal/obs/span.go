@@ -50,7 +50,7 @@ type SpanData struct {
 }
 
 // Sink receives completed spans. Implementations must be safe for
-// concurrent use: EstimateChip workers end spans from many
+// concurrent use: EstimatePlans workers end spans from many
 // goroutines.
 type Sink interface {
 	Record(d *SpanData)

@@ -237,7 +237,8 @@ type FloorplanRequest struct {
 	// by (1 + w·Σ pin-weighted P(overflow)).  Zero scores area/wire
 	// only.
 	CongestWeight float64 `json:"congest_weight,omitempty"`
-	// WireWeight scales the wire-length term (see PlanOptions).
+	// WireWeight scales the wire-length term (see
+	// floorplan.WithWireWeight).
 	WireWeight float64 `json:"wire_weight,omitempty"`
 	// Seed fixes the annealer's random source (0 selects the
 	// planner's default); plans are byte-stable in (request, seed).

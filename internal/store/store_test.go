@@ -185,7 +185,10 @@ func TestEvictionBudget(t *testing.T) {
 
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, Options{Dir: dir, SegmentBytes: 2 << 10})
+	// A garbage ratio never reaches 2, so the background compactor
+	// never qualifies a segment: only the explicit Compact below (which
+	// takes any garbage) runs, and it always has work to report.
+	s := openTest(t, Options{Dir: dir, SegmentBytes: 2 << 10, CompactMinGarbage: 2})
 	// Write the same small key set over and over: almost everything is
 	// garbage once sealed.
 	for round := 0; round < 30; round++ {

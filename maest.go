@@ -22,11 +22,13 @@
 // stand-in), a slicing floor planner consuming the estimate database,
 // baseline estimators, and workload generators.
 //
-// Quick start:
+// Quick start: compile a circuit against a process once, then ask the
+// plan for estimates.
 //
 //	proc := maest.NMOS25()
 //	circ, err := maest.ParseMnet(file)
-//	res, err := maest.Estimate(circ, proc, maest.SCOptions{})
+//	pl, err := maest.Compile(circ, proc)
+//	res, err := pl.Estimate(ctx)
 //	fmt.Println(res.SC.Area, res.FCExact.Area)
 package maest
 
@@ -199,33 +201,6 @@ func EstimateFullCustom(c *Circuit, p *Process, mode FCMode) (*FCEstimate, error
 	return core.EstimateFullCustom(c, p, mode)
 }
 
-// Estimate runs both estimators on a circuit (expanding cells to
-// transistors for the Full-Custom side).
-//
-// Deprecated: Estimate compiles and discards a plan per call.  Use
-// Compile once and Plan.Estimate for repeated questions about the
-// same circuit; this shim remains for one-shot convenience.
-func Estimate(c *Circuit, p *Process, opts SCOptions) (*Result, error) {
-	return engine.Estimate(context.Background(), c, p, engineOpts(opts)...)
-}
-
-// Pipeline is the end-to-end Fig. 1 flow: .mnet + process in,
-// estimate record out.
-//
-// Deprecated: use PipelineCtx, or Compile + Plan.Estimate when the
-// circuit is already parsed; this shim remains for one-shot
-// convenience.
-func Pipeline(r io.Reader, p *Process, opts SCOptions) (*Result, error) {
-	return engine.Pipeline(context.Background(), r, p, engineOpts(opts)...)
-}
-
-// engineOpts translates the legacy SCOptions knobs into engine
-// options, so the deprecated shims stay bit-identical to the old
-// core entry points.
-func engineOpts(opts SCOptions) []EngineOption {
-	return []EngineOption{engine.WithRows(opts.Rows), engine.WithTrackSharing(opts.TrackSharing)}
-}
-
 // Ground-truth layout flow (the evaluation substrate).
 type (
 	// LayoutModule is a measured module layout.
@@ -335,33 +310,30 @@ func ReadEstimateDB(r io.Reader) (*EstimateDB, error) { return db.Read(r) }
 // WriteEstimateDB serializes an estimate database.
 func WriteEstimateDB(w io.Writer, d *EstimateDB) error { return db.Write(w, d) }
 
-// PlanChip floor-plans an estimate database (minimum area).
-func PlanChip(d *EstimateDB) (*FloorPlan, error) { return floorplan.PlanChip(d) }
-
-// PlanOptions tunes the floor planner's objective.
-type PlanOptions = floorplan.PlanOptions
-
-// PlanChipOpt floor-plans with an explicit objective (e.g. trading
-// chip area against global wire length).
-func PlanChipOpt(d *EstimateDB, opts PlanOptions) (*FloorPlan, error) {
-	return floorplan.PlanChipOpt(d, opts)
-}
+// FloorplanInputs converts an estimate database into PlanModules
+// inputs: one fixed-shape module per record (shapes in record order)
+// plus the global nets.
+func FloorplanInputs(d *EstimateDB) ([]PlanModule, []FloorplanNet) { return floorplan.FromDB(d) }
 
 // GlobalRouteResult is a chip-level wiring estimate over a plan.
 type GlobalRouteResult = floorplan.GlobalRouteResult
 
-// GlobalRoute estimates the chip-level wiring demand of a floor plan
-// on a grid×grid congestion map.
-func GlobalRoute(d *EstimateDB, plan *FloorPlan, p *Process, grid int) (*GlobalRouteResult, error) {
-	return floorplan.GlobalRoute(d, plan, p, grid)
+// GlobalRoute estimates the chip-level wiring demand of a floor plan's
+// global nets on a grid×grid congestion map.
+func GlobalRoute(nets []FloorplanNet, plan *FloorPlan, p *Process, grid int) (*GlobalRouteResult, error) {
+	return floorplan.GlobalRoute(nets, plan, p, grid)
 }
 
-// Plan-driven floor planning: the simulated-annealing search over
-// engine Plans, with shape candidates from Plan.Candidates and a
-// routability term from the per-channel overflow probabilities.
+// Floor planning: the slicing search over modules that each carry a
+// compiled engine Plan (shape candidates from Plan.Candidates and a
+// routability term from the per-channel overflow probabilities) or a
+// fixed shape list, annealed under a move budget.
 type (
-	// PlanModule names one compiled plan entering the annealer.
+	// PlanModule is one module entering the planner: a compiled plan
+	// or fixed shapes, exactly one of the two.
 	PlanModule = floorplan.PlanModule
+	// FloorplanShape is one fixed candidate shape of a PlanModule.
+	FloorplanShape = floorplan.Shape
 	// FloorplanNet is a chip-level net between annealer modules.
 	FloorplanNet = floorplan.Net
 	// FloorplanNetPin is one endpoint of a FloorplanNet.
@@ -378,8 +350,9 @@ type (
 	FloorplanStats = floorplan.SearchStats
 )
 
-// PlanModules floor-plans compiled engine Plans with the annealer;
-// nets weight the wire-length and routability cost terms.
+// PlanModules floor-plans modules with the annealer; nets weight the
+// wire-length and routability cost terms.  WithBudget(0) gives the
+// deterministic greedy slicing pass.
 func PlanModules(ctx context.Context, chip string, mods []PlanModule, nets []FloorplanNet, opts ...FloorplanOption) (*FloorPlan, error) {
 	return floorplan.PlanModules(ctx, chip, mods, nets, opts...)
 }
@@ -410,17 +383,6 @@ func WithFloorplanTrackSharing(on bool) FloorplanOption { return floorplan.WithT
 
 // WithProgress registers a per-move progress callback.
 func WithProgress(fn func(FloorplanProgress)) FloorplanOption { return floorplan.WithProgress(fn) }
-
-// EstimateChip estimates all modules of a chip concurrently (workers
-// ≤ 0 selects GOMAXPROCS), preserving module order.
-//
-// Deprecated: use the engine's EstimateChipCtx, or compile the
-// modules once and fan out with EstimatePlans; this shim remains for
-// one-shot convenience.
-func EstimateChip(modules []*Circuit, p *Process, opts SCOptions, workers int) ([]*Result, error) {
-	return engine.EstimateChip(context.Background(), modules, p,
-		append(engineOpts(opts), engine.WithWorkers(workers))...)
-}
 
 // Workload generation.
 type (
@@ -538,8 +500,9 @@ func Bipartition(c *Circuit, subset []int, seed int64) (*Bipart, error) {
 
 // Observability: hierarchical spans, a process-wide metrics registry,
 // and profiling hooks across the estimate/place/route pipeline.  Pass
-// a context prepared with WithTraceSink to any of the *Ctx variants
-// below and every stage records a span; without a sink the
+// a context prepared with WithTraceSink to CompileCtx, the Plan
+// methods, PlanModules or any of the *Ctx variants below and every
+// stage records a span; without a sink the
 // instrumentation is free (nil-span fast path, no allocations).
 type (
 	// TraceSink receives completed spans; implementations must be
@@ -602,34 +565,6 @@ func WriteHeapProfile(path string) error { return obs.WriteHeapProfile(path) }
 // identical to its plain counterpart plus span/metric recording under
 // the context's trace sink.
 
-// EstimateCtx is Estimate with observability.
-//
-// Deprecated: compiles and discards a plan per call; use CompileCtx
-// once and Plan.Estimate for repeated questions about the same
-// circuit.
-func EstimateCtx(ctx context.Context, c *Circuit, p *Process, opts SCOptions) (*Result, error) {
-	return engine.Estimate(ctx, c, p, engineOpts(opts)...)
-}
-
-// EstimateChipCtx is EstimateChip with observability (per-module
-// spans under one chip span, worker utilization metrics).
-//
-// Deprecated: compile the modules once and fan out with
-// EstimatePlans when plans are reused; this shim remains for
-// one-shot convenience.
-func EstimateChipCtx(ctx context.Context, modules []*Circuit, p *Process, opts SCOptions, workers int) ([]*Result, error) {
-	return engine.EstimateChip(ctx, modules, p,
-		append(engineOpts(opts), engine.WithWorkers(workers))...)
-}
-
-// PipelineCtx is Pipeline with observability.
-//
-// Deprecated: use CompileCtx + Plan.Estimate when the circuit is
-// already parsed; this shim remains for one-shot convenience.
-func PipelineCtx(ctx context.Context, r io.Reader, p *Process, opts SCOptions) (*Result, error) {
-	return engine.Pipeline(ctx, r, p, engineOpts(opts)...)
-}
-
 // EstimateStandardCellProfiledCtx is EstimateStandardCellProfiled
 // with observability.
 func EstimateStandardCellProfiledCtx(ctx context.Context, s *Stats, p *Process, opts SCOptions) (*SCEstimate, error) {
@@ -671,16 +606,6 @@ func LayoutStandardCellCtx(ctx context.Context, c *Circuit, p *Process, rows int
 // SynthesizeFullCustomCtx is SynthesizeFullCustom with observability.
 func SynthesizeFullCustomCtx(ctx context.Context, c *Circuit, p *Process, seed int64) (*LayoutModule, error) {
 	return layout.SynthesizeFullCustomCtx(ctx, c, p, seed)
-}
-
-// PlanChipCtx is PlanChip with observability.
-func PlanChipCtx(ctx context.Context, d *EstimateDB) (*FloorPlan, error) {
-	return floorplan.PlanChipCtx(ctx, d)
-}
-
-// PlanChipOptCtx is PlanChipOpt with observability.
-func PlanChipOptCtx(ctx context.Context, d *EstimateDB, opts PlanOptions) (*FloorPlan, error) {
-	return floorplan.PlanChipOptCtx(ctx, d, opts)
 }
 
 // Serving: the estimator behind an HTTP/JSON API (cmd/maest-serve)
@@ -837,8 +762,7 @@ func CongestKeyFor(c *Circuit, processName string, rows int, gridded bool, opts 
 // executes against the plan, memoizing per-configuration results.
 // Anything asking more than one question about the same circuit
 // (candidate sweeps, congestion after an estimate, a floorplanner
-// loop) should compile once and share the plan; the one-shot
-// Estimate/Pipeline shims above remain for single questions.
+// loop) should compile once and share the plan.
 //
 //	pl, err := maest.Compile(circ, proc)
 //	res, err := pl.Estimate(ctx, maest.WithTrackSharing(true))
@@ -891,7 +815,7 @@ func AppendCanonicalCircuit(dst []byte, c *Circuit) []byte {
 }
 
 // EstimatePlans estimates already-compiled plans concurrently,
-// preserving plan order — the reuse-friendly form of EstimateChip.
+// preserving plan order (WithWorkers sizes the pool).
 func EstimatePlans(ctx context.Context, plans []*Plan, opts ...EngineOption) ([]*Result, error) {
 	return engine.EstimatePlans(ctx, plans, opts...)
 }

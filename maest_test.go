@@ -2,6 +2,7 @@ package maest_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -21,12 +22,28 @@ device g4 NAND2 n2 n3 y
 end
 `
 
-func TestPublicPipeline(t *testing.T) {
-	p := maest.NMOS25()
-	res, err := maest.Pipeline(strings.NewReader(demoMnet), p, maest.SCOptions{Rows: 2})
+// estimate is the public Fig. 1 flow on a parsed circuit: compile
+// once, then estimate the plan.
+func estimate(t *testing.T, c *maest.Circuit, p *maest.Process, opts ...maest.EngineOption) *maest.Result {
+	t.Helper()
+	pl, err := maest.Compile(c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := pl.Estimate(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestPublicPipeline(t *testing.T) {
+	p := maest.NMOS25()
+	c, err := maest.ParseMnet(strings.NewReader(demoMnet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := estimate(t, c, p, maest.WithRows(2))
 	if res.SC == nil || res.FCExact == nil || res.FCAverage == nil {
 		t.Fatal("missing estimates")
 	}
@@ -108,11 +125,7 @@ func TestPublicFloorplanFlow(t *testing.T) {
 	}
 	d := &maest.EstimateDB{Chip: chip.Name}
 	for _, mod := range chip.Modules {
-		res, err := maest.Estimate(mod, p, maest.SCOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Modules = append(d.Modules, maest.ModuleRecordFromResult(res))
+		d.Modules = append(d.Modules, maest.ModuleRecordFromResult(estimate(t, mod, p)))
 	}
 	for _, gn := range chip.GlobalNets {
 		rec := maest.GlobalNet{Name: gn.Name}
@@ -129,7 +142,8 @@ func TestPublicFloorplanFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := maest.PlanChip(back)
+	mods, nets := maest.FloorplanInputs(back)
+	plan, err := maest.PlanModules(context.Background(), back.Chip, mods, nets, maest.WithBudget(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +244,13 @@ func TestPublicExtendedSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Parallel chip estimation.
-	res, err := maest.EstimateChip([]*maest.Circuit{c}, p, maest.SCOptions{}, 2)
+	cpl, err := maest.Compile(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := maest.EstimatePlans(context.Background(), []*maest.Plan{cpl}, maest.WithWorkers(2))
 	if err != nil || len(res) != 1 {
-		t.Fatalf("EstimateChip: %v", err)
+		t.Fatalf("EstimatePlans: %v", err)
 	}
 	// Geometry + DRC + SVG + CIF.
 	pl, err := maest.PlaceCircuit(c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
@@ -292,11 +310,7 @@ func TestPublicExtendedSurface(t *testing.T) {
 	}
 	d := &maest.EstimateDB{Chip: chip.Name}
 	for _, m := range chip.Modules {
-		r, err := maest.Estimate(m, p, maest.SCOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Modules = append(d.Modules, maest.ModuleRecordFromResult(r))
+		d.Modules = append(d.Modules, maest.ModuleRecordFromResult(estimate(t, m, p)))
 	}
 	for _, gn := range chip.GlobalNets {
 		rec := maest.GlobalNet{Name: gn.Name}
@@ -305,7 +319,8 @@ func TestPublicExtendedSurface(t *testing.T) {
 		}
 		d.Nets = append(d.Nets, rec)
 	}
-	plan, err := maest.PlanChip(d)
+	mods, nets := maest.FloorplanInputs(d)
+	plan, err := maest.PlanModules(context.Background(), d.Chip, mods, nets, maest.WithBudget(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +328,8 @@ func TestPublicExtendedSurface(t *testing.T) {
 	if err := maest.WritePlanSVG(&psvg, plan, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Nets) > 0 {
-		if _, err := maest.GlobalRoute(d, plan, p, 4); err != nil {
+	if len(nets) > 0 {
+		if _, err := maest.GlobalRoute(nets, plan, p, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,11 +364,9 @@ func TestPublicSimAndPlanOpt(t *testing.T) {
 	if !vals["y"] {
 		t.Fatal("XOR(1,0) != 1")
 	}
-	d := &maest.EstimateDB{Chip: "x", Modules: []maest.ModuleRecord{
-		{Name: "m", Devices: 1, Nets: 1, Ports: 1,
-			Shapes: []maest.ShapeRecord{{Label: "s", W: 10, H: 10}}},
-	}}
-	if _, err := maest.PlanChipOpt(d, maest.PlanOptions{WireWeight: 1}); err != nil {
+	mods := []maest.PlanModule{{Name: "m", Shapes: []maest.FloorplanShape{{W: 10, H: 10}}}}
+	if _, err := maest.PlanModules(context.Background(), "x", mods, nil,
+		maest.WithBudget(0), maest.WithWireWeight(1)); err != nil {
 		t.Fatal(err)
 	}
 }
