@@ -2,9 +2,11 @@ package floorplan
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"maest/internal/congest"
@@ -185,7 +187,7 @@ func resolveModules(ctx context.Context, mods []PlanModule, nets []Net, cfg conf
 		if byName[pm.Name] != nil {
 			return nil, fmt.Errorf("%w: duplicate module %q", ErrPlan, pm.Name)
 		}
-		m := &mod{name: pm.Name, shapes: pm.Shapes}
+		m := &mod{idx: i, name: pm.Name, shapes: pm.Shapes}
 		switch {
 		case pm.Plan != nil && len(pm.Shapes) > 0:
 			return nil, fmt.Errorf("%w: module %q carries both a plan and fixed shapes", ErrPlan, pm.Name)
@@ -243,76 +245,141 @@ func planShapes(ctx context.Context, pl *engine.Plan, cfg config) ([]Shape, erro
 	return shapes, nil
 }
 
-// searcher carries one search's shared state: the routability memo
-// (per module and row count — row choice is what the anneal varies,
-// so the engine is asked about each (module, rows) pair once) and the
-// effort counters.
+// maxMemoCombos bounds the subtree memo: an insert that would take it
+// past this many combos in total clears it first, which keeps one
+// search's memo to a few MiB.
+const maxMemoCombos = 1 << 16
+
+// searcher carries one search's shared state.  The slicing-tree
+// layout and every module's pruned leaf shapes are fixed for the whole
+// search; only the module order at the leaves changes.  The subtree
+// memo keeps each internal node's shape list per (node, ordered
+// modules under it), so an anneal swap recombines only the nodes above
+// the two swapped leaves, and a revisited order reuses the root's
+// scored answer as well.  The routability memo answers per (module,
+// rows) — row choice is what the anneal varies, so the engine is asked
+// about each pair once.  slots and placed are the scratch every root
+// shape is placed in to be scored; only the choice a search keeps
+// becomes a Plan.
 type searcher struct {
-	ctx    context.Context
-	chip   string
-	nets   []Net
-	cfg    config
-	byName map[string]*mod
+	ctx  context.Context
+	chip string
+	cfg  config
+
+	byName  map[string]*mod
+	netMods [][]int // per net, the module index of each pin
+
+	tree       []span
+	leaves     []*subtree // per module index
+	memo       map[string]*subtree
+	memoCombos int
+	key        []byte  // memo key scratch
+	cross      []combo // cross-product scratch
+
 	rout   map[routKey]float64
-	stats  SearchStats
+	slots  []slot // per module index
+	placed []*mod // the last placement's modules, in block order
+
+	stats SearchStats
 }
 
 type routKey struct {
-	name string
+	mod  int
 	rows int
+}
+
+// slot is one module's position in the placement scratch.
+type slot struct {
+	x, y, w, h float64
+	shape      int
+}
+
+// choice is one eval's answer: the root shape list and the index of
+// its cheapest shape, with that shape's objective terms.
+type choice struct {
+	root        *subtree
+	idx         int
+	cost        float64
+	routability float64
 }
 
 // run is the search core: greedy clustering + slicing combination
 // always, simulated annealing over the clustering order when the
 // budget allows.
 func run(ctx context.Context, chip string, ms []*mod, nets []Net, cfg config) (*Plan, error) {
+	return newSearcher(ctx, chip, ms, nets, cfg).search(clusterOrder(ms, nets))
+}
+
+func newSearcher(ctx context.Context, chip string, ms []*mod, nets []Net, cfg config) *searcher {
 	sc := &searcher{
-		ctx:    ctx,
-		chip:   chip,
-		nets:   nets,
-		cfg:    cfg,
-		byName: make(map[string]*mod, len(ms)),
-		rout:   map[routKey]float64{},
+		ctx:     ctx,
+		chip:    chip,
+		cfg:     cfg,
+		byName:  make(map[string]*mod, len(ms)),
+		netMods: make([][]int, len(nets)),
+		tree:    treeLayout(len(ms)),
+		leaves:  make([]*subtree, len(ms)),
+		memo:    map[string]*subtree{},
+		cross:   make([]combo, 0, 2*maxCombos*maxCombos),
+		rout:    map[routKey]float64{},
+		slots:   make([]slot, len(ms)),
+		placed:  make([]*mod, 0, len(ms)),
 	}
 	for _, m := range ms {
 		sc.byName[m.name] = m
+		sc.leaves[m.idx] = &subtree{combos: leafCombos(m), mod: m}
 	}
-	order := clusterOrder(ms, nets)
+	for i, nt := range nets {
+		for _, pin := range nt.Pins {
+			sc.netMods[i] = append(sc.netMods[i], sc.byName[pin.Module].idx)
+		}
+	}
+	return sc
+}
+
+// search evaluates the starting order, anneals it when the budget
+// allows, and realizes the best choice.
+func (sc *searcher) search(order []*mod) (*Plan, error) {
+	defer func() {
+		mRoutLookups.Add(int64(sc.stats.RoutLookups))
+		mRoutMemoHits.Add(int64(sc.stats.RoutMemoHits))
+	}()
 	best, err := sc.eval(order)
 	if err != nil {
 		return nil, err
 	}
-	sc.stats.InitialCost = best.Cost
-	if cfg.budget > 0 && len(order) > 1 {
+	sc.stats.InitialCost = best.cost
+	if sc.cfg.budget > 0 && len(order) > 1 {
 		if best, err = sc.anneal(order, best); err != nil {
 			return nil, err
 		}
 	}
-	sc.stats.FinalCost = best.Cost
-	best.Stats = sc.stats
-	if err := sc.fillCongestion(best); err != nil {
+	sc.stats.FinalCost = best.cost
+	plan := sc.realize(best)
+	plan.Stats = sc.stats
+	if err := sc.fillCongestion(plan); err != nil {
 		return nil, err
 	}
-	return best, nil
+	return plan, nil
 }
 
 // anneal perturbs the clustering order by pairwise swaps under
 // Metropolis acceptance with geometric cooling.  Deterministic in the
 // seed; cancellation is checked on every move.
-func (sc *searcher) anneal(order []*mod, initial *Plan) (*Plan, error) {
+func (sc *searcher) anneal(order []*mod, initial choice) (choice, error) {
 	const (
 		startTempFrac = 0.2  // initial temperature as a fraction of the initial cost
 		endTempFrac   = 1e-4 // final temperature fraction: effectively greedy by the end
 	)
-	best, cur := initial, initial
-	bestCost, curCost := initial.Cost, initial.Cost
+	best := initial
+	curCost := initial.cost
 	rng := rand.New(rand.NewSource(sc.cfg.seed))
 	temp := curCost * startTempFrac
 	cool := math.Pow(endTempFrac/startTempFrac, 1/float64(sc.cfg.budget))
 	n := len(order)
 	for it := 1; it <= sc.cfg.budget; it++ {
 		if err := sc.ctx.Err(); err != nil {
-			return nil, err
+			return choice{}, err
 		}
 		i := rng.Intn(n)
 		j := rng.Intn(n - 1)
@@ -322,14 +389,14 @@ func (sc *searcher) anneal(order []*mod, initial *Plan) (*Plan, error) {
 		order[i], order[j] = order[j], order[i]
 		cand, err := sc.eval(order)
 		if err != nil {
-			return nil, err
+			return choice{}, err
 		}
-		delta := cand.Cost - curCost
+		delta := cand.cost - curCost
 		if delta <= 0 || (temp > 0 && rng.Float64() < math.Exp(-delta/temp)) {
-			cur, curCost = cand, cand.Cost
+			curCost = cand.cost
 			mAnnealAccepted.Inc()
-			if curCost < bestCost {
-				best, bestCost = cand, curCost
+			if curCost < best.cost {
+				best = cand
 			}
 		} else {
 			order[i], order[j] = order[j], order[i]
@@ -340,113 +407,198 @@ func (sc *searcher) anneal(order []*mod, initial *Plan) (*Plan, error) {
 		if sc.cfg.progress != nil {
 			sc.cfg.progress(Progress{
 				Iteration: it, Budget: sc.cfg.budget,
-				Best: bestCost, Current: curCost,
+				Best: best.cost, Current: curCost,
 			})
 		}
 	}
-	_ = cur
 	return best, nil
 }
 
-// eval builds and scores one plan from a module order: pareto'd leaf
-// shapes → balanced slicing tree → combined shape lists → the
-// cheapest root realization under the configured objective.
-func (sc *searcher) eval(order []*mod) (*Plan, error) {
+// eval scores one module order: the root's shape list, recombined only
+// where the subtree memo has not seen this order, then its cheapest
+// shape under the configured objective, scored once per memoized root.
+func (sc *searcher) eval(order []*mod) (choice, error) {
 	sc.stats.Evals++
-	leaves := make([]*node, len(order))
-	for i, m := range order {
-		n := &node{leaf: m}
-		for si, s := range m.shapes {
-			n.combos = append(n.combos, combo{w: s.W, h: s.H, shapeIdx: si})
-		}
-		n.combos = pareto(n.combos)
-		leaves[i] = n
+	root := sc.subtree(len(sc.tree)-1, order)
+	if root.scored {
+		// Scoring it again would repeat the same routability lookups,
+		// every one a memo hit by now, and reach the same answer.
+		sc.stats.RoutLookups += root.lookups
+		sc.stats.RoutMemoHits += root.lookups
+		return root.best, nil
 	}
-	root := buildTree(leaves)
-	combineAll(root)
+	lookups := sc.stats.RoutLookups
+	best, err := sc.score(root)
+	if err != nil {
+		return choice{}, err
+	}
+	root.scored, root.best, root.lookups = true, best, sc.stats.RoutLookups-lookups
+	return best, nil
+}
+
+// score picks a root shape list's cheapest shape under the configured
+// objective.
+func (sc *searcher) score(root *subtree) (choice, error) {
 	if len(root.combos) == 0 {
-		return nil, fmt.Errorf("%w: no feasible shape combination", ErrPlan)
-	}
-	mkPlan := func(idx int) *Plan {
-		plan := &Plan{Chip: sc.chip, byName: map[string]*Placed{}}
-		plan.Width = root.combos[idx].w
-		plan.Height = root.combos[idx].h
-		realize(root, idx, 0, 0, plan)
-		plan.WireLength = wireLength(sc.nets, plan)
-		return plan
+		return choice{}, fmt.Errorf("%w: no feasible shape combination", ErrPlan)
 	}
 	if sc.cfg.wireWeight <= 0 && sc.cfg.congestWeight <= 0 {
-		// Pure minimum area: one realization (first strictly-smaller
-		// index wins ties).
+		// Pure minimum area (first strictly-smaller index wins ties).
 		best := 0
 		for i, c := range root.combos {
 			if c.w*c.h < root.combos[best].w*root.combos[best].h {
 				best = i
 			}
 		}
-		plan := mkPlan(best)
-		plan.Cost = plan.Area()
-		return plan, nil
+		c := root.combos[best]
+		return choice{root: root, idx: best, cost: c.w * c.h}, nil
 	}
-	// Weighted objective: realize every Pareto root shape and score
+	// Weighted objective: place every Pareto root shape and score
 	// each.  The √area factor keeps area and wire length commensurable
 	// across chip sizes; the congestion factor scales the whole
 	// geometric cost so routability trades against silicon directly.
-	var best *Plan
-	bestScore := math.Inf(1)
-	for i := range root.combos {
-		p := mkPlan(i)
-		if err := sc.score(p); err != nil {
-			return nil, err
+	best := choice{cost: math.Inf(1)}
+	for i, c := range root.combos {
+		sc.place(root, i)
+		area := c.w * c.h
+		cost := area
+		if sc.cfg.wireWeight > 0 {
+			cost += sc.cfg.wireWeight * sc.wireLength() * math.Sqrt(area)
 		}
-		if p.Cost < bestScore {
-			best, bestScore = p, p.Cost
+		r := 0.0
+		if sc.cfg.congestWeight > 0 {
+			var err error
+			if r, err = sc.routability(); err != nil {
+				return choice{}, err
+			}
+			cost *= 1 + sc.cfg.congestWeight*r
 		}
+		if cost < best.cost {
+			best = choice{root: root, idx: i, cost: cost, routability: r}
+		}
+	}
+	if best.root == nil {
+		return choice{}, fmt.Errorf("%w: no root shape has a finite cost", ErrPlan)
 	}
 	return best, nil
 }
 
-// score computes a realized plan's objective value, filling Cost and
-// Routability.
-func (sc *searcher) score(p *Plan) error {
-	cost := p.Area()
-	if sc.cfg.wireWeight > 0 {
-		cost += sc.cfg.wireWeight * p.WireLength * math.Sqrt(p.Area())
+// subtree returns tree node id's shape list with order's modules at
+// its leaves.  An internal node comes from the memo when it has held
+// the same modules in the same order before — exact, because combining
+// and pruning are deterministic functions of the child lists —
+// otherwise its children are resolved and combined, and the result is
+// memoized.
+func (sc *searcher) subtree(id int, order []*mod) *subtree {
+	sp := sc.tree[id]
+	if sp.left < 0 {
+		return sc.leaves[order[sp.lo].idx]
 	}
-	if sc.cfg.congestWeight > 0 {
-		r, err := sc.routability(p)
-		if err != nil {
-			return err
-		}
-		p.Routability = r
-		cost *= 1 + sc.cfg.congestWeight*r
+	sc.key = binary.AppendUvarint(sc.key[:0], uint64(id))
+	for _, m := range order[sp.lo:sp.hi] {
+		sc.key = binary.AppendUvarint(sc.key, uint64(m.idx))
 	}
-	p.Cost = cost
-	return nil
+	if st, ok := sc.memo[string(sc.key)]; ok {
+		return st
+	}
+	key := string(sc.key)
+	l, r := sc.subtree(sp.left, order), sc.subtree(sp.right, order)
+	st := &subtree{combos: sc.combine(l.combos, r.combos), left: l, right: r}
+	if sc.memoCombos+len(st.combos) > maxMemoCombos {
+		clear(sc.memo)
+		sc.memoCombos = 0
+	}
+	sc.memo[key] = st
+	sc.memoCombos += len(st.combos)
+	return st
 }
 
-// routability sums each Plan-backed module's channel overflow risk at
-// its chosen row count, weighted by the module's global-net pin count
-// (the channels a global net crosses belong to the modules it pins).
-// Memoized per (module, rows): the anneal revisits the same row
-// choices constantly, and the engine's congestion answer for a pair
-// never changes.
-func (sc *searcher) routability(p *Plan) (float64, error) {
+// combine crosses two child shape lists under both cuts and prunes the
+// result.
+func (sc *searcher) combine(l, r []combo) []combo {
+	out := sc.cross[:0]
+	for li, lc := range l {
+		for ri, rc := range r {
+			// Vertical cut: side by side.
+			out = append(out, combo{
+				w: lc.w + rc.w, h: math.Max(lc.h, rc.h),
+				shapeIdx: -1, cut: 'v', li: uint8(li), ri: uint8(ri),
+			})
+			// Horizontal cut: stacked.
+			out = append(out, combo{
+				w: math.Max(lc.w, rc.w), h: lc.h + rc.h,
+				shapeIdx: -1, cut: 'h', li: uint8(li), ri: uint8(ri),
+			})
+		}
+	}
+	sc.cross = out
+	return slices.Clone(pareto(out))
+}
+
+// place walks root shape idx down to the leaves, writing each module's
+// slot and the block order into the placement scratch.
+func (sc *searcher) place(root *subtree, idx int) {
+	sc.placed = sc.placed[:0]
+	sc.placeAt(root, idx, 0, 0)
+}
+
+func (sc *searcher) placeAt(st *subtree, idx int, x, y float64) {
+	c := st.combos[idx]
+	if st.mod != nil {
+		sc.slots[st.mod.idx] = slot{x: x, y: y, w: c.w, h: c.h, shape: int(c.shapeIdx)}
+		sc.placed = append(sc.placed, st.mod)
+		return
+	}
+	sc.placeAt(st.left, int(c.li), x, y)
+	lc := st.left.combos[c.li]
+	if c.cut == 'v' {
+		sc.placeAt(st.right, int(c.ri), x+lc.w, y)
+	} else {
+		sc.placeAt(st.right, int(c.ri), x, y+lc.h)
+	}
+}
+
+// wireLength is the half-perimeter length of the global nets over the
+// placed block centres.
+func (sc *searcher) wireLength() float64 {
 	total := 0.0
-	for _, b := range p.Blocks {
-		m := sc.byName[b.Name]
-		if m == nil || m.plan == nil || m.pins == 0 || b.Rows < 1 {
+	for _, pins := range sc.netMods {
+		if len(pins) == 0 {
 			continue
 		}
-		k := routKey{name: b.Name, rows: b.Rows}
+		minX, maxX := math.Inf(1), math.Inf(-1)
+		minY, maxY := math.Inf(1), math.Inf(-1)
+		for _, mi := range pins {
+			s := &sc.slots[mi]
+			cx, cy := s.x+s.w/2, s.y+s.h/2
+			minX, maxX = math.Min(minX, cx), math.Max(maxX, cx)
+			minY, maxY = math.Min(minY, cy), math.Max(maxY, cy)
+		}
+		total += (maxX - minX) + (maxY - minY)
+	}
+	return total
+}
+
+// routability sums each placed Plan-backed module's channel overflow
+// risk at its chosen row count, weighted by the module's global-net
+// pin count (the channels a global net crosses belong to the modules
+// it pins).  Memoized per (module, rows): the anneal revisits the same
+// row choices constantly, and the engine's congestion answer for a
+// pair never changes.
+func (sc *searcher) routability() (float64, error) {
+	total := 0.0
+	for _, m := range sc.placed {
+		rows := m.shapes[sc.slots[m.idx].shape].Rows
+		if m.plan == nil || m.pins == 0 || rows < 1 {
+			continue
+		}
+		k := routKey{mod: m.idx, rows: rows}
 		sc.stats.RoutLookups++
-		mRoutLookups.Inc()
 		risk, ok := sc.rout[k]
 		if ok {
 			sc.stats.RoutMemoHits++
-			mRoutMemoHits.Inc()
 		} else {
-			cm, err := m.plan.Congestion(sc.ctx, engine.WithRows(b.Rows))
+			cm, err := m.plan.Congestion(sc.ctx, engine.WithRows(rows))
 			if err != nil {
 				return 0, err
 			}
@@ -458,6 +610,33 @@ func (sc *searcher) routability(p *Plan) (float64, error) {
 		total += float64(m.pins) * risk
 	}
 	return total, nil
+}
+
+// realize builds the Plan of a choice.  Blocks is allocated at its
+// final length before any block's address is taken, so BlockByName
+// points into Blocks.
+func (sc *searcher) realize(c choice) *Plan {
+	sc.place(c.root, c.idx)
+	rc := c.root.combos[c.idx]
+	p := &Plan{
+		Chip:        sc.chip,
+		Width:       rc.w,
+		Height:      rc.h,
+		Blocks:      make([]Placed, len(sc.placed)),
+		WireLength:  sc.wireLength(),
+		Routability: c.routability,
+		Cost:        c.cost,
+		byName:      make(map[string]*Placed, len(sc.placed)),
+	}
+	for i, m := range sc.placed {
+		s := sc.slots[m.idx]
+		p.Blocks[i] = Placed{
+			Name: m.name, X: s.x, Y: s.y, W: s.w, H: s.h,
+			ShapeIndex: s.shape, Rows: m.shapes[s.shape].Rows,
+		}
+		p.byName[m.name] = &p.Blocks[i]
+	}
+	return p
 }
 
 // fillCongestion records the winning plan's per-channel overflow risk

@@ -17,25 +17,32 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// annealChip compiles a deterministic random chip into the annealer's
-// input shape.
-func annealChip(t *testing.T, modules int, seed int64) (string, []PlanModule, []Net, *tech.Process) {
+// annealChip compiles a deterministic random chip of small modules
+// into the annealer's input shape.
+func annealChip(t *testing.T, modules int, seed int64) (string, []PlanModule, []Net) {
 	t.Helper()
+	mods, nets := estimatorChip(t, gen.ChipConfig{
+		Name: "anneal-chip", Modules: modules, MinGates: 12, MaxGates: 40, Seed: seed,
+	})
+	return "anneal-chip", mods, nets
+}
+
+// estimatorChip compiles a generated chip into PlanModules inputs.
+func estimatorChip(tb testing.TB, cfg gen.ChipConfig) ([]PlanModule, []Net) {
+	tb.Helper()
 	p, err := tech.Lookup("nmos25")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	chip, err := gen.RandomChip(gen.ChipConfig{
-		Name: "anneal-chip", Modules: modules, MinGates: 12, MaxGates: 40, Seed: seed,
-	}, p)
+	chip, err := gen.RandomChip(cfg, p)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	mods := make([]PlanModule, len(chip.Modules))
 	for i, c := range chip.Modules {
 		pl, err := engine.Compile(c, p)
 		if err != nil {
-			t.Fatalf("compile %s: %v", c.Name, err)
+			tb.Fatalf("compile %s: %v", c.Name, err)
 		}
 		mods[i] = PlanModule{Name: c.Name, Plan: pl}
 	}
@@ -47,11 +54,11 @@ func annealChip(t *testing.T, modules int, seed int64) (string, []PlanModule, []
 		}
 		nets[i] = Net{Name: gn.Name, Pins: pins}
 	}
-	return chip.Name, mods, nets, p
+	return mods, nets
 }
 
 func TestPlanModulesBasics(t *testing.T) {
-	name, mods, nets, _ := annealChip(t, 4, 11)
+	name, mods, nets := annealChip(t, 4, 11)
 	plan, err := PlanModules(context.Background(), name, mods, nets,
 		WithBudget(120), WithSeed(7), WithCongestWeight(1))
 	if err != nil {
@@ -90,7 +97,7 @@ func TestPlanModulesBasics(t *testing.T) {
 }
 
 func TestPlanModulesDeterministicUnderSeed(t *testing.T) {
-	name, mods, nets, _ := annealChip(t, 4, 3)
+	name, mods, nets := annealChip(t, 4, 3)
 	render := func() []byte {
 		plan, err := PlanModules(context.Background(), name, mods, nets,
 			WithBudget(80), WithSeed(42), WithCongestWeight(0.5), WithWireWeight(1))
@@ -110,7 +117,7 @@ func TestPlanModulesDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestPlanModulesBudgetZeroIsGreedy(t *testing.T) {
-	name, mods, nets, _ := annealChip(t, 3, 5)
+	name, mods, nets := annealChip(t, 3, 5)
 	plan, err := PlanModules(context.Background(), name, mods, nets, WithBudget(-1))
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +135,7 @@ func TestPlanModulesBudgetZeroIsGreedy(t *testing.T) {
 }
 
 func TestPlanModulesAnnealNeverWorseThanGreedy(t *testing.T) {
-	name, mods, nets, _ := annealChip(t, 5, 9)
+	name, mods, nets := annealChip(t, 5, 9)
 	opts := []Option{WithCongestWeight(1), WithWireWeight(1)}
 	greedy, err := PlanModules(context.Background(), name, mods, nets, append(opts, WithBudget(-1))...)
 	if err != nil {
@@ -145,7 +152,7 @@ func TestPlanModulesAnnealNeverWorseThanGreedy(t *testing.T) {
 }
 
 func TestPlanModulesCancellation(t *testing.T) {
-	name, mods, nets, _ := annealChip(t, 3, 1)
+	name, mods, nets := annealChip(t, 3, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel after the first progress report: the per-move check must
 	// surface the context error.
@@ -163,7 +170,7 @@ func TestPlanModulesCancellation(t *testing.T) {
 }
 
 func TestPlanModulesValidation(t *testing.T) {
-	name, mods, nets, _ := annealChip(t, 3, 2)
+	name, mods, nets := annealChip(t, 3, 2)
 	ctx := context.Background()
 	if _, err := PlanModules(ctx, name, nil, nil); !errors.Is(err, ErrPlan) {
 		t.Fatalf("empty modules: %v", err)
@@ -199,10 +206,16 @@ func TestPlanModulesValidation(t *testing.T) {
 			t.Fatalf("shape %gx%g: err = %v", s.W, s.H, err)
 		}
 	}
+	// Finite shapes whose product overflows leave no root shape with a
+	// finite weighted cost: an error, not a nil plan.
+	huge := []PlanModule{{Name: "m", Shapes: []Shape{{W: 1e200, H: 1e200}}}}
+	if _, err := PlanModules(ctx, name, huge, nil, WithBudget(0), WithWireWeight(1)); !errors.Is(err, ErrPlan) {
+		t.Fatalf("overflowing area: err = %v", err)
+	}
 }
 
 func TestPlanModulesProgressReports(t *testing.T) {
-	name, mods, nets, _ := annealChip(t, 3, 4)
+	name, mods, nets := annealChip(t, 3, 4)
 	var last Progress
 	n := 0
 	_, err := PlanModules(context.Background(), name, mods, nets,
@@ -223,7 +236,7 @@ func TestPlanModulesProgressReports(t *testing.T) {
 // congestion-scored cost, must reproduce the checked-in plan byte for
 // byte.  Run with -update after intentional search changes.
 func TestGoldenPlanText(t *testing.T) {
-	name, mods, nets, _ := annealChip(t, 4, 88)
+	name, mods, nets := annealChip(t, 4, 88)
 	plan, err := PlanModules(context.Background(), name, mods, nets,
 		WithBudget(200), WithSeed(1988), WithCongestWeight(1), WithWireWeight(0.5))
 	if err != nil {

@@ -12,7 +12,7 @@ package floorplan
 
 import (
 	"errors"
-	"math"
+	"slices"
 	"sort"
 
 	"maest/internal/db"
@@ -91,8 +91,8 @@ type SearchStats struct {
 	// Iterations is the number of anneal moves tried (0 for the
 	// deterministic greedy path).
 	Iterations int
-	// Evals is the number of full cost evaluations (tree rebuild +
-	// realization + scoring).
+	// Evals is the number of cost evaluations, one per module order
+	// tried.
 	Evals int
 	// RoutLookups and RoutMemoHits count the per-(module, rows)
 	// routability queries and how many were answered by the search's
@@ -143,11 +143,12 @@ type Shape struct {
 	Rows int
 }
 
-// mod is the search core's view of one module: its candidate shapes
-// plus, for Plan-backed modules, the compiled plan that answers
-// congestion questions and the module's global-net pin count (its
-// weight in the routability term).
+// mod is the search core's view of one module: its position in the
+// planner's input, its candidate shapes plus, for Plan-backed modules,
+// the compiled plan that answers congestion questions and the module's
+// global-net pin count (its weight in the routability term).
 type mod struct {
+	idx    int
 	name   string
 	shapes []Shape
 	plan   planner // nil for fixed-shape modules
@@ -155,22 +156,30 @@ type mod struct {
 }
 
 // shape candidates carried through the slicing combination, with
-// back-pointers for reconstruction.
+// back-pointers for reconstruction.  Kept to 24 bytes: sorting them is
+// most of the search's time.
 type combo struct {
 	w, h float64
 	// leaf: shapeIdx ≥ 0.  internal: cut is 'v' or 'h', li/ri select
-	// the child combos.
-	shapeIdx int
+	// the child combos (every list holds at most maxCombos).
+	shapeIdx int32
 	cut      byte
-	li, ri   int
+	li, ri   uint8
 }
 
-type node struct {
-	// leaf
-	leaf *mod
-	// internal
-	left, right *node
+// subtree is one slicing-tree node's Pareto shape list under a given
+// module order: a leaf holds one module's pruned shapes, an internal
+// node the combination of its two children, which it keeps so a
+// combo's li/ri back-pointers can be followed.
+type subtree struct {
 	combos      []combo
+	left, right *subtree // nil at a leaf
+	mod         *mod     // leaf only
+	// Once scored as the root of an eval, best is that eval's answer
+	// and lookups the routability queries it made.
+	scored  bool
+	best    choice
+	lookups int
 }
 
 // FromDB converts an estimate database into PlanModules inputs: one
@@ -252,62 +261,68 @@ func clusterOrder(ms []*mod, nets []Net) []*mod {
 	return order
 }
 
-// buildTree pairs adjacent nodes level by level into a balanced
-// slicing tree.
-func buildTree(nodes []*node) *node {
-	for len(nodes) > 1 {
-		var next []*node
-		for i := 0; i < len(nodes); i += 2 {
-			if i+1 == len(nodes) {
-				next = append(next, nodes[i])
+// span is one node of the fixed slicing-tree layout: the order
+// positions [lo, hi) it covers and its children (-1 at a leaf).
+type span struct {
+	lo, hi      int
+	left, right int
+}
+
+// treeLayout builds the balanced slicing tree over n order positions
+// by pairing adjacent nodes level by level.  Leaves are spans 0..n-1
+// and the root is the last span.  The layout depends on n alone, so a
+// search builds it once and only the modules at its leaves change.
+func treeLayout(n int) []span {
+	spans := make([]span, n, 2*n-1)
+	level := make([]int, n)
+	for i := range spans {
+		spans[i] = span{lo: i, hi: i + 1, left: -1, right: -1}
+		level[i] = i
+	}
+	for len(level) > 1 {
+		var next []int
+		for i := 0; i < len(level); i += 2 {
+			if i+1 == len(level) {
+				next = append(next, level[i])
 				continue
 			}
-			next = append(next, &node{left: nodes[i], right: nodes[i+1]})
+			l, r := level[i], level[i+1]
+			spans = append(spans, span{lo: spans[l].lo, hi: spans[r].hi, left: l, right: r})
+			next = append(next, len(spans)-1)
 		}
-		nodes = next
+		level = next
 	}
-	return nodes[0]
+	return spans
 }
 
 // maxCombos caps each node's candidate list; pruning keeps the Pareto
-// staircase so the cap rarely binds.
+// staircase so the cap rarely binds.  A combo's li/ri are bytes, so it
+// must stay at most 256.
 const maxCombos = 24
 
-func combineAll(n *node) {
-	if n.leaf != nil {
-		return
+// leafCombos is a module's pruned shape list.
+func leafCombos(m *mod) []combo {
+	cs := make([]combo, len(m.shapes))
+	for si, s := range m.shapes {
+		cs[si] = combo{w: s.W, h: s.H, shapeIdx: int32(si)}
 	}
-	combineAll(n.left)
-	combineAll(n.right)
-	var out []combo
-	for li, lc := range n.left.combos {
-		for ri, rc := range n.right.combos {
-			// Vertical cut: side by side.
-			out = append(out, combo{
-				w: lc.w + rc.w, h: math.Max(lc.h, rc.h),
-				shapeIdx: -1, cut: 'v', li: li, ri: ri,
-			})
-			// Horizontal cut: stacked.
-			out = append(out, combo{
-				w: math.Max(lc.w, rc.w), h: lc.h + rc.h,
-				shapeIdx: -1, cut: 'h', li: li, ri: ri,
-			})
-		}
-	}
-	n.combos = pareto(out)
+	return pareto(cs)
 }
 
 // pareto keeps the non-dominated staircase (no other combo has both
 // smaller-or-equal width and height), capped at maxCombos entries by
-// area.
+// area.  It sorts and filters cs in place and returns a prefix of it.
+// slices.SortFunc runs the same pdqsort as sort.Slice, and every
+// comparator is negative exactly when the matching less-than holds, so
+// ties land in the order they always have.
 func pareto(cs []combo) []combo {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].w != cs[j].w {
-			return cs[i].w < cs[j].w
+	slices.SortFunc(cs, func(a, b combo) int {
+		if a.w != b.w {
+			return cmpLess(a.w, b.w)
 		}
-		return cs[i].h < cs[j].h
+		return cmpLess(a.h, b.h)
 	})
-	var out []combo
+	out := cs[:0]
 	for _, c := range cs {
 		// Sorted by ascending (w, h): the last kept entry has
 		// width ≤ c.w, so it dominates c unless c is strictly
@@ -319,53 +334,21 @@ func pareto(cs []combo) []combo {
 		out = append(out, c)
 	}
 	if len(out) > maxCombos {
-		sort.Slice(out, func(i, j int) bool { return out[i].w*out[i].h < out[j].w*out[j].h })
+		slices.SortFunc(out, func(a, b combo) int { return cmpLess(a.w*a.h, b.w*b.h) })
 		out = out[:maxCombos]
-		sort.Slice(out, func(i, j int) bool { return out[i].w < out[j].w })
+		slices.SortFunc(out, func(a, b combo) int { return cmpLess(a.w, b.w) })
 	}
 	return out
 }
 
-// realize walks the tree assigning positions for the chosen combo.
-func realize(n *node, comboIdx int, x, y float64, plan *Plan) {
-	c := n.combos[comboIdx]
-	if n.leaf != nil {
-		p := Placed{
-			Name: n.leaf.name, X: x, Y: y, W: c.w, H: c.h,
-			ShapeIndex: c.shapeIdx, Rows: n.leaf.shapes[c.shapeIdx].Rows,
-		}
-		plan.Blocks = append(plan.Blocks, p)
-		plan.byName[p.Name] = &plan.Blocks[len(plan.Blocks)-1]
-		return
+// cmpLess compares by the < operator: unlike cmp.Compare, a NaN is
+// neither less nor greater than anything.
+func cmpLess(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
 	}
-	realize(n.left, c.li, x, y, plan)
-	lc := n.left.combos[c.li]
-	if c.cut == 'v' {
-		realize(n.right, c.ri, x+lc.w, y, plan)
-	} else {
-		realize(n.right, c.ri, x, y+lc.h, plan)
-	}
-}
-
-func wireLength(nets []Net, plan *Plan) float64 {
-	total := 0.0
-	for _, net := range nets {
-		minX, maxX := math.Inf(1), math.Inf(-1)
-		minY, maxY := math.Inf(1), math.Inf(-1)
-		seen := false
-		for _, pin := range net.Pins {
-			b := plan.byName[pin.Module]
-			if b == nil {
-				continue
-			}
-			cx, cy := b.X+b.W/2, b.Y+b.H/2
-			minX, maxX = math.Min(minX, cx), math.Max(maxX, cx)
-			minY, maxY = math.Min(minY, cy), math.Max(maxY, cy)
-			seen = true
-		}
-		if seen {
-			total += (maxX - minX) + (maxY - minY)
-		}
-	}
-	return total
+	return 0
 }

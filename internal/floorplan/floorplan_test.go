@@ -101,6 +101,23 @@ func TestPlanUsesShapeCandidates(t *testing.T) {
 	}
 }
 
+// BlockByName must point into Blocks itself, not at a copy left behind
+// by a growing slice: a write through it is a write to the plan.
+func TestBlockByNameAliasesBlocks(t *testing.T) {
+	plan := samplePlan(t)
+	for i, b := range plan.Blocks {
+		if got := plan.BlockByName(b.Name); got != &plan.Blocks[i] {
+			t.Fatalf("BlockByName(%q) = %p, want &Blocks[%d] = %p", b.Name, got, i, &plan.Blocks[i])
+		}
+	}
+	plan.BlockByName("a").X = 7
+	for _, b := range plan.Blocks {
+		if b.Name == "a" && b.X != 7 {
+			t.Fatalf("write through BlockByName lost: Blocks holds X = %g", b.X)
+		}
+	}
+}
+
 func TestPlanSingleModule(t *testing.T) {
 	plan := planGreedy(t, "one", []PlanModule{{Name: "m", Shapes: []Shape{{W: 30, H: 20}}}}, nil)
 	if plan.Width != 30 || plan.Height != 20 {

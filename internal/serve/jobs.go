@@ -50,7 +50,8 @@ type jobConfig struct {
 
 // job is one floorplan request moving through the lifecycle.  The
 // mutex guards state and progress; inputs are immutable after submit
-// and the result is immutable after the terminal transition.
+// and released at the terminal transition (only execute reads them),
+// and the result is immutable after it.
 type job struct {
 	id  string
 	key Key
@@ -72,6 +73,14 @@ type job struct {
 	cancelFn   context.CancelFunc
 
 	done chan struct{} // closed on the terminal transition
+}
+
+// finish releases the inputs and closes done; the caller holds j.mu
+// and has set the terminal state.  A finished job keeps only what its
+// snapshot renders, not the parsed circuits.
+func (j *job) finish() {
+	j.circs, j.planKeys, j.nets = nil, nil, nil
+	close(j.done)
 }
 
 // snapshot renders the job's current lifecycle view — the one shape
@@ -152,6 +161,9 @@ func (jm *jobManager) submit(j *job) (*JobResponse, int, error) {
 		return nil, 0, errJobQueueFull
 	}
 	jm.jobs[j.id] = j
+	// Snapshot before a worker can pick the job up: a 202 describes an
+	// accepted job, however soon its anneal finishes.
+	accepted := j.snapshot()
 	select {
 	case jm.queue <- j:
 	default:
@@ -165,7 +177,7 @@ func (jm *jobManager) submit(j *job) (*JobResponse, int, error) {
 		}
 	})
 	mJobsSubmitted.Inc()
-	return j.snapshot(), http.StatusAccepted, nil
+	return accepted, http.StatusAccepted, nil
 }
 
 // get answers a poll: memory first, then the persistent store.
@@ -211,7 +223,7 @@ func (jm *jobManager) cancelJob(ctx context.Context, id string) (*JobResponse, e
 	switch j.state {
 	case JobAccepted:
 		j.state = JobCancelled
-		close(j.done)
+		j.finish()
 		j.mu.Unlock()
 		mJobsCancelled.Inc()
 		jm.persist(j)
@@ -278,7 +290,7 @@ func (jm *jobManager) runJob(j *job) {
 		j.errMsg = err.Error()
 		mJobsFailed.Inc()
 	}
-	close(j.done)
+	j.finish()
 	j.mu.Unlock()
 	jm.persist(j)
 }
@@ -355,7 +367,7 @@ func (jm *jobManager) drain() {
 				transitioned := j.state == JobAccepted
 				if transitioned {
 					j.state = JobCancelled
-					close(j.done)
+					j.finish()
 				}
 				j.mu.Unlock()
 				if transitioned {

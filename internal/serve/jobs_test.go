@@ -82,7 +82,7 @@ func TestJobLifecycleToDone(t *testing.T) {
 		t.Fatalf("submit status %d: %s", w.Code, w.Body.String())
 	}
 	sub := decodeJob(t, w)
-	if len(sub.ID) != 64 || (sub.State != JobAccepted && sub.State != JobAnnealing) {
+	if len(sub.ID) != 64 || sub.State != JobAccepted {
 		t.Fatalf("submit answered %+v", sub)
 	}
 	fin := pollJob(t, s, sub.ID, JobDone)
@@ -118,6 +118,70 @@ func TestJobLifecycleToDone(t *testing.T) {
 	}
 	if dup := decodeJob(t, w); dup.ID != sub.ID || dup.State != JobDone {
 		t.Fatalf("duplicate submit answered %+v", dup)
+	}
+}
+
+// portHeavyModule is a one-inverter module with more ports than any of
+// its candidate shapes has perimeter for: it parses, but a job that
+// plans it fails.
+func portHeavyModule(name string, ports int) ModuleInput {
+	var b strings.Builder
+	fmt.Fprintf(&b, "module %s\nport in a\ndevice g0 INV a z\nport out z\n", name)
+	for i := 0; i < ports; i++ {
+		fmt.Fprintf(&b, "port in p%d\n", i)
+	}
+	b.WriteString("end\n")
+	return ModuleInput{Netlist: b.String()}
+}
+
+// TestJobReleasesInputs pins that a finished job — done, failed, or
+// cancelled mid-anneal — no longer holds its parsed circuits, plan
+// keys and nets, and that polling it answers the same bytes as before.
+func TestJobReleasesInputs(t *testing.T) {
+	s := New(Options{})
+	t.Cleanup(s.FlushStore)
+	submit := func(req FloorplanRequest) string {
+		t.Helper()
+		w := do(s, "POST", "/v1/floorplan", marshal(t, req))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submit status %d: %s", w.Code, w.Body.String())
+		}
+		return decodeJob(t, w).ID
+	}
+	done := fpRequest(3)
+	done.Budget = 40
+	idDone := submit(done)
+	pollJob(t, s, idDone, JobDone)
+
+	idFailed := submit(FloorplanRequest{Chip: "fails", Modules: []ModuleInput{
+		portHeavyModule("wide", 50), batchModule("narrow", 3),
+	}})
+	if resp := pollJob(t, s, idFailed, JobFailed); !strings.Contains(resp.Error, "ports fit no candidate") {
+		t.Fatalf("job failed for another reason: %q", resp.Error)
+	}
+
+	cancelled := fpRequest(3)
+	cancelled.Budget = 50_000_000 // will not finish on its own
+	idCancelled := submit(cancelled)
+	pollJob(t, s, idCancelled, JobAnnealing)
+	if resp := decodeJob(t, do(s, "DELETE", "/v1/jobs/"+idCancelled, "")); resp.State != JobCancelled {
+		t.Fatalf("cancel answered state %q", resp.State)
+	}
+
+	for _, id := range []string{idDone, idFailed, idCancelled} {
+		before := do(s, "GET", "/v1/jobs/"+id, "").Body.String()
+		s.jobs.mu.Lock()
+		j := s.jobs.jobs[id]
+		s.jobs.mu.Unlock()
+		j.mu.Lock()
+		state, held := j.state, j.circs != nil || j.planKeys != nil || j.nets != nil
+		j.mu.Unlock()
+		if held {
+			t.Errorf("%s job still holds its inputs", state)
+		}
+		if after := do(s, "GET", "/v1/jobs/"+id, "").Body.String(); after != before {
+			t.Errorf("%s job poll changed:\nbefore: %s\nafter:  %s", state, before, after)
+		}
 	}
 }
 
