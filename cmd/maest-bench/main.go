@@ -1,67 +1,43 @@
-// Command maest-bench is the continuous accuracy/perf observatory: it
-// reruns the paper's Table 1 and Table 2 experiments against the
-// checked-in goldens, times the estimator over the generated suites,
-// drives the serving pipeline end-to-end over a real socket, and
-// emits everything as a schema-versioned BENCH_<label>.json snapshot.
+// Command maest-bench is the Table 1/2 accuracy gate: it reruns the
+// paper's Table 1 and Table 2 experiments against the checked-in
+// goldens (nmos25, layout-synthesis seed 1 — the values the goldens
+// were rendered at) and emits the result as a schema-versioned
+// BENCH_<label>.json snapshot.
 //
 // Usage:
 //
 //	maest-bench [-label local] [-o BENCH_local.json]
-//	            [-golden testdata/golden] [-proc nmos25] [-seed 1]
-//	            [-requests 60] [-estimate-iters 3] [-store] [-telemetry]
-//	            [-floorplan 6]
-//	            [-compare ref.json] [-tol 0.5] [-perf-tol 0]
+//	            [-golden testdata/golden]
+//	            [-compare ref.json] [-tol 0.5]
 //
 // With -compare the fresh snapshot is diffed against a reference:
 // accuracy drift beyond -tol percentage points (or a vanished module)
-// exits 2, so CI can gate on it.  Perf comparison is machine-
-// dependent and therefore opt-in: it only runs when -perf-tol is
-// positive (0.25 allows +25% on estimator ns/op and endpoint p99).
+// exits 2, so CI can gate on it.  Performance is measured elsewhere,
+// layer by layer against a real maest-serve, by `loadbench -trace 1`.
 package main
 
 import (
-	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
-	"testing"
 	"time"
 
-	"maest/internal/client"
-	"maest/internal/engine"
-	"maest/internal/engine/distmemo"
-	"maest/internal/floorplan"
-	"maest/internal/gen"
-	"maest/internal/netlist"
-	"maest/internal/obs"
 	"maest/internal/report"
-	"maest/internal/serve"
-	"maest/internal/store"
 	"maest/internal/tech"
 )
 
+// goldenSeed is the layout-synthesis seed the goldens were rendered
+// at; any other seed only measures drift against a different layout.
+const goldenSeed = 1
+
 type options struct {
-	label         string
-	out           string
-	goldenDir     string
-	proc          string
-	seed          int64
-	requests      int
-	estimateIters int
-	compare       string
-	tolPP         float64
-	perfTol       float64
-	ecoEdits      int
-	ecoMinSpeedup float64
-	store         bool
-	telemetry     bool
-	floorplanMods int
+	label     string
+	out       string
+	goldenDir string
+	compare   string
+	tolPP     float64
 }
 
 func main() {
@@ -69,18 +45,8 @@ func main() {
 	flag.StringVar(&o.label, "label", "local", "snapshot label (written into the file and its default name)")
 	flag.StringVar(&o.out, "o", "", "output path (default BENCH_<label>.json)")
 	flag.StringVar(&o.goldenDir, "golden", "testdata/golden", "directory holding the golden table1.txt/table2.txt")
-	flag.StringVar(&o.proc, "proc", "nmos25", "builtin process to benchmark")
-	flag.Int64Var(&o.seed, "seed", 1, "layout-synthesis seed (must match the goldens')")
-	flag.IntVar(&o.requests, "requests", 60, "serve-pipeline requests to fire for the latency quantiles")
-	flag.IntVar(&o.estimateIters, "estimate-iters", 3, "full-suite estimation passes to time")
 	flag.StringVar(&o.compare, "compare", "", "reference BENCH_*.json to diff against; regressions exit 2")
 	flag.Float64Var(&o.tolPP, "tol", 0.5, "allowed accuracy drift growth vs the reference, percentage points")
-	flag.Float64Var(&o.perfTol, "perf-tol", 0, "allowed perf growth vs the reference as a fraction (0 disables perf compare)")
-	flag.IntVar(&o.ecoEdits, "eco", 0, "ECO edits per module for the incremental-reestimation benchmark (0 disables it)")
-	flag.Float64Var(&o.ecoMinSpeedup, "eco-min-speedup", 0, "minimum delta-vs-recompile speedup the -eco benchmark must reach; below it exits 2 (0 disables the gate)")
-	flag.BoolVar(&o.store, "store", false, "benchmark the persistent store: cold vs warm time-to-first-hit and the hit ratio over a replayed request log")
-	flag.BoolVar(&o.telemetry, "telemetry", false, "benchmark request-telemetry overhead: sampling-on vs sampling-off ns/req, and pin the disabled path at 0 allocs")
-	flag.IntVar(&o.floorplanMods, "floorplan", 0, "benchmark the Plan-driven annealer over a generated chip with this many modules (0 disables it)")
 	flag.Parse()
 
 	regressions, err := run(&o, os.Stdout)
@@ -99,10 +65,6 @@ func main() {
 // run builds the snapshot, writes it, and (with -compare) diffs it
 // against the reference, returning the regression messages.
 func run(o *options, w io.Writer) ([]string, error) {
-	p, err := tech.Lookup(o.proc)
-	if err != nil {
-		return nil, err
-	}
 	if o.out == "" {
 		o.out = "BENCH_" + o.label + ".json"
 	}
@@ -114,612 +76,30 @@ func run(o *options, w io.Writer) ([]string, error) {
 		GoVersion: runtime.Version(),
 	}
 
-	fmt.Fprintf(w, "maest-bench: accuracy vs %s goldens (seed %d)\n", o.goldenDir, o.seed)
-	snap.Accuracy, err = report.BuildAccuracy(o.goldenDir, p, o.seed)
+	fmt.Fprintf(w, "maest-bench: accuracy vs %s goldens (seed %d)\n", o.goldenDir, goldenSeed)
+	var err error
+	snap.Accuracy, err = report.BuildAccuracy(o.goldenDir, tech.NMOS25(), goldenSeed)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(w, "maest-bench: %d module configs, max drift %.3fpp\n",
 		len(snap.Accuracy.Modules), snap.Accuracy.MaxDriftPP)
 
-	snap.Perf.EstimateNsPerOp, snap.Perf.EstimateOps, err = timeEstimator(p, o.estimateIters)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "maest-bench: estimator %d ns/op over %d full-suite passes\n",
-		snap.Perf.EstimateNsPerOp, snap.Perf.EstimateOps)
-
-	snap.Perf.Endpoints, err = timeServePipeline(o.requests)
-	if err != nil {
-		return nil, err
-	}
-	for _, ep := range snap.Perf.Endpoints {
-		fmt.Fprintf(w, "maest-bench: %-18s n=%-3d p50=%.0fus p90=%.0fus p99=%.0fus\n",
-			ep.Endpoint, ep.Count, ep.P50Micros, ep.P90Micros, ep.P99Micros)
-	}
-
-	if o.ecoEdits > 0 {
-		snap.Eco, err = timeEco(p, o.ecoEdits)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "maest-bench: eco %d modules x %d edits: full %d ns/edit, delta %d ns/edit, %.1fx\n",
-			snap.Eco.Modules, snap.Eco.Edits, snap.Eco.FullNsPerEdit, snap.Eco.DeltaNsPerEdit, snap.Eco.Speedup)
-		if snap.Eco.HashMismatches > 0 {
-			return nil, fmt.Errorf("eco: %d edit steps diverged from the recompile route", snap.Eco.HashMismatches)
-		}
-	}
-
-	if o.store {
-		snap.Store, err = timeStore(o.requests)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "maest-bench: store cold first-hit %.0fus, warm %.0fus (%.1fx), hit ratio %.2f over %d requests\n",
-			snap.Store.ColdFirstHitUs, snap.Store.WarmFirstHitUs, snap.Store.WarmSpeedup,
-			snap.Store.HitRatio, snap.Store.Requests)
-		if snap.Store.StoreMisses > 0 {
-			return nil, fmt.Errorf("store: %d misses replaying a log the cold pass fully persisted", snap.Store.StoreMisses)
-		}
-	}
-
-	if o.floorplanMods > 0 {
-		snap.Floorplan, err = timeFloorplan(p, o.floorplanMods, o.seed)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "maest-bench: floorplan %d modules, %d ns/move over %d moves; cost %.4g -> %.4g (%.1f%% gain), memo hit ratio %.2f\n",
-			snap.Floorplan.Modules, snap.Floorplan.NsPerMove, snap.Floorplan.Budget,
-			snap.Floorplan.GreedyCost, snap.Floorplan.AnnealCost,
-			snap.Floorplan.CostGainPct*100, snap.Floorplan.MemoHitRatio)
-		if snap.Floorplan.AnnealCost > snap.Floorplan.GreedyCost {
-			return nil, fmt.Errorf("floorplan: anneal cost %g regressed past greedy %g",
-				snap.Floorplan.AnnealCost, snap.Floorplan.GreedyCost)
-		}
-	}
-
-	if o.telemetry {
-		snap.Telemetry, err = timeTelemetry(o.requests)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "maest-bench: telemetry bare %d ns/req, sampled %d ns/req (%+.1f%%); disabled path %.0f allocs/op; kept %d/%d traces, %d store bytes\n",
-			snap.Telemetry.BareNsPerReq, snap.Telemetry.SampledNsPerReq, snap.Telemetry.OverheadPct*100,
-			snap.Telemetry.DisabledPathAllocs, snap.Telemetry.TracesKept, snap.Telemetry.TracesSeen,
-			snap.Telemetry.StoreBytes)
-		if snap.Telemetry.DisabledPathAllocs != 0 {
-			return nil, fmt.Errorf("telemetry: sampling-disabled path allocates (%.0f allocs/op, want 0)",
-				snap.Telemetry.DisabledPathAllocs)
-		}
-	}
-
-	// Runtime conditions the perf numbers were taken under: heap and GC
-	// state are the usual explanation when ns/op moves between hosts.
-	rs := obs.ReadRuntimeSummary()
-	snap.Runtime = &report.RuntimeSnapshot{
-		Goroutines:        rs.Goroutines,
-		HeapBytes:         rs.HeapBytes,
-		GCCycles:          rs.GCCycles,
-		GCPauseP50Seconds: rs.GCPauseP50Seconds,
-		GCPauseP99Seconds: rs.GCPauseP99Seconds,
-		SchedLatP99Secs:   rs.SchedLatP99Secs,
-	}
-
 	if err := report.WriteBenchSnapshot(o.out, snap); err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(w, "maest-bench: wrote %s\n", o.out)
 
-	regressions := checkEcoGate(o, snap)
 	if o.compare == "" {
-		return regressions, nil
+		return nil, nil
 	}
 	ref, err := report.ReadBenchSnapshot(o.compare)
 	if err != nil {
 		return nil, fmt.Errorf("reference: %w", err)
 	}
-	regressions = append(regressions, report.CompareBench(ref, snap, o.tolPP, o.perfTol)...)
+	regressions := report.CompareBench(ref, snap, o.tolPP)
 	if len(regressions) == 0 {
 		fmt.Fprintf(w, "maest-bench: no regressions vs %s (tol %.2fpp)\n", o.compare, o.tolPP)
 	}
 	return regressions, nil
-}
-
-// timeFloorplan benchmarks the Plan-driven annealer: compile a
-// generated chip's modules once, run the greedy (budget 0) baseline
-// and an annealed pass with the congestion-scored cost, and report
-// move throughput, the cost recovered, and the routability memo's hit
-// ratio.
-func timeFloorplan(p *tech.Process, modules int, seed int64) (*report.FloorplanSnapshot, error) {
-	chip, err := gen.RandomChip(gen.ChipConfig{
-		Name: "bench-floorplan", Modules: modules, MinGates: 20, MaxGates: 80, Seed: seed,
-	}, p)
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	mods := make([]floorplan.PlanModule, len(chip.Modules))
-	for i, c := range chip.Modules {
-		pl, err := engine.CompileCtx(ctx, c, p)
-		if err != nil {
-			return nil, err
-		}
-		mods[i] = floorplan.PlanModule{Name: c.Name, Plan: pl}
-	}
-	nets := make([]floorplan.Net, len(chip.GlobalNets))
-	for i, gn := range chip.GlobalNets {
-		pins := make([]floorplan.NetPin, len(gn.Pins))
-		for j, pin := range gn.Pins {
-			pins[j] = floorplan.NetPin{Module: pin.Module, Port: pin.Port}
-		}
-		nets[i] = floorplan.Net{Name: gn.Name, Pins: pins}
-	}
-	opts := []floorplan.Option{
-		floorplan.WithSeed(seed),
-		floorplan.WithCongestWeight(1),
-		floorplan.WithWireWeight(0.5),
-	}
-	greedy, err := floorplan.PlanModules(ctx, chip.Name, mods, nets,
-		append(opts, floorplan.WithBudget(-1))...)
-	if err != nil {
-		return nil, err
-	}
-	budget := floorplan.DefaultBudget
-	t0 := time.Now()
-	annealed, err := floorplan.PlanModules(ctx, chip.Name, mods, nets,
-		append(opts, floorplan.WithBudget(budget))...)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(t0)
-	fp := &report.FloorplanSnapshot{
-		Modules:      modules,
-		Budget:       annealed.Stats.Iterations,
-		Seed:         seed,
-		NsPerMove:    elapsed.Nanoseconds() / int64(max(annealed.Stats.Iterations, 1)),
-		GreedyCost:   greedy.Cost,
-		AnnealCost:   annealed.Cost,
-		RoutLookups:  annealed.Stats.RoutLookups,
-		RoutMemoHits: annealed.Stats.RoutMemoHits,
-	}
-	if greedy.Cost > 0 {
-		fp.CostGainPct = (greedy.Cost - annealed.Cost) / greedy.Cost
-	}
-	if annealed.Stats.RoutLookups > 0 {
-		fp.MemoHitRatio = float64(annealed.Stats.RoutMemoHits) / float64(annealed.Stats.RoutLookups)
-	}
-	return fp, nil
-}
-
-// checkEcoGate applies the -eco-min-speedup floor to a snapshot.
-func checkEcoGate(o *options, snap *report.BenchSnapshot) []string {
-	if o.ecoMinSpeedup <= 0 || snap.Eco == nil {
-		return nil
-	}
-	if snap.Eco.Speedup < o.ecoMinSpeedup {
-		return []string{fmt.Sprintf(
-			"eco: delta route is only %.1fx faster than recompiling; the gate requires %.1fx",
-			snap.Eco.Speedup, o.ecoMinSpeedup)}
-	}
-	return nil
-}
-
-// timeEstimator measures one "op" = estimating every module of both
-// generated suites (Full-Custom exact+average, Standard-Cell at the
-// paper's row counts), without the layout-synthesis ground truth.
-func timeEstimator(p *tech.Process, iters int) (int64, int, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	fc, err := gen.FullCustomSuite(p)
-	if err != nil {
-		return 0, 0, err
-	}
-	sc, err := gen.StandardCellSuite(p)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Each iteration compiles fresh plans so the op keeps measuring the
-	// full pipeline (statistics gathering + kernels), not memo lookups;
-	// within an iteration the plan is reused the way real callers do.
-	ctx := context.Background()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		for _, c := range fc {
-			pl, err := engine.Compile(c, p)
-			if err != nil {
-				return 0, 0, err
-			}
-			if _, err := pl.EstimateFullCustom(ctx, engine.WithFCMode(engine.FCExactAreas)); err != nil {
-				return 0, 0, err
-			}
-			if _, err := pl.EstimateFullCustom(ctx, engine.WithFCMode(engine.FCAverageAreas)); err != nil {
-				return 0, 0, err
-			}
-		}
-		for j, c := range sc {
-			pl, err := engine.Compile(c, p)
-			if err != nil {
-				return 0, 0, err
-			}
-			for _, n := range report.Table2RowCounts[j] {
-				if _, err := pl.EstimateStandardCell(ctx, engine.WithRows(n)); err != nil {
-					return 0, 0, err
-				}
-			}
-		}
-	}
-	return time.Since(start).Nanoseconds() / int64(iters), iters, nil
-}
-
-// timeEco measures the ECO loop both ways.  One edit step is a pin
-// toggle (connect, then disconnect, a hot net) applied to a generated
-// standard-cell module, followed by the re-estimate an interactive
-// floorplanner asks for: the Eq. 12 standard-cell estimate plus the
-// Eq. 2–11 congestion analysis — the convolution-heavy path the
-// incremental machinery exists for.  (The full-custom transistor
-// expansion is deliberately not part of the op: it is identical
-// O(N) work on both routes, independent of how the plan was derived,
-// so it only dilutes the measurement; the differential harness covers
-// its bit-identity separately.)  The from-scratch route pays what a
-// pre-delta caller paid — apply the edit, recompile, estimate, with
-// the distribution memo purged so nothing carries over between
-// "independent" estimates — and the delta route chains Plan.Delta
-// children off a warm memo the way an incremental caller does.  Every
-// step cross-checks the two routes' plan content addresses; a
-// mismatch is a correctness failure.
-func timeEco(p *tech.Process, edits int) (*report.EcoSnapshot, error) {
-	ctx := context.Background()
-	var circs []*netlist.Circuit
-	for i, gates := range []int{96, 160, 240} {
-		c, err := gen.RandomCircuit(gen.RandomConfig{
-			Name: fmt.Sprintf("eco%d", i), Gates: gates, Inputs: 5, Outputs: 4, Seed: int64(21 + i),
-		}, p)
-		if err != nil {
-			return nil, err
-		}
-		circs = append(circs, c)
-	}
-	editFor := func(c *netlist.Circuit, step int) engine.Edit {
-		dev := c.Devices[step/2%2].Name
-		if step%2 == 0 {
-			return engine.ConnectPin(dev, "eco_hot")
-		}
-		return engine.DisconnectPin(dev, "eco_hot")
-	}
-
-	// From-scratch route, cold memo per step.
-	var fullNs int64
-	hashes := make([][]engine.Hash, len(circs))
-	for m, c := range circs {
-		cur := c
-		for s := 0; s < edits; s++ {
-			distmemo.Purge()
-			t0 := time.Now()
-			next, err := engine.ApplyEdits(cur, editFor(c, s))
-			if err != nil {
-				return nil, err
-			}
-			pl, err := engine.Compile(next, p)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := pl.EstimateStandardCell(ctx); err != nil {
-				return nil, err
-			}
-			if _, err := pl.Congestion(ctx); err != nil {
-				return nil, err
-			}
-			fullNs += time.Since(t0).Nanoseconds()
-			cur = next
-			hashes[m] = append(hashes[m], pl.Hash())
-		}
-	}
-
-	// Delta route, chained children, warm memo.
-	var deltaNs int64
-	mismatches := 0
-	for m, c := range circs {
-		pl, err := engine.Compile(c, p)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := pl.EstimateStandardCell(ctx); err != nil {
-			return nil, err
-		}
-		if _, err := pl.Congestion(ctx); err != nil {
-			return nil, err
-		}
-		for s := 0; s < edits; s++ {
-			t0 := time.Now()
-			child, err := pl.Delta(editFor(c, s))
-			if err != nil {
-				return nil, err
-			}
-			if _, err := child.EstimateStandardCell(ctx); err != nil {
-				return nil, err
-			}
-			if _, err := child.Congestion(ctx); err != nil {
-				return nil, err
-			}
-			deltaNs += time.Since(t0).Nanoseconds()
-			if child.Hash() != hashes[m][s] {
-				mismatches++
-			}
-			pl = child
-		}
-	}
-
-	n := int64(len(circs) * edits)
-	snap := &report.EcoSnapshot{
-		Modules:        len(circs),
-		Edits:          edits,
-		FullNsPerEdit:  fullNs / n,
-		DeltaNsPerEdit: deltaNs / n,
-		HashMismatches: mismatches,
-	}
-	if deltaNs > 0 {
-		snap.Speedup = float64(fullNs) / float64(deltaNs)
-	}
-	return snap, nil
-}
-
-// timeServePipeline boots the real HTTP service on a loopback socket,
-// fires n requests across the three endpoints through the Go client
-// (so the measured path includes traceparent injection, exactly what
-// production callers pay), and reads the latency quantiles back from
-// the per-endpoint histograms.
-func timeServePipeline(n int) ([]report.EndpointPerf, error) {
-	if n < 3 {
-		n = 3
-	}
-	handler := serve.New(serve.Options{FlightSize: 64})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: handler}
-	go srv.Serve(ln)
-	defer srv.Close()
-	c := client.New("http://" + ln.Addr().String())
-
-	single := serve.EstimateRequest{Netlist: chainNetlist("bench-single", 24)}
-	batch := serve.BatchRequest{Modules: []serve.ModuleInput{
-		{Netlist: chainNetlist("bench-b0", 8)},
-		{Netlist: chainNetlist("bench-b1", 12)},
-	}}
-	congest := serve.CongestionRequest{Netlist: chainNetlist("bench-cg", 16), Rows: 3}
-
-	// One root trace context for the whole run: every benchmark request
-	// hangs off it, so a -trace capture shows the suite as one tree.
-	ctx := obs.WithTraceContext(context.Background(), obs.NewTraceContext())
-	calls := []func() error{
-		func() error { _, err := c.Estimate(ctx, single); return err },
-		func() error { _, err := c.EstimateBatch(ctx, batch); return err },
-		func() error { _, err := c.Congestion(ctx, congest); return err },
-	}
-	for i := 0; i < n; i++ {
-		if err := calls[i%len(calls)](); err != nil {
-			return nil, err
-		}
-	}
-
-	var out []report.EndpointPerf
-	for _, ep := range serve.LatencySummary() {
-		if ep.Count == 0 {
-			continue
-		}
-		out = append(out, report.EndpointPerf{
-			Endpoint:  ep.Endpoint,
-			Count:     ep.Count,
-			MeanUs:    ep.MeanSecs * 1e6,
-			P50Micros: ep.P50Seconds * 1e6,
-			P90Micros: ep.P90Seconds * 1e6,
-			P99Micros: ep.P99Seconds * 1e6,
-		})
-	}
-	if len(out) == 0 {
-		return nil, errors.New("serve pipeline produced no latency samples")
-	}
-	return out, nil
-}
-
-// timeStore measures the persistent store's serving value: the same
-// request log replayed against the real HTTP service twice over one
-// store directory.  Pass one starts cold (empty store — every answer
-// is computed and persisted write-behind); the service is then torn
-// down, which flushes and seals the store, and booted fresh against
-// the populated directory, so pass two's first request times the
-// disk-hit path an operator sees after a restart.
-func timeStore(n int) (*report.StoreSnapshot, error) {
-	if n < 4 {
-		n = 4
-	}
-	dir, err := os.MkdirTemp("", "maest-bench-store-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	// The replay log round-robins a handful of distinct modules, so
-	// the log revisits each one several times the way a floorplanner
-	// iterating on a chip does.
-	var reqs []serve.EstimateRequest
-	for i := 0; i < 8; i++ {
-		reqs = append(reqs, serve.EstimateRequest{
-			Netlist: chainNetlist(fmt.Sprintf("bench-store-%d", i), 8+6*i),
-		})
-	}
-	ctx := obs.WithTraceContext(context.Background(), obs.NewTraceContext())
-
-	replay := func() (firstHit time.Duration, stats store.Stats, err error) {
-		st, err := store.Open(store.Options{Dir: dir})
-		if err != nil {
-			return 0, store.Stats{}, err
-		}
-		handler := serve.New(serve.Options{Store: st})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			st.Close()
-			return 0, store.Stats{}, err
-		}
-		srv := &http.Server{Handler: handler}
-		go srv.Serve(ln)
-		defer func() {
-			srv.Close()
-			handler.FlushStore()
-			if cerr := st.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		c := client.New("http://" + ln.Addr().String())
-		t0 := time.Now()
-		if _, err := c.Estimate(ctx, reqs[0]); err != nil {
-			return 0, store.Stats{}, err
-		}
-		firstHit = time.Since(t0)
-		for i := 1; i < n; i++ {
-			if _, err := c.Estimate(ctx, reqs[i%len(reqs)]); err != nil {
-				return 0, store.Stats{}, err
-			}
-		}
-		return firstHit, st.Stats(), nil
-	}
-
-	coldFirst, _, err := replay()
-	if err != nil {
-		return nil, err
-	}
-	warmFirst, stats, err := replay()
-	if err != nil {
-		return nil, err
-	}
-
-	snap := &report.StoreSnapshot{
-		Requests:       n,
-		Modules:        len(reqs),
-		ColdFirstHitUs: float64(coldFirst.Nanoseconds()) / 1e3,
-		WarmFirstHitUs: float64(warmFirst.Nanoseconds()) / 1e3,
-		StoreHits:      stats.Hits,
-		StoreMisses:    stats.Misses,
-		HitRatio:       float64(stats.Hits) / float64(n),
-	}
-	if warmFirst > 0 {
-		snap.WarmSpeedup = float64(coldFirst) / float64(warmFirst)
-	}
-	return snap, nil
-}
-
-// timeTelemetry measures what request telemetry costs: the same
-// request log replayed twice over loopback, once against a bare
-// service (no flight ring, no trace store — the zero-telemetry
-// configuration) and once with tail sampling at rate 1.0 persisting
-// every trace write-behind.  It also pins the contract the hot path
-// depends on: with sampling disabled, the per-request telemetry calls
-// (TailSampler.Keep on a nil sampler, Histogram.Observe) must not
-// allocate at all.
-func timeTelemetry(n int) (*report.TelemetrySnapshot, error) {
-	if n < 4 {
-		n = 4
-	}
-	var reqs []serve.EstimateRequest
-	for i := 0; i < 6; i++ {
-		reqs = append(reqs, serve.EstimateRequest{
-			Netlist: chainNetlist(fmt.Sprintf("bench-tel-%d", i), 8+6*i),
-		})
-	}
-	ctx := obs.WithTraceContext(context.Background(), obs.NewTraceContext())
-
-	replay := func(handler *serve.Server) (perReq time.Duration, err error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return 0, err
-		}
-		srv := &http.Server{Handler: handler}
-		go srv.Serve(ln)
-		defer srv.Close()
-		c := client.New("http://" + ln.Addr().String())
-		// Warm once so neither pass pays first-request setup.
-		if _, err := c.Estimate(ctx, reqs[0]); err != nil {
-			return 0, err
-		}
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := c.Estimate(ctx, reqs[i%len(reqs)]); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(t0) / time.Duration(n), nil
-	}
-
-	bare, err := replay(serve.New(serve.Options{}))
-	if err != nil {
-		return nil, err
-	}
-
-	dir, err := os.MkdirTemp("", "maest-bench-trace-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(store.Options{Dir: dir})
-	if err != nil {
-		return nil, err
-	}
-	sampled := serve.New(serve.Options{
-		FlightSize: 64,
-		TraceStore: st,
-		Sample:     obs.SamplePolicy{Rate: 1.0, SlowMicros: 100_000, KeepErrors: true},
-	})
-	perReq, err := replay(sampled)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	sampled.FlushTraces()
-	sstats := sampled.Sampler().Stats()
-	stStats := st.Stats()
-	if err := st.Close(); err != nil {
-		return nil, err
-	}
-
-	// The disabled path: a nil sampler and an unregistered histogram,
-	// exactly what a request pays when telemetry is off.
-	var nilSampler *obs.TailSampler
-	h := obs.NewHistogram(obs.DefBuckets)
-	var tid [16]byte
-	allocs := testing.AllocsPerRun(1000, func() {
-		nilSampler.Keep(tid, 1234, false)
-		h.Observe(0.001)
-	})
-
-	snap := &report.TelemetrySnapshot{
-		Requests:           n,
-		BareNsPerReq:       bare.Nanoseconds(),
-		SampledNsPerReq:    perReq.Nanoseconds(),
-		DisabledPathAllocs: allocs,
-		TracesSeen:         sstats.Seen,
-		TracesKept:         sstats.Kept,
-		TracesDropped:      sstats.Dropped,
-		StoreBytes:         stStats.Bytes,
-		StoreRecords:       stStats.Records,
-	}
-	if bare > 0 {
-		snap.OverheadPct = float64(perReq-bare) / float64(bare)
-	}
-	return snap, nil
-}
-
-// chainNetlist emits a deterministic inverter chain in mnet format.
-func chainNetlist(name string, stages int) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "module %s\nport in a\n", name)
-	prev := "a"
-	for i := 0; i < stages; i++ {
-		next := fmt.Sprintf("n%d", i)
-		fmt.Fprintf(&b, "device g%d INV %s %s\n", i, prev, next)
-		prev = next
-	}
-	fmt.Fprintf(&b, "port out %s\nend\n", prev)
-	return b.String()
 }

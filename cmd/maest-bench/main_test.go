@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,21 +17,17 @@ const goldenDir = "../../testdata/golden"
 func benchOptions(t *testing.T, label string) *options {
 	t.Helper()
 	return &options{
-		label:         label,
-		out:           filepath.Join(t.TempDir(), "BENCH_"+label+".json"),
-		goldenDir:     goldenDir,
-		proc:          "nmos25",
-		seed:          1,
-		requests:      12,
-		estimateIters: 1,
-		tolPP:         0.5,
+		label:     label,
+		out:       filepath.Join(t.TempDir(), "BENCH_"+label+".json"),
+		goldenDir: goldenDir,
+		tolPP:     0.5,
 	}
 }
 
-// TestBenchEmitsValidSnapshot runs the full harness — accuracy rerun,
-// estimator timing, serve pipeline over a real socket — and validates
-// the emitted BENCH_*.json has the accuracy and quantile sections the
-// schema promises.
+// TestBenchEmitsValidSnapshot runs the accuracy rerun and validates the
+// emitted BENCH_*.json: exactly the schema-2 header plus the accuracy
+// block, with every Table 1/2 configuration reproduced to golden print
+// precision.
 func TestBenchEmitsValidSnapshot(t *testing.T) {
 	o := benchOptions(t, "test")
 	var out bytes.Buffer
@@ -40,6 +39,26 @@ func TestBenchEmitsValidSnapshot(t *testing.T) {
 		t.Fatalf("no -compare given but regressions returned: %v", regressions)
 	}
 
+	raw, err := os.ReadFile(o.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if want := []string{"accuracy", "created_at", "go_version", "label", "schema"}; !slices.Equal(keys, want) {
+		t.Fatalf("snapshot top-level keys %v, want exactly %v", keys, want)
+	}
+	if doc["schema"] != float64(2) {
+		t.Fatalf("schema %v, want 2", doc["schema"])
+	}
+
 	snap, err := report.ReadBenchSnapshot(o.out)
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +67,9 @@ func TestBenchEmitsValidSnapshot(t *testing.T) {
 		snap.CreatedAt == "" || snap.GoVersion == "" {
 		t.Fatalf("snapshot header: %+v", snap)
 	}
+	if snap.Accuracy.Process != "nmos25" || snap.Accuracy.Seed != 1 {
+		t.Fatalf("accuracy not rebuilt at the goldens' nmos25 / seed 1: %+v", snap.Accuracy)
+	}
 	if len(snap.Accuracy.Modules) != 15 {
 		t.Fatalf("accuracy has %d module configs, want 15", len(snap.Accuracy.Modules))
 	}
@@ -55,20 +77,6 @@ func TestBenchEmitsValidSnapshot(t *testing.T) {
 	// the paper-anchored baseline the comparator guards.
 	if snap.Accuracy.MaxDriftPP > 0.05+1e-9 {
 		t.Fatalf("max drift %.4fpp exceeds golden print precision", snap.Accuracy.MaxDriftPP)
-	}
-	if snap.Perf.EstimateNsPerOp <= 0 {
-		t.Fatalf("estimator timing missing: %+v", snap.Perf)
-	}
-	if len(snap.Perf.Endpoints) != 3 {
-		t.Fatalf("perf has %d endpoints, want 3: %+v", len(snap.Perf.Endpoints), snap.Perf.Endpoints)
-	}
-	for _, ep := range snap.Perf.Endpoints {
-		if ep.Count <= 0 || ep.P50Micros <= 0 {
-			t.Fatalf("endpoint %s has empty distribution: %+v", ep.Endpoint, ep)
-		}
-		if ep.P50Micros > ep.P90Micros || ep.P90Micros > ep.P99Micros {
-			t.Fatalf("endpoint %s quantiles not monotone: %+v", ep.Endpoint, ep)
-		}
 	}
 }
 
@@ -129,13 +137,15 @@ func TestBenchCompareFlagsInjectedRegression(t *testing.T) {
 	}
 }
 
-// TestBenchCompareAgainstCheckedInReference pins the CI smoke: a
-// fresh run must stay within tolerance of the repository's reference
-// snapshot (regenerate it with `go run ./cmd/maest-bench -label
-// reference -o testdata/bench/BENCH_reference.json` after intentional
-// model changes).
+// TestBenchCompareAgainstCheckedInReference is the CI accuracy gate: a
+// fresh run must match the repository's reference snapshot exactly
+// (tolerance 0 — estimator changes are required to be bit-identical,
+// so zero drift is the contract).  Regenerate the reference with `go
+// run ./cmd/maest-bench -label reference -o
+// testdata/bench/BENCH_reference.json` after intentional model changes.
 func TestBenchCompareAgainstCheckedInReference(t *testing.T) {
 	o := benchOptions(t, "ci")
+	o.tolPP = 0
 	o.compare = filepath.Join("..", "..", "testdata", "bench", "BENCH_reference.json")
 	var out bytes.Buffer
 	regressions, err := run(o, &out)
@@ -144,46 +154,5 @@ func TestBenchCompareAgainstCheckedInReference(t *testing.T) {
 	}
 	if len(regressions) != 0 {
 		t.Fatalf("regressions vs checked-in reference: %v", regressions)
-	}
-}
-
-// TestBenchStoreMode runs the -store benchmark and validates the
-// store block: every replayed request in the warm pass is answered
-// without a store miss, and the cold/warm timings are real.
-func TestBenchStoreMode(t *testing.T) {
-	o := benchOptions(t, "store")
-	o.store = true
-	var out bytes.Buffer
-	if _, err := run(o, &out); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := report.ReadBenchSnapshot(o.out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := snap.Store
-	if st == nil {
-		t.Fatal("snapshot has no store block with -store set")
-	}
-	if st.Requests != o.requests || st.Modules <= 0 {
-		t.Fatalf("store block shape: %+v", st)
-	}
-	if st.ColdFirstHitUs <= 0 || st.WarmFirstHitUs <= 0 || st.WarmSpeedup <= 0 {
-		t.Fatalf("store timings missing: %+v", st)
-	}
-	if st.StoreMisses != 0 {
-		t.Fatalf("warm replay missed the store %d times: %+v", st.StoreMisses, st)
-	}
-	// Each distinct module hits the store exactly once in the warm
-	// pass; repeats land in the plan memo the hit was installed into.
-	want := st.Modules
-	if o.requests < want {
-		want = o.requests
-	}
-	if st.StoreHits != int64(want) {
-		t.Fatalf("store hits %d, want %d: %+v", st.StoreHits, want, st)
-	}
-	if !strings.Contains(out.String(), "store cold first-hit") {
-		t.Fatalf("run output missing the store line:\n%s", out.String())
 	}
 }

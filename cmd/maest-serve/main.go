@@ -17,7 +17,7 @@
 //	            [-trace-store DIR] [-trace-sample-rate 0.05]
 //	            [-trace-slow 100ms]
 //	            [-watchdog 0] [-watchdog-golden DIR] [-watchdog-ref FILE]
-//	            [-watchdog-tol 0.5] [-watchdog-seed N]
+//	            [-watchdog-tol 0.5]
 //
 // -backend turns the instance into a forwarding hop (the maest-router
 // building block): /v1/* relays to the backend with the W3C
@@ -115,7 +115,6 @@ type options struct {
 	watchdogGolden string
 	watchdogRef    string
 	watchdogTol    float64
-	watchdogSeed   int64
 }
 
 func main() {
@@ -147,7 +146,6 @@ func main() {
 	flag.StringVar(&o.watchdogGolden, "watchdog-golden", "testdata/golden", "golden tables directory for the accuracy watchdog")
 	flag.StringVar(&o.watchdogRef, "watchdog-ref", "testdata/bench/BENCH_reference.json", "pinned bench snapshot the watchdog diffs against")
 	flag.Float64Var(&o.watchdogTol, "watchdog-tol", 0.5, "allowed drift growth beyond the reference, in percentage points")
-	flag.Int64Var(&o.watchdogSeed, "watchdog-seed", 0, "layout-synthesis seed for watchdog probes (0 = the reference snapshot's seed)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "maest-serve:", err)
@@ -282,7 +280,6 @@ func startServer(ctx context.Context, o options, accessLog io.Writer, hook func(
 			GoldenDir: o.watchdogGolden,
 			Reference: o.watchdogRef,
 			TolPP:     o.watchdogTol,
-			Seed:      o.watchdogSeed,
 		},
 	})
 	ln, err := net.Listen("tcp", o.addr)

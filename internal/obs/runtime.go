@@ -239,46 +239,3 @@ func (end RequestCosts) Since(start RequestCosts) RequestCosts {
 	}
 	return d
 }
-
-// RuntimeSummary is a one-shot view of the runtime signals, for
-// snapshot consumers (maest-bench) that want the numbers without a
-// background sampler or registry round-trip.
-type RuntimeSummary struct {
-	Goroutines        uint64
-	HeapBytes         uint64
-	GCCycles          uint64
-	GCPauseP50Seconds float64
-	GCPauseP99Seconds float64
-	SchedLatP99Secs   float64
-}
-
-// ReadRuntimeSummary reads the runtime metrics once.
-func ReadRuntimeSummary() RuntimeSummary {
-	names := []string{rmGoroutines, rmHeapBytes, rmGCCycles, rmGCPauses, rmSchedLat}
-	samples := make([]metrics.Sample, len(names))
-	for i, n := range names {
-		samples[i].Name = n
-	}
-	metrics.Read(samples)
-	var out RuntimeSummary
-	for _, s := range samples {
-		switch s.Name {
-		case rmGoroutines:
-			out.Goroutines = uint64(uint64Value(s))
-		case rmHeapBytes:
-			out.HeapBytes = uint64(uint64Value(s))
-		case rmGCCycles:
-			out.GCCycles = uint64(uint64Value(s))
-		case rmGCPauses:
-			if h := histValue(s); h != nil {
-				out.GCPauseP50Seconds = runtimeHistQuantile(h, 0.50)
-				out.GCPauseP99Seconds = runtimeHistQuantile(h, 0.99)
-			}
-		case rmSchedLat:
-			if h := histValue(s); h != nil {
-				out.SchedLatP99Secs = runtimeHistQuantile(h, 0.99)
-			}
-		}
-	}
-	return out
-}

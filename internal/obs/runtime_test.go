@@ -103,15 +103,3 @@ func TestReadRequestCostsDelta(t *testing.T) {
 		t.Fatalf("reversed delta = %+v, want zero", rev)
 	}
 }
-
-func TestReadRuntimeSummary(t *testing.T) {
-	s := ReadRuntimeSummary()
-	if s.Goroutines < 1 || s.HeapBytes == 0 {
-		t.Fatalf("summary %+v: goroutines/heap unset", s)
-	}
-	for _, v := range []float64{s.GCPauseP50Seconds, s.GCPauseP99Seconds, s.SchedLatP99Secs} {
-		if v < 0 || v != v || v > 1e9 {
-			t.Fatalf("summary quantile %g not finite-and-sane", v)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,9 +55,6 @@ func TestBenchSnapshotRoundTrip(t *testing.T) {
 		Accuracy: AccuracySnapshot{Seed: 1, Process: "nmos25", MaxDriftPP: 0.02,
 			Modules: []ModuleAccuracy{{Table: 1, Module: "m", Config: "exact",
 				ErrPct: -25.9, GoldenPct: -25.9}}},
-		Perf: PerfSnapshot{EstimateNsPerOp: 123, EstimateOps: 4,
-			Endpoints: []EndpointPerf{{Endpoint: "/v1/estimate", Count: 10,
-				P50Micros: 100, P90Micros: 200, P99Micros: 300}}},
 	}
 	if err := WriteBenchSnapshot(path, want); err != nil {
 		t.Fatal(err)
@@ -66,7 +64,7 @@ func TestBenchSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Label != "test" || got.Schema != BenchSchema ||
-		len(got.Accuracy.Modules) != 1 || got.Perf.EstimateNsPerOp != 123 {
+		len(got.Accuracy.Modules) != 1 || got.Accuracy.Modules[0] != want.Accuracy.Modules[0] {
 		t.Fatalf("round trip: %+v", got)
 	}
 }
@@ -80,11 +78,9 @@ func TestCompareBenchFlagsInjectedRegression(t *testing.T) {
 			{Table: 1, Module: "fc-a", Config: "exact", ErrPct: -25.9, GoldenPct: -25.9, DriftPP: 0},
 			{Table: 2, Module: "sc-b", Config: "rows=4", ErrPct: 98.8, GoldenPct: 98.8, DriftPP: 0},
 		}},
-		Perf: PerfSnapshot{EstimateNsPerOp: 1000,
-			Endpoints: []EndpointPerf{{Endpoint: "/v1/estimate", P99Micros: 500}}},
 	}
 
-	if msgs := CompareBench(ref, ref, 0.5, 0); len(msgs) != 0 {
+	if msgs := CompareBench(ref, ref, 0.5); len(msgs) != 0 {
 		t.Fatalf("self-compare not clean: %v", msgs)
 	}
 
@@ -94,7 +90,7 @@ func TestCompareBenchFlagsInjectedRegression(t *testing.T) {
 	bad.Accuracy.Modules = append([]ModuleAccuracy(nil), ref.Accuracy.Modules...)
 	bad.Accuracy.Modules[0] = ModuleAccuracy{Table: 1, Module: "fc-a", Config: "exact",
 		ErrPct: -28.9, GoldenPct: -25.9, DriftPP: 3.0}
-	msgs := CompareBench(ref, &bad, 0.5, 0)
+	msgs := CompareBench(ref, &bad, 0.5)
 	if len(msgs) != 1 || !strings.Contains(msgs[0], "fc-a/exact") {
 		t.Fatalf("injected drift not flagged: %v", msgs)
 	}
@@ -102,7 +98,7 @@ func TestCompareBenchFlagsInjectedRegression(t *testing.T) {
 	// A missing module is a regression too.
 	short := *ref
 	short.Accuracy.Modules = ref.Accuracy.Modules[:1]
-	if msgs := CompareBench(ref, &short, 0.5, 0); len(msgs) != 1 ||
+	if msgs := CompareBench(ref, &short, 0.5); len(msgs) != 1 ||
 		!strings.Contains(msgs[0], "missing") {
 		t.Fatalf("missing module not flagged: %v", msgs)
 	}
@@ -110,22 +106,9 @@ func TestCompareBenchFlagsInjectedRegression(t *testing.T) {
 	// Schema bumps refuse to compare rather than mislead.
 	future := *ref
 	future.Schema = BenchSchema + 1
-	if msgs := CompareBench(ref, &future, 0.5, 0); len(msgs) != 1 ||
+	if msgs := CompareBench(ref, &future, 0.5); len(msgs) != 1 ||
 		!strings.Contains(msgs[0], "schema") {
 		t.Fatalf("schema mismatch not flagged: %v", msgs)
-	}
-
-	// Perf compare is opt-in: the same slowdown passes at perfTol 0
-	// and fails when a tolerance is set.
-	slow := *ref
-	slow.Perf = PerfSnapshot{EstimateNsPerOp: 5000,
-		Endpoints: []EndpointPerf{{Endpoint: "/v1/estimate", P99Micros: 5000}}}
-	if msgs := CompareBench(ref, &slow, 0.5, 0); len(msgs) != 0 {
-		t.Fatalf("perf compared despite perfTol 0: %v", msgs)
-	}
-	msgs = CompareBench(ref, &slow, 0.5, 0.25)
-	if len(msgs) != 2 {
-		t.Fatalf("slowdown at +400%% flagged %d regressions, want 2 (ns/op and p99): %v", len(msgs), msgs)
 	}
 }
 
@@ -149,5 +132,17 @@ func TestParseGoldenTables(t *testing.T) {
 	}
 	if over, ok := g2["sc-exp1/rows=4"]; !ok || over != 98.8 {
 		t.Fatalf("sc-exp1/rows=4 golden: %v ok=%v", over, ok)
+	}
+
+	// A malformed row count is an error naming the field, not a row
+	// silently keyed as rows=0 that later reads as "not in golden".
+	bad := filepath.Join(t.TempDir(), "table2.txt")
+	if err := os.WriteFile(bad, []byte("Module Rows\n"+
+		"sc-exp1  4x  18  9  405.00  135.50  35  10  54878  27600  +98.8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseGoldenTable2(bad); err == nil ||
+		!strings.Contains(err.Error(), "Rows") || !strings.Contains(err.Error(), `"4x"`) {
+		t.Fatalf("malformed row count: err = %v, want one naming Rows \"4x\"", err)
 	}
 }

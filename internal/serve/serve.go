@@ -324,10 +324,6 @@ func (s *Server) TraceStats() (TraceTierStats, bool) {
 	return s.ttier.tierStats()
 }
 
-// Sampler returns the server's tail sampler (nil when no trace store
-// is mounted).
-func (s *Server) Sampler() *obs.TailSampler { return s.sampler }
-
 // FlushStore drains the floorplan job pool and the write-behind queue
 // so every result computed so far is persisted.  Call during shutdown,
 // after the HTTP listener has drained and before closing the store.

@@ -53,7 +53,7 @@ func TestTraceTierDisabled(t *testing.T) {
 	}
 	s.SyncTraces()
 	s.FlushTraces()
-	if s.Sampler() != nil {
+	if s.sampler != nil {
 		t.Error("server without a trace store has a sampler")
 	}
 	var resp DebugTracesResponse
@@ -90,7 +90,7 @@ func TestTraceTierPersistsSampledTraffic(t *testing.T) {
 	if stats.Writes != 3 || stats.Errors != 0 || stats.Dropped != 0 || stats.Indexed != 3 {
 		t.Fatalf("tier stats %+v, want 3 clean writes", stats)
 	}
-	ss := s.Sampler().Stats()
+	ss := s.sampler.Stats()
 	if ss.Seen != 3 || ss.Kept != 3 || ss.Errors != 1 {
 		t.Fatalf("sampler stats %+v", ss)
 	}
@@ -463,7 +463,7 @@ func TestDefaultSamplePolicy(t *testing.T) {
 	defer st.Close()
 	s := New(Options{TraceStore: st})
 	defer s.FlushTraces()
-	pol := s.Sampler().Policy()
+	pol := s.sampler.Policy()
 	if pol.Rate != 0.05 || pol.SlowMicros != 100_000 || !pol.KeepErrors {
 		t.Fatalf("default sampling policy: %+v", pol)
 	}

@@ -45,9 +45,6 @@ type WatchdogOptions struct {
 	// TolPP is the allowed drift growth beyond the reference, in
 	// percentage points (the same knob as maest-bench -tol).
 	TolPP float64
-	// Seed drives the layout synthesis the goldens are anchored to; it
-	// must match the seed the reference snapshot was built with.
-	Seed int64
 }
 
 // watchdogState is one probe's outcome, swapped in atomically so
@@ -170,10 +167,6 @@ func (wd *Watchdog) probe(ctx context.Context) ([]string, float64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("watchdog: reference process: %w", err)
 	}
-	seed := wd.opts.Seed
-	if seed == 0 {
-		seed = ref.Accuracy.Seed
-	}
 	// The probe compiles through s.plan: every golden circuit resolves
 	// via — and warms — the same content-addressed plan cache serving
 	// production requests, so the watchdog measures the deployed
@@ -181,7 +174,7 @@ func (wd *Watchdog) probe(ctx context.Context) ([]string, float64, error) {
 	compile := func(ctx context.Context, c *netlist.Circuit, p *tech.Process) (*engine.Plan, error) {
 		return wd.s.plan(ctx, Key(engine.PlanHash(c, p)), c, p)
 	}
-	fresh, err := report.BuildAccuracyCtx(ctx, wd.opts.GoldenDir, proc, seed, compile)
+	fresh, err := report.BuildAccuracyCtx(ctx, wd.opts.GoldenDir, proc, ref.Accuracy.Seed, compile)
 	if err != nil {
 		return nil, 0, fmt.Errorf("watchdog: probe: %w", err)
 	}
