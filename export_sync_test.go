@@ -28,6 +28,9 @@ func TestFacadeCoversInternalExports(t *testing.T) {
 		// Serving-layer plumbing for hashing a rendering it already
 		// holds; PlanHashFor is the public form.
 		"engine.HashCanonical": "PlanHashFor covers the public use",
+		// The Eq. 13 kernel over gathered statistics is the engine's
+		// route; the facade keeps the circuit-taking wrapper.
+		"core.EstimateFullCustomStats": "EstimateFullCustom covers the public use",
 	}
 
 	facade := referencedSelectors(t, "maest.go")

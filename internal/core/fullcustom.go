@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"maest/internal/geom"
 	"maest/internal/netlist"
 	"maest/internal/tech"
 )
@@ -59,23 +58,30 @@ type FCEstimate struct {
 // nothing — the two devices abut and connect directly, matching the
 // Table 1 footnote ("All nets in this module were two-component nets,
 // and therefore contributed nothing to wire area").
+//
+// It gathers the circuit's netlist.FCStats and runs
+// EstimateFullCustomStats on them.
 func EstimateFullCustom(c *netlist.Circuit, p *tech.Process, mode FCMode) (*FCEstimate, error) {
 	if err := p.Validate(); err != nil {
 		return nil, estErr("full-custom %q: %v", c.Name, err)
 	}
-	if mode != FCExactAreas && mode != FCAverageAreas {
-		return nil, estErr("full-custom %q: unknown mode %d", c.Name, int(mode))
-	}
-	s, err := netlist.Gather(c, p)
+	s, err := netlist.GatherFC(c, p)
 	if err != nil {
 		return nil, estErr("full-custom %q: %v", c.Name, err)
+	}
+	return EstimateFullCustomStats(s, p, mode)
+}
+
+// EstimateFullCustomStats is the Eq. 13 kernel over gathered
+// statistics, with p already validated.  The engine feeds it straight
+// from the cell expander (cells.ExpandStats), so a gate-level module
+// is estimated without building its transistor netlist.
+func EstimateFullCustomStats(s *netlist.FCStats, p *tech.Process, mode FCMode) (*FCEstimate, error) {
+	if mode != FCExactAreas && mode != FCAverageAreas {
+		return nil, estErr("full-custom %q: unknown mode %d", s.CircuitName, int(mode))
 	}
 	if s.N == 0 {
-		return nil, estErr("full-custom %q: no devices", c.Name)
-	}
-	widths, _, err := netlist.DeviceDims(c, p)
-	if err != nil {
-		return nil, estErr("full-custom %q: %v", c.Name, err)
+		return nil, estErr("full-custom %q: no devices", s.CircuitName)
 	}
 
 	deviceArea := float64(s.ExactDeviceArea)
@@ -85,18 +91,14 @@ func EstimateFullCustom(c *netlist.Circuit, p *tech.Process, mode FCMode) (*FCEs
 
 	wire := 0.0
 	pitch := float64(p.TrackPitch)
-	for _, net := range c.Nets {
-		d := net.Degree()
+	for _, net := range s.Nets {
+		d := net.D
 		if d <= 2 {
 			continue
 		}
 		var w float64
 		if mode == FCExactAreas {
-			sum := geom.Lambda(0)
-			for _, dev := range net.Devices {
-				sum += widths[dev.Index]
-			}
-			w = float64(sum) / float64(d)
+			w = float64(net.SumWidth) / float64(d)
 		} else {
 			w = s.AvgWidth()
 		}
@@ -107,7 +109,7 @@ func EstimateFullCustom(c *netlist.Circuit, p *tech.Process, mode FCMode) (*FCEs
 	total := deviceArea + wire
 	width, height := fitPorts(total, float64(s.NumPorts)*float64(p.PortPitch))
 	est := &FCEstimate{
-		Module:     c.Name,
+		Module:     s.CircuitName,
 		Mode:       mode,
 		DeviceArea: deviceArea,
 		WireArea:   wire,

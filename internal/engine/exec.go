@@ -160,27 +160,35 @@ func (pl *Plan) sweep(rows int, sharing bool, count int) ([]*core.SCEstimate, er
 	return out, nil
 }
 
-// fullCustom memoizes the Eq. 13 kernel per device-area mode; the
-// transistor-level expansion behind it is built once per Plan.
+// fullCustom memoizes the Eq. 13 kernel.  The first call gathers the
+// FC statistics once and fills both device-area modes from them.
 func (pl *Plan) fullCustom(mode core.FCMode) (*core.FCEstimate, error) {
-	pl.mu.Lock()
-	est, ok := pl.fc[mode]
-	pl.mu.Unlock()
-	if ok {
-		return est, nil
+	valid := mode == core.FCExactAreas || mode == core.FCAverageAreas
+	if valid {
+		pl.mu.Lock()
+		est := pl.fc[mode]
+		pl.mu.Unlock()
+		if est != nil {
+			return est, nil
+		}
 	}
-	circ, err := pl.expanded()
+	s, err := pl.fcStats()
 	if err != nil {
 		return nil, err
 	}
-	est, err = core.EstimateFullCustom(circ, pl.proc, mode)
-	if err != nil {
-		return nil, err
+	if !valid {
+		return core.EstimateFullCustomStats(s, pl.proc, mode) // the kernel's unknown-mode error
+	}
+	var fc [2]*core.FCEstimate
+	for m := range fc {
+		if fc[m], err = core.EstimateFullCustomStats(s, pl.proc, core.FCMode(m)); err != nil {
+			return nil, err
+		}
 	}
 	pl.mu.Lock()
-	pl.fc[mode] = est
+	pl.fc = fc
 	pl.mu.Unlock()
-	return est, nil
+	return fc[mode], nil
 }
 
 // EstimateStandardCell runs only the §4.1 kernel (honors WithRows,

@@ -212,11 +212,10 @@ type Plan struct {
 	defaultRows int
 
 	mu     sync.Mutex
-	fcCirc *netlist.Circuit // transistor-level expansion, built on first FC use
 	sc     map[scKey]*core.SCEstimate
 	prof   map[scKey]*core.SCEstimate
 	sweeps map[sweepKey][]*core.SCEstimate
-	fc     map[core.FCMode]*core.FCEstimate
+	fc     [2]*core.FCEstimate // by core.FCMode
 	bundle map[scKey]*core.Result
 	dists  map[distKey]*congest.Distributions
 	maps   map[congKey]*congest.Map
@@ -307,7 +306,6 @@ func (pl *Plan) initMemos() {
 	pl.sc = make(map[scKey]*core.SCEstimate)
 	pl.prof = make(map[scKey]*core.SCEstimate)
 	pl.sweeps = make(map[sweepKey][]*core.SCEstimate)
-	pl.fc = make(map[core.FCMode]*core.FCEstimate)
 	pl.bundle = make(map[scKey]*core.Result)
 	pl.dists = make(map[distKey]*congest.Distributions)
 	pl.maps = make(map[congKey]*congest.Map)
@@ -352,25 +350,16 @@ func (pl *Plan) InitialRows() int { return pl.initialRows }
 // a cache keyed by Hash must hold only plans for which this is 0.
 func (pl *Plan) DefaultRows() int { return pl.defaultRows }
 
-// expanded returns the transistor-level circuit the full-custom side
-// estimates: the module itself at transistor level, or its cell
-// expansion, built once and memoized.
-func (pl *Plan) expanded() (*netlist.Circuit, error) {
+// fcStats gathers the Eq. 13 inputs of the full-custom side: from the
+// module itself at transistor level, or straight from its cell
+// expansion, which is never built as a netlist.
+func (pl *Plan) fcStats() (*netlist.FCStats, error) {
 	if !pl.cellLevel {
-		return pl.circ, nil
+		return netlist.GatherFC(pl.circ, pl.proc) // cannot fail: Compile resolved every device type
 	}
-	pl.mu.Lock()
-	c := pl.fcCirc
-	pl.mu.Unlock()
-	if c != nil {
-		return c, nil
-	}
-	c, err := cells.ExpandTransistors(pl.circ, pl.proc)
+	s, err := cells.ExpandStats(pl.circ, pl.proc)
 	if err != nil {
 		return nil, estErr("module %q: %v", pl.circ.Name, err)
 	}
-	pl.mu.Lock()
-	pl.fcCirc = c
-	pl.mu.Unlock()
-	return c, nil
+	return s, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"maest/internal/cells"
 	"maest/internal/congest"
 	"maest/internal/core"
 	"maest/internal/gen"
@@ -143,14 +144,25 @@ func TestPlanMatchesCoreKernels(t *testing.T) {
 			}
 		}
 	}
+	x, err := cells.ExpandTransistors(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []core.FCMode{core.FCExactAreas, core.FCAverageAreas} {
 		got, err := pl.EstimateFullCustom(ctx, WithFCMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Area <= 0 || got.Mode != mode {
-			t.Fatalf("mode %v: bad estimate %+v", mode, got)
+		want, err := core.EstimateFullCustom(x, p, mode)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if *got != *want || got.Module != "kern_xtor" {
+			t.Fatalf("mode %v: plan %+v, expanded-netlist kernel %+v", mode, got, want)
+		}
+	}
+	if _, err := pl.EstimateFullCustom(ctx, WithFCMode(core.FCMode(9))); err == nil || !strings.Contains(err.Error(), "unknown mode 9") {
+		t.Fatalf("unknown FC mode: err = %v", err)
 	}
 	gotC, err := pl.Candidates(ctx, WithCandidates(3))
 	if err != nil {
@@ -394,6 +406,43 @@ func BenchmarkPlanWarmEstimate(b *testing.B) {
 		}
 	}); allocs != 0 {
 		b.Fatalf("warm Estimate allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// coldEstimateAllocCeiling is the allocation budget of the serving
+// layer's cold path: Compile plus Estimate of a fresh 200-gate module
+// with the distribution memo warm.  Reading the Full-Custom statistics
+// straight from the cell expander holds it near 63 objects; building
+// the transistor netlist instead cost about 8,800.
+const coldEstimateAllocCeiling = 100
+
+// BenchmarkPlanColdEstimate times that cold path and holds it to
+// coldEstimateAllocCeiling.
+func BenchmarkPlanColdEstimate(b *testing.B) {
+	p := tech.NMOS25()
+	c, err := gen.RandomCircuit(gen.RandomConfig{Name: "cold", Gates: 200, Inputs: 8, Outputs: 6, Seed: 7}, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	cold := func() {
+		pl, err := Compile(c, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pl.Estimate(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cold() // warms the process-wide distribution memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cold()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(20, cold); allocs > coldEstimateAllocCeiling {
+		b.Fatalf("cold Compile+Estimate allocates %.0f objects, ceiling %d", allocs, coldEstimateAllocCeiling)
 	}
 }
 

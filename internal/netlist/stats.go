@@ -51,24 +51,57 @@ type Stats struct {
 
 // AvgWidth returns W_avg = Σ XᵢWᵢ / N (Eq. 1) as a float to avoid
 // compounding rounding before it enters the area formulas.
-func (s *Stats) AvgWidth() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return float64(s.SumWidth) / float64(s.N)
-}
+func (s *Stats) AvgWidth() float64 { return mean(s.SumWidth, s.N) }
 
 // AvgHeight returns h_avg, the average device height used by the
 // Full-Custom average-area mode (Eq. 13).
-func (s *Stats) AvgHeight() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return float64(s.SumHeight) / float64(s.N)
-}
+func (s *Stats) AvgHeight() float64 { return mean(s.SumHeight, s.N) }
 
 // AvgDeviceArea returns W_avg × h_avg in λ².
 func (s *Stats) AvgDeviceArea() float64 { return s.AvgWidth() * s.AvgHeight() }
+
+func mean(sum geom.Lambda, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
+}
+
+// FCStats gathers exactly what the §4.2 Full-Custom model (Eq. 13)
+// reads: N, the device dimension sums, the port count, and each net's
+// component count D with the summed width of those components.  Nets
+// keep the circuit's order: Eq. 13's wire term is a floating-point
+// sum, so its bits depend on the order it visits them.
+type FCStats struct {
+	// CircuitName records which module the stats describe.
+	CircuitName string
+	// N is the device count.
+	N int
+	// NumPorts is the number of external I/O ports.
+	NumPorts int
+	// ExactDeviceArea is Σ width×height over devices, in λ².
+	ExactDeviceArea geom.Area
+	// SumWidth and SumHeight accumulate device dimensions for the
+	// average-device mode.
+	SumWidth, SumHeight geom.Lambda
+	// Nets holds every net's Eq. 13 inputs, in circuit net order.
+	Nets []FCNet
+}
+
+// FCNet is one net's Eq. 13 input.
+type FCNet struct {
+	// D is the number of distinct devices on the net.
+	D int
+	// SumWidth is the total width of those devices.
+	SumWidth geom.Lambda
+}
+
+// AvgWidth returns W_avg, as Stats.AvgWidth does.
+func (s *FCStats) AvgWidth() float64 { return mean(s.SumWidth, s.N) }
+
+// AvgDeviceArea returns W_avg × h_avg in λ², as Stats.AvgDeviceArea
+// does.
+func (s *FCStats) AvgDeviceArea() float64 { return s.AvgWidth() * mean(s.SumHeight, s.N) }
 
 // Degrees returns the distinct net component counts in ascending
 // order, for deterministic iteration over yᵢ.
@@ -125,6 +158,33 @@ func Gather(c *Circuit, p *tech.Process) (*Stats, error) {
 		s.DegreeCount[d]++
 		if d > s.MaxDegree {
 			s.MaxDegree = d
+		}
+	}
+	return s, nil
+}
+
+// GatherFC scans a transistor-level circuit for the Eq. 13 inputs,
+// failing as Gather does on a device type the process lacks.
+func GatherFC(c *Circuit, p *tech.Process) (*FCStats, error) {
+	widths, heights, err := DeviceDims(c, p)
+	if err != nil {
+		return nil, err
+	}
+	s := &FCStats{
+		CircuitName: c.Name,
+		N:           len(c.Devices),
+		NumPorts:    len(c.Ports),
+		Nets:        make([]FCNet, len(c.Nets)),
+	}
+	for i, w := range widths {
+		s.SumWidth += w
+		s.SumHeight += heights[i]
+		s.ExactDeviceArea += geom.Mul(w, heights[i])
+	}
+	for i, n := range c.Nets {
+		s.Nets[i].D = n.Degree()
+		for _, dev := range n.Devices {
+			s.Nets[i].SumWidth += widths[dev.Index]
 		}
 	}
 	return s, nil

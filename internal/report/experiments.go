@@ -59,7 +59,7 @@ func RunTable1Ctx(ctx context.Context, p *tech.Process, seed int64, compile Comp
 	var rows []FCRow
 	for _, c := range suite {
 		// One compile per module covers both device-area modes: the
-		// gathered statistics and transistor expansion are shared.
+		// first FC call gathers the Eq. 13 statistics and fills both.
 		pl, err := compile(ctx, c, p)
 		if err != nil {
 			return nil, err

@@ -144,6 +144,26 @@ func TestEstimateClientErrors(t *testing.T) {
 	}
 }
 
+// TestEstimateReservedNetName pins the fix for a gate-level net named
+// like one the transistor expansion mints: "$s1" used to merge with a
+// generated series node and inflate the full-custom wire area (448 λ²
+// instead of 336); it is now unestimable.  Renamed, the module
+// estimates as usual.
+func TestEstimateReservedNetName(t *testing.T) {
+	s := New(Options{})
+	const bench = "INPUT($s1)\nINPUT(a)\nINPUT(b)\nOUTPUT(w)\n" +
+		"y = NAND(a, b)\nz = NAND($s1, a, y)\nw = NOR($s1, b, z)\n"
+	w := do(s, "POST", "/v1/estimate", marshal(t, EstimateRequest{Format: "bench", Name: "clash", Netlist: bench}))
+	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "reserved for generated names") {
+		t.Fatalf("status %d, want 422 naming the reserved net: %s", w.Code, w.Body.String())
+	}
+	renamed := strings.ReplaceAll(bench, "$s1", "s1")
+	resp := decodeEstimate(t, do(s, "POST", "/v1/estimate", marshal(t, EstimateRequest{Format: "bench", Name: "clash", Netlist: renamed})))
+	if resp.FCExact == nil || resp.FCExact.WireArea != 336 {
+		t.Fatalf("renamed module: full-custom exact %+v, want wire area 336", resp.FCExact)
+	}
+}
+
 func TestRequestSizeLimit(t *testing.T) {
 	s := New(Options{MaxRequestBytes: 64})
 	body := marshal(t, EstimateRequest{Netlist: testdata(t, "demo.mnet")})

@@ -142,7 +142,8 @@ func ParseVerilog(r io.Reader, p *Process) (*Circuit, error) {
 func WriteVerilog(w io.Writer, c *Circuit) error { return hdl.WriteVerilog(w, c) }
 
 // ExpandTransistors lowers a gate-level circuit to the transistor
-// level for Full-Custom estimation.
+// level.  Plan estimates do not need it: they read the Full-Custom
+// statistics straight from the same expansion.
 func ExpandTransistors(c *Circuit, p *Process) (*Circuit, error) {
 	return cells.ExpandTransistors(c, p)
 }

@@ -25,11 +25,12 @@ go build ./examples/...
 # by every request, and the persistent store mixes request-path reads
 # with a background compactor and the serve write-behind goroutine,
 # and the floorplan annealer runs as async jobs on a worker pool fed
-# by the serve handlers; their suites run first and explicitly under
+# by the serve handlers; the cell expander feeds every cold estimate's
+# Full-Custom side.  Their suites run first and explicitly under
 # the race detector so a concurrency regression fails fast with a
 # focused report before the full-tree run below repeats them in bulk.
-go vet ./internal/engine/... ./internal/serve ./internal/floorplan ./internal/obs ./internal/store ./cmd/maest-trace
-go test -race ./internal/engine/... ./internal/serve ./internal/floorplan ./internal/obs ./internal/store ./cmd/maest-trace
+go vet ./internal/engine/... ./internal/cells ./internal/serve ./internal/floorplan ./internal/obs ./internal/store ./cmd/maest-trace
+go test -race ./internal/engine/... ./internal/cells ./internal/serve ./internal/floorplan ./internal/obs ./internal/store ./cmd/maest-trace
 go test -race ./...
 # Coverage ratchet: the packages carrying the incremental (ECO)
 # re-estimation machinery must not lose test coverage.  Floors live in
