@@ -41,8 +41,15 @@ func post(b *testing.B, s *Server, body string) {
 	}
 }
 
+// cacheHitAllocCeiling is the allocation budget of a repeated
+// /v1/estimate, recorder and request included.  The source alias sends
+// the repeat straight to its plan's memo, holding it near 63 objects;
+// parsing, rendering and hashing the body again cost about 490.
+const cacheHitAllocCeiling = 100
+
 // BenchmarkEstimateCacheHit measures the hot serving path: identical
-// request, answer straight from the content-addressed cache.
+// request, answer straight from the content-addressed cache, held to
+// cacheHitAllocCeiling.
 func BenchmarkEstimateCacheHit(b *testing.B) {
 	s := New(Options{})
 	body := benchBody(b, "hot")
@@ -51,6 +58,10 @@ func BenchmarkEstimateCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post(b, s, body)
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, func() { post(b, s, body) }); allocs > cacheHitAllocCeiling {
+		b.Fatalf("cached /v1/estimate allocates %.0f objects, ceiling %d", allocs, cacheHitAllocCeiling)
 	}
 }
 

@@ -11,6 +11,8 @@ package serve
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -53,7 +55,7 @@ func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 // estimators themselves are order-invariant, so order-insensitive keys
 // are safe and catch strictly more repeats).
 func CacheKey(c *netlist.Circuit, processName string, opts core.SCOptions) Key {
-	return resultKey(engine.AppendCanonicalCircuit(nil, c), processName, opts.Rows, opts.TrackSharing)
+	return resultKey(canonMidstate(c), processName, opts.Rows, opts.TrackSharing)
 }
 
 // CongestKey computes the content address of a congestion analysis:
@@ -61,47 +63,107 @@ func CacheKey(c *netlist.Circuit, processName string, opts core.SCOptions) Key {
 // depends on (process, row count, grid variant, demand model, capacity
 // and feed budget).
 func CongestKey(c *netlist.Circuit, processName string, rows int, gridded bool, opts congest.Options) Key {
-	return congestKey(engine.AppendCanonicalCircuit(nil, c), processName, rows, gridded, opts)
+	return congestKey(canonMidstate(c), processName, rows, gridded, opts)
 }
 
-// resultKey is CacheKey over an already-rendered circuit, so a request
-// renders once for both its result key and its plan hash.
-func resultKey(canon []byte, processName string, rows int, sharing bool) Key {
-	return keyOf(canon, "process %s\nrows %d\nsharing %t\n", processName, rows, sharing)
+// midstate is the SHA-256 state after hashing a circuit's canonical
+// rendering (crypto/sha256's MarshalBinary form): the shared prefix of
+// every answer key about that circuit, so a resident plan can finish
+// any of them without rendering again.
+type midstate []byte
+
+// midstateOf hashes a canonical rendering and returns the state.
+func midstateOf(canon []byte) midstate {
+	h := sha256.New()
+	h.Write(canon)
+	mid, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 always marshals
+	}
+	return mid
 }
 
-// congestKey is CongestKey over an already-rendered circuit.
-func congestKey(canon []byte, processName string, rows int, gridded bool, opts congest.Options) Key {
-	return keyOf(canon, "congest %s\nrows %d\ngridded %t\nmodel %s\ncapacity %d\nfeedbudget %d\n",
+// canonMidstate renders c canonically into a pooled buffer and returns
+// the rendering's midstate.
+func canonMidstate(c *netlist.Circuit) midstate {
+	buf := canonPool.Get().(*[]byte)
+	*buf = engine.AppendCanonicalCircuit((*buf)[:0], c)
+	mid := midstateOf(*buf)
+	canonPool.Put(buf)
+	return mid
+}
+
+// canonPool recycles canonical renderings and source-alias frames,
+// which live only until they are hashed.
+var canonPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// resultKey is CacheKey finished from a rendering's midstate.
+func resultKey(mid midstate, processName string, rows int, sharing bool) Key {
+	return keyOf(mid, "process %s\nrows %d\nsharing %t\n", processName, rows, sharing)
+}
+
+// congestKey is CongestKey finished from a rendering's midstate.
+func congestKey(mid midstate, processName string, rows int, gridded bool, opts congest.Options) Key {
+	return keyOf(mid, "congest %s\nrows %d\ngridded %t\nmodel %s\ncapacity %d\nfeedbudget %d\n",
 		processName, rows, gridded, opts.Model, opts.Capacity, opts.FeedBudget)
 }
 
-// keyOf hashes a canonical rendering followed by the formatted knobs.
-func keyOf(canon []byte, knobs string, args ...any) Key {
+// keyOf resumes a rendering's midstate and appends the formatted knobs:
+// the one derivation of every answer key.
+func keyOf(mid midstate, knobs string, args ...any) Key {
 	h := sha256.New()
-	h.Write(canon)
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(mid); err != nil {
+		panic(err) // mid came from midstateOf
+	}
 	fmt.Fprintf(h, knobs, args...)
 	var k Key
 	h.Sum(k[:0])
 	return k
 }
 
+// sourceAlias is the alias key of one circuit source: SHA-256 over the
+// resolved process name, format, module name and raw netlist text —
+// everything the parse route reads.  Each field is length-prefixed so
+// no two distinct tuples frame the same bytes.
+func sourceAlias(procName, format, name, source string) Key {
+	buf := canonPool.Get().(*[]byte)
+	b := (*buf)[:0]
+	for _, f := range [...]string{procName, format, name, source} {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	k := Key(sha256.Sum256(b))
+	*buf = b
+	canonPool.Put(buf)
+	return k
+}
+
 // PlanCache is a fixed-capacity LRU from plan content address
 // (engine.PlanHash) to compiled plan, so every endpoint asking about
 // the same circuit under the same process shares one compile — and,
-// through the plan's memo, every answer computed against it.  All
-// methods are safe for concurrent use, and a nil *PlanCache is a
-// well-defined disabled cache (lookups miss, stores keep nothing).
+// through the plan's memo, every answer computed against it.  Beside
+// the plan keys it keeps at most one source alias per resident plan
+// (sourceAlias → the plan's entry), so a repeated request body finds
+// its plan without a parse; an alias only ever points at a key the
+// canonical route computed, and leaves with its plan.  All methods are
+// safe for concurrent use, and a nil *PlanCache is a well-defined
+// disabled cache (lookups miss, stores keep nothing).
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
 	order    *list.List // front = most recent; values are *planEntry
 	entries  map[Key]*list.Element
+	aliases  map[Key]*list.Element
 }
 
 type planEntry struct {
 	key  Key
 	plan *engine.Plan
+	// alias is the source alias naming this entry and mid the midstate
+	// of its canonical rendering; both are set together, mid == nil
+	// meaning no alias.
+	alias Key
+	mid   midstate
 }
 
 // NewPlanCache returns a plan cache holding at most capacity plans;
@@ -114,6 +176,7 @@ func NewPlanCache(capacity int) *PlanCache {
 		capacity: capacity,
 		order:    list.New(),
 		entries:  make(map[Key]*list.Element, capacity),
+		aliases:  make(map[Key]*list.Element, capacity),
 	}
 }
 
@@ -151,13 +214,57 @@ func (c *PlanCache) Put(k Key, pl *engine.Plan) *engine.Plan {
 	}
 	c.entries[k] = c.order.PushFront(&planEntry{key: k, plan: pl})
 	if c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*planEntry).key)
+		oldest := c.order.Remove(c.order.Back()).(*planEntry)
+		delete(c.entries, oldest.key)
+		if oldest.mid != nil {
+			delete(c.aliases, oldest.alias)
+		}
 		mPlanEvictions.Inc()
 	}
 	gPlanEntries.Set(float64(c.order.Len()))
 	return pl
+}
+
+// lookupAlias returns the plan a source alias names, with the plan's
+// key and rendering midstate, marking it most recently used.  A hit
+// counts as a plan-cache hit; a miss counts nothing, because the
+// caller falls through to Get.
+func (c *PlanCache) lookupAlias(a Key) (pl *engine.Plan, k Key, mid midstate, ok bool) {
+	if c == nil {
+		return nil, k, nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.aliases[a]
+	if !ok {
+		return nil, k, nil, false
+	}
+	c.order.MoveToFront(el)
+	mPlanHits.Inc()
+	e := el.Value.(*planEntry)
+	return e.plan, e.key, e.mid, true
+}
+
+// setAlias points source alias a at the plan resident under k, whose
+// rendering hashes to mid, replacing that entry's previous alias.  It
+// is a no-op when k is no longer resident.  A source always parses to
+// the same plan key, so a never names two entries.
+func (c *PlanCache) setAlias(a, k Key, mid midstate) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[k]
+	if !ok {
+		return
+	}
+	e := el.Value.(*planEntry)
+	if e.mid != nil {
+		delete(c.aliases, e.alias)
+	}
+	e.alias, e.mid = a, mid
+	c.aliases[a] = el
 }
 
 // Len returns the number of resident plans.

@@ -111,10 +111,18 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := Key{byte(i % 32)}
-				if i%3 == 0 {
+				k := Key{byte(i / 4 % 32)}
+				// Two sources per plan key, so aliases also move between
+				// the sources of one plan.
+				alias := Key{k[0], byte(g % 2)}
+				switch i % 4 {
+				case 0:
 					c.Put(k, new(engine.Plan))
-				} else {
+				case 1:
+					c.setAlias(alias, k, midstate{byte(i)})
+				case 2:
+					c.lookupAlias(alias)
+				default:
 					c.Get(k)
 				}
 			}
@@ -124,6 +132,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	if c.Len() > 16 {
 		t.Fatalf("cache overflowed capacity: %d", c.Len())
 	}
+	checkAliases(t, c)
 }
 
 // The key must be stable against tech-process pointer identity: only

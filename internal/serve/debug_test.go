@@ -69,6 +69,18 @@ func TestDebugFlightAfterMixedTraffic(t *testing.T) {
 	if !stageNames["decode"] || !stageNames["parse"] || !stageNames["estimate"] {
 		t.Fatalf("miss stages missing decode/parse/estimate: %+v", miss.Stages)
 	}
+	// The repeat took the source alias: its stages name that route and
+	// no parse.
+	hitStages := make(map[string]bool)
+	for _, st := range hit.Stages {
+		hitStages[st.Name] = true
+	}
+	if !hitStages["alias"] || hitStages["parse"] {
+		t.Fatalf("hit stages want alias and no parse: %+v", hit.Stages)
+	}
+	if hit.Plan == "" || hit.Plan != miss.Plan {
+		t.Fatalf("plans: hit=%q miss=%q", hit.Plan, miss.Plan)
+	}
 	var rootSpans int
 	for _, sp := range miss.Spans {
 		if sp.Name == "request" && sp.Depth == 0 {

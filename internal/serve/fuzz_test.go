@@ -28,6 +28,9 @@ func fuzzSeed(f *testing.F, format, file string) {
 // FuzzEstimateDecoder drives arbitrary bodies through the full
 // request path (decode → parse → estimate → encode).  Malformed JSON
 // and malformed netlists must answer 4xx; nothing may panic or 5xx.
+// Each body is posted twice, so the repeat takes the source alias
+// wherever the first registered one: both must answer the same status,
+// key and plan, and the same bytes apart from cache_hit.
 func FuzzEstimateDecoder(f *testing.F) {
 	fuzzSeed(f, "mnet", "demo.mnet")
 	fuzzSeed(f, "mnet", "ladder.mnet")
@@ -45,22 +48,35 @@ func FuzzEstimateDecoder(f *testing.F) {
 
 	s := New(Options{CacheSize: 64})
 	f.Fuzz(func(t *testing.T, body string) {
-		req := httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(body))
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, req) // must not panic
+		w, repeat := do(s, "POST", "/v1/estimate", body), do(s, "POST", "/v1/estimate", body) // must not panic
+		if w.Code != repeat.Code {
+			t.Fatalf("status %d, then %d on the repeat", w.Code, repeat.Code)
+		}
 		switch {
 		case w.Code == http.StatusOK:
-			var resp EstimateResponse
+			var resp, again EstimateResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 				t.Fatalf("200 with unparsable body: %v", err)
 			}
 			if resp.Module == "" || resp.FCExact == nil {
 				t.Fatalf("200 with incomplete estimate: %s", w.Body.String())
 			}
+			if err := json.Unmarshal(repeat.Body.Bytes(), &again); err != nil {
+				t.Fatalf("repeat 200 with unparsable body: %v", err)
+			}
+			if again.Key != resp.Key || again.Plan != resp.Plan {
+				t.Fatalf("repeat key/plan %s/%s, first %s/%s", again.Key, again.Plan, resp.Key, resp.Plan)
+			}
+			if withoutCacheHit(t, repeat.Body.String()) != withoutCacheHit(t, w.Body.String()) {
+				t.Fatalf("repeat answered\n%s\nfirst answer\n%s", repeat.Body.String(), w.Body.String())
+			}
 		case w.Code >= 400 && w.Code < 500:
 			var e ErrorResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
 				t.Fatalf("%d without a JSON error body: %s", w.Code, w.Body.String())
+			}
+			if repeat.Body.String() != w.Body.String() {
+				t.Fatalf("repeat error\n%s\nfirst error\n%s", repeat.Body.String(), w.Body.String())
 			}
 		default:
 			t.Fatalf("unexpected status %d: %s", w.Code, w.Body.String())

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"sort"
 	"sync"
 	"time"
@@ -25,6 +26,7 @@ const planProfileCap = 1024
 // come from an unregistered histogram so a thousand plans do not
 // pollute the Prometheus exposition.
 type planProfile struct {
+	plan          string
 	requests      int64
 	errors        int64
 	cacheHits     int64
@@ -36,35 +38,41 @@ type planProfile struct {
 	lastDriftPP   float64
 }
 
-// planProfiles is the bounded profile map.  A nil *planProfiles is the
-// disabled aggregator (telemetry off): observe is a no-op.
+// planProfiles is the bounded profile map, an LRU in observation order.
+// A nil *planProfiles is the disabled aggregator (telemetry off):
+// observe is a no-op.
 type planProfiles struct {
-	mu  sync.Mutex
-	m   map[string]*planProfile
-	cap int
+	mu    sync.Mutex
+	m     map[string]*list.Element
+	order *list.List // front = most recently observed; values are *planProfile
+	cap   int
 }
 
 func newPlanProfiles(capacity int) *planProfiles {
 	if capacity < 1 {
 		capacity = planProfileCap
 	}
-	return &planProfiles{m: make(map[string]*planProfile, capacity), cap: capacity}
+	return &planProfiles{m: make(map[string]*list.Element, capacity), order: list.New(), cap: capacity}
 }
 
-// observe folds one finished request into its plan's profile.
+// observe folds one finished request into its plan's profile, evicting
+// the least recently observed profile when a new plan overflows the map.
 func (p *planProfiles) observe(plan string, latSecs float64, failed, cacheHit, storeHit bool, stages []obs.FlightStage, driftPP float64) {
 	if p == nil || plan == "" {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pr, ok := p.m[plan]
-	if !ok {
-		if len(p.m) >= p.cap {
-			p.evictOldest()
+	var pr *planProfile
+	if el, ok := p.m[plan]; ok {
+		p.order.MoveToFront(el)
+		pr = el.Value.(*planProfile)
+	} else {
+		if p.order.Len() >= p.cap {
+			delete(p.m, p.order.Remove(p.order.Back()).(*planProfile).plan)
 		}
-		pr = &planProfile{lat: obs.NewHistogram(obs.DefBuckets)}
-		p.m[plan] = pr
+		pr = &planProfile{plan: plan, lat: obs.NewHistogram(obs.DefBuckets)}
+		p.m[plan] = p.order.PushFront(pr)
 	}
 	pr.requests++
 	if failed {
@@ -85,21 +93,6 @@ func (p *planProfiles) observe(plan string, latSecs float64, failed, cacheHit, s
 	pr.lat.Observe(latSecs)
 	pr.lastSeen = time.Now()
 	pr.lastDriftPP = driftPP
-}
-
-// evictOldest drops the least recently seen profile (caller holds mu).
-func (p *planProfiles) evictOldest() {
-	var oldestKey string
-	var oldest time.Time
-	first := true
-	for k, pr := range p.m {
-		if first || pr.lastSeen.Before(oldest) {
-			oldestKey, oldest, first = k, pr.lastSeen, false
-		}
-	}
-	if oldestKey != "" {
-		delete(p.m, oldestKey)
-	}
 }
 
 // PlanProfile is one plan's profile as GET /debug/plans renders it.
@@ -132,10 +125,11 @@ func (p *planProfiles) snapshot() []PlanProfile {
 		return nil
 	}
 	p.mu.Lock()
-	out := make([]PlanProfile, 0, len(p.m))
-	for plan, pr := range p.m {
+	out := make([]PlanProfile, 0, p.order.Len())
+	for el := p.order.Front(); el != nil; el = el.Next() {
+		pr := el.Value.(*planProfile)
 		pp := PlanProfile{
-			Plan:         plan,
+			Plan:         pr.plan,
 			Requests:     pr.requests,
 			Errors:       pr.errors,
 			CacheHits:    pr.cacheHits,

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"maest/internal/congest"
@@ -251,26 +250,48 @@ func (s *Server) plan(ctx context.Context, k Key, circ *netlist.Circuit, proc *t
 }
 
 // render appends a circuit's canonical rendering to dst and returns it
-// with the circuit's plan hash.  A request renders each circuit once;
-// its result key derives from the same bytes.
+// with the circuit's plan hash.
 func render(dst []byte, circ *netlist.Circuit, proc *tech.Process) ([]byte, Key) {
 	canon := engine.AppendCanonicalCircuit(dst, circ)
 	return canon, Key(engine.HashCanonical(canon, proc))
 }
 
-// canonPool recycles the renderings behind estimateKeys, which live
-// only until their keys are hashed.
-var canonPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// estimateKeys derives both content addresses of an estimate question,
-// the plan hash and the result key, from one rendering of circ.
-func estimateKeys(circ *netlist.Circuit, proc *tech.Process, procName string, rows int, sharing bool) (planKey, key Key) {
+// resolve routes one circuit source to its compiled plan, returning the
+// plan, its content address and the midstate its answer keys finish
+// from.  A source the plan cache has seen under this process takes the
+// alias: no parse, render or hash.  Any other source takes the
+// canonical route — parse, render, plan hash, plan (compile on a miss)
+// — and then registers its alias, so the next repeat takes the alias.
+// Errors register nothing.  info (nil in batch) gets the route's
+// stages: "alias", or "parse" and "compile".
+func (s *Server) resolve(ctx context.Context, info *reqInfo, format, name, source string, proc *tech.Process, procName string) (*engine.Plan, Key, midstate, error) {
+	var alias Key
+	if s.plans != nil {
+		alias = sourceAlias(procName, format, name, source)
+		if pl, planKey, mid, ok := s.plans.lookupAlias(alias); ok {
+			info.setPlan(planKey)
+			info.mark("alias")
+			return pl, planKey, mid, nil
+		}
+	}
+	circ, err := parseCircuit(format, name, source, proc)
+	if err != nil {
+		return nil, Key{}, nil, err
+	}
+	info.mark("parse")
 	buf := canonPool.Get().(*[]byte)
 	canon, planKey := render((*buf)[:0], circ, proc)
-	key = resultKey(canon, procName, rows, sharing)
+	mid := midstateOf(canon)
 	*buf = canon
 	canonPool.Put(buf)
-	return planKey, key
+	info.setPlan(planKey)
+	pl, err := s.plan(ctx, planKey, circ, proc)
+	if err != nil {
+		return nil, Key{}, nil, err
+	}
+	info.mark("compile")
+	s.plans.setAlias(alias, planKey, mid)
+	return pl, planKey, mid, nil
 }
 
 // estimateOpts is the engine knob list of one estimate question.
@@ -466,25 +487,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 		s.fail(w, info, err)
 		return
 	}
-	circ, err := parseCircuit(req.Format, req.Name, req.Netlist, proc)
-	if err != nil {
-		s.fail(w, info, err)
-		return
-	}
-	info.mark("parse")
-	planKey, key := estimateKeys(circ, proc, procName, req.Rows, req.TrackSharing)
-	info.setDigest(key)
-	info.setPlan(planKey)
 	// The plan resolves first even when the answer is cached, so the
 	// answer's plan key stays chainable: a warm restart serves results
 	// this process never computed, and an ECO delta against them must
 	// find the parent plan, not a 404.
-	pl, err := s.plan(ctx, planKey, circ, proc)
+	pl, planKey, mid, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, proc, procName)
 	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
-	info.mark("compile")
+	key := resultKey(mid, procName, req.Rows, req.TrackSharing)
+	info.setDigest(key)
 	res, hit, err := s.estimate(ctx, pl, key, estimateOpts(req.Rows, req.TrackSharing), info)
 	if err != nil {
 		s.fail(w, info, err)
@@ -558,7 +571,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 	if rows == 0 {
 		rows = scriptRows
 	}
-	key := resultKey(engine.AppendCanonicalCircuit(nil, child.Circuit()), procName, rows, req.TrackSharing)
+	key := resultKey(canonMidstate(child.Circuit()), procName, rows, req.TrackSharing)
 	info.setDigest(key)
 	info.setPlan(childKey)
 	res, hit, err := s.estimate(ctx, child, key, estimateOpts(rows, req.TrackSharing), info)
@@ -644,18 +657,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 	var missPlans []*engine.Plan
 	var missIdx []int
 	for i, m := range req.Modules {
-		c, err := parseCircuit(m.Format, m.Name, m.Netlist, proc)
-		if err != nil {
+		pl, _, mid, err := s.resolve(ctx, nil, m.Format, m.Name, m.Netlist, proc, procName)
+		if errors.Is(err, errBadRequest) {
 			s.fail(w, info, reqErr("module %d: %v", i, err))
 			return
 		}
-		var planKey Key
-		planKey, keys[i] = estimateKeys(c, proc, procName, req.Rows, req.TrackSharing)
-		pl, err := s.plan(ctx, planKey, c, proc)
 		if err != nil {
 			s.fail(w, info, err)
 			return
 		}
+		keys[i] = resultKey(mid, procName, req.Rows, req.TrackSharing)
 		// Store hits count as cached modules: the disk tier is part of
 		// the cache from the wire's view.
 		if res, hit, _ := s.cachedEstimate(pl, keys[i], opts); hit {
@@ -672,7 +683,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 	// single content address).
 	info.setCacheHit(hits == len(req.Modules))
 	info.setDigest(keys[0])
-	info.mark("parse+cache")
+	info.mark("resolve+cache")
 
 	if len(missPlans) > 0 {
 		workers := req.Workers
@@ -737,24 +748,15 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 		s.fail(w, info, err)
 		return
 	}
-	circ, err := parseCircuit(req.Format, req.Name, req.Netlist, proc)
-	if err != nil {
-		s.fail(w, info, err)
-		return
-	}
-	info.mark("parse")
 	// The compiled plan supplies the gathered statistics (shared with
 	// any earlier /v1/estimate on the same body via the plan cache)
 	// and the resolved row count the content address names: §5
 	// automatic rows for standard cells, the ⌈√N⌉ grid for full custom.
-	canon, planKey := render(nil, circ, proc)
-	info.setPlan(planKey)
-	pl, err := s.plan(ctx, planKey, circ, proc)
+	pl, _, mid, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, proc, procName)
 	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
-	info.mark("compile")
 	rows := req.Rows
 	if rows == 0 {
 		if req.Gridded {
@@ -763,7 +765,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 			rows = pl.InitialRows()
 		}
 	}
-	key := congestKey(canon, procName, rows, req.Gridded,
+	key := congestKey(mid, procName, rows, req.Gridded,
 		congest.Options{Model: model, Capacity: req.Capacity, FeedBudget: req.FeedBudget})
 	info.setDigest(key)
 	opts := []engine.Option{engine.WithRows(rows), engine.WithGridded(req.Gridded), engine.WithCongestModel(model),

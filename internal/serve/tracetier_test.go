@@ -307,20 +307,34 @@ func TestPlanProfilesAggregation(t *testing.T) {
 	}
 }
 
+// TestPlanProfilesEvictLeastRecentlySeen pins exact LRU eviction: after
+// cap+1 distinct plans the least recently observed one is gone, and a
+// plan re-observed in between survives however early it first arrived.
+// No sleeps: the order is observation order, not a timestamp race.
 func TestPlanProfilesEvictLeastRecentlySeen(t *testing.T) {
-	p := newPlanProfiles(2)
-	p.observe("old", 0.001, false, false, false, nil, 0)
-	time.Sleep(2 * time.Millisecond)
-	p.observe("mid", 0.001, false, false, false, nil, 0)
-	time.Sleep(2 * time.Millisecond)
-	p.observe("new", 0.001, false, false, false, nil, 0)
-	snap := p.snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("profile map holds %d plans, cap 2", len(snap))
+	const capacity = 4
+	p := newPlanProfiles(capacity)
+	for i := 0; i < capacity; i++ {
+		p.observe(fmt.Sprintf("p%d", i), 0.001, false, false, false, nil, 0)
 	}
-	for _, pp := range snap {
-		if pp.Plan == "old" {
-			t.Fatal("least recently seen plan survived eviction")
+	p.observe("p0", 0.001, false, false, false, nil, 0) // p1 is now the oldest
+	p.observe("p4", 0.001, false, false, false, nil, 0)
+	got := map[string]int64{}
+	for _, pp := range p.snapshot() {
+		got[pp.Plan] = pp.Requests
+	}
+	if len(got) != capacity {
+		t.Fatalf("profile map holds %d plans, cap %d: %v", len(got), capacity, got)
+	}
+	if _, ok := got["p1"]; ok {
+		t.Fatalf("least recently observed plan survived eviction: %v", got)
+	}
+	if got["p0"] != 2 {
+		t.Fatalf("re-observed plan p0 lost its profile: %v", got)
+	}
+	for _, plan := range []string{"p2", "p3", "p4"} {
+		if got[plan] != 1 {
+			t.Fatalf("plan %s missing after one eviction: %v", plan, got)
 		}
 	}
 }
