@@ -8,8 +8,10 @@ import (
 	"maest/internal/tech"
 )
 
-// FuzzParseMnet checks the parser never panics and that successful
-// parses round-trip through WriteMnet (when names are writable).
+// FuzzParseMnet checks the parser never panics, agrees with the
+// scanner oracle (same error text or matching circuits), and that
+// successful parses round-trip through WriteMnet (when names are
+// writable).
 func FuzzParseMnet(f *testing.F) {
 	f.Add(smallMnet)
 	f.Add("module m\ndevice g INV a b\nend\n")
@@ -17,7 +19,10 @@ func FuzzParseMnet(f *testing.F) {
 	f.Add("")
 	f.Add("module\n")
 	f.Add("module m\ndevice $g INV a b\nend\n")
+	f.Add("module m\r\nport in a\r\ndevice g NAND2 a a q\r\nend")
+	f.Add("module\tm\v\ndevice g\u0085INV a b\f\nend\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		matchScanner(t, "input", input)
 		c, err := ParseMnet(strings.NewReader(input))
 		if err != nil {
 			return

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"maest/internal/gen"
 	"maest/internal/netlist"
 	"maest/internal/tech"
 )
@@ -116,6 +118,95 @@ func TestMnetRoundTrip(t *testing.T) {
 				t.Fatalf("device %q pin %d not preserved", d.Name, i)
 			}
 		}
+	}
+}
+
+// TestParseMnetPaddingCostsNothing parses small modules padded with
+// blank lines and comments and checks the padding is neither reserved
+// for nor kept alive by the circuit: its element slices stay sized to
+// its devices, and its names occupy one string no longer than they are.
+func TestParseMnetPaddingCostsNothing(t *testing.T) {
+	blank := strings.Repeat("\n", 200_000)
+	note := strings.Repeat("# padding, padding, padding\n", 20_000)
+	words := "#" + strings.Repeat(" device", 50_000) + "\n"
+	cases := map[string]string{
+		"blank lines":  "module m\n" + blank + smallMnet[strings.Index(smallMnet, "port"):],
+		"comments":     "module m\nport in a\n" + note + "device g1 INV a b\n" + note + "device g2 INV b y\n" + blank + "port out y\nend\n",
+		"device words": "module m\n" + words + "device g1 INV a y\nend\n",
+	}
+	for name, src := range cases {
+		c, err := ParseMnet(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		limit := 2*c.NumDevices() + 8
+		if name == "device words" {
+			// A comment can spell "device" more often than devices fit
+			// in the source; the reserve stays within what real device
+			// lines as long would need, with slack for size classes.
+			limit = len(src) / 10
+		}
+		if cap(c.Devices) > limit || cap(c.Nets) > limit {
+			t.Errorf("%s: %d devices, %d nets hold cap %d and %d, want at most %d",
+				name, c.NumDevices(), c.NumNets(), cap(c.Devices), cap(c.Nets), limit)
+		}
+		lo, hi, size := uintptr(0), uintptr(0), 0
+		span := func(s string) {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			if lo == 0 || p < lo {
+				lo = p
+			}
+			hi = max(hi, p+uintptr(len(s)))
+			size += len(s)
+		}
+		span(c.Name)
+		for _, d := range c.Devices {
+			span(d.Name)
+			span(d.Type)
+		}
+		for _, n := range c.Nets {
+			span(n.Name)
+		}
+		if got := int(hi - lo); got != size {
+			t.Errorf("%s: %d bytes of names span %d bytes of memory", name, size, got)
+		}
+		for _, p := range c.Ports {
+			if unsafe.StringData(p.Name) != unsafe.StringData(p.Net.Name) {
+				t.Errorf("%s: port %q does not share its net's name", name, p.Name)
+			}
+		}
+	}
+}
+
+// parseMnetAllocCeiling is the allocation budget of parsing the
+// 250-gate module below.  The source is read into one string, fields
+// are substrings of it and the circuit is carved from the Builder's
+// arenas, which holds it near 690 objects; a line scanner with a
+// string per line and a heap object per element cost about 2,700.
+const parseMnetAllocCeiling = 800
+
+// BenchmarkParseMnet times the cold front end on a 250-gate generated
+// module, held to parseMnetAllocCeiling.
+func BenchmarkParseMnet(b *testing.B) {
+	c, err := gen.RandomCircuit(gen.RandomConfig{Name: "bench250", Gates: 250, Inputs: 6, Outputs: 4, Seed: 1}, tech.NMOS25())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := renderMnet(c)
+	parse := func() {
+		if _, err := ParseMnet(strings.NewReader(src)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parse()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(20, parse); allocs > parseMnetAllocCeiling {
+		b.Fatalf("ParseMnet allocates %.0f objects, ceiling %d", allocs, parseMnetAllocCeiling)
 	}
 }
 

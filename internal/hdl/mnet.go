@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"maest/internal/netlist"
 )
@@ -33,22 +34,41 @@ import (
 // unconnected is the .mnet spelling of an open pin.
 const unconnected = "-"
 
-// ParseMnet parses one module from r.
+// maxLine is the longest raw line ParseMnet accepts, its '\n'
+// excluded and a '\r' before it counted.  A longer line fails with
+// bufio.ErrTooLong: limit and error text are those of a bufio.Scanner
+// with a 1 MiB buffer, which the parser's error contract keeps.
+const maxLine = 1<<20 - 1
+
+// ParseMnet parses one module from r.  It reads r whole into one
+// string and tokenizes it in place: fields are substrings of the
+// source until the built circuit's names are compacted into one string
+// of their own, and the circuit itself comes from the Builder's arenas,
+// so a parse allocates little beyond the source and the circuit.
 func ParseMnet(r io.Reader) (*netlist.Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	src, readErr := readSource(r)
 	var (
 		b      *netlist.Builder
 		line   int
 		closed bool
+		fields []string
+		nets   []string
 	)
-	for sc.Scan() {
+	for rest := src; rest != ""; {
+		raw := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			raw, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if len(raw) > maxLine {
+			return nil, fmt.Errorf("hdl: read: %w", bufio.ErrTooLong)
+		}
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		fields = splitFields(fields, raw)
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
 		key := fields[0]
 		if b == nil && key != "module" {
 			return nil, fmt.Errorf("hdl: line %d: %q before module header", line, key)
@@ -68,6 +88,7 @@ func ParseMnet(r io.Reader) (*netlist.Circuit, error) {
 				return nil, err
 			}
 			b = netlist.NewBuilder(fields[1])
+			b.Grow(deviceBound(rest))
 		case "port":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("hdl: line %d: want 'port <dir> <net>'", line)
@@ -87,15 +108,14 @@ func ParseMnet(r io.Reader) (*netlist.Circuit, error) {
 			if err := checkName(fields[1], line); err != nil {
 				return nil, err
 			}
-			nets := make([]string, len(fields)-3)
-			for i, f := range fields[3:] {
+			nets = nets[:0]
+			for _, f := range fields[3:] {
 				if f == unconnected {
-					continue // leave empty -> unconnected pin
-				}
-				if err := checkName(f, line); err != nil {
+					f = "" // an empty name leaves the pin unconnected
+				} else if err := checkName(f, line); err != nil {
 					return nil, err
 				}
-				nets[i] = f
+				nets = append(nets, f)
 			}
 			b.AddDevice(fields[1], fields[2], nets...)
 		case "end":
@@ -107,8 +127,8 @@ func ParseMnet(r io.Reader) (*netlist.Circuit, error) {
 			return nil, fmt.Errorf("hdl: line %d: unknown directive %q", line, key)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("hdl: read: %w", err)
+	if readErr != nil {
+		return nil, fmt.Errorf("hdl: read: %w", readErr)
 	}
 	if b == nil {
 		return nil, fmt.Errorf("hdl: no module found")
@@ -120,7 +140,87 @@ func ParseMnet(r io.Reader) (*netlist.Circuit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hdl: %w", err)
 	}
+	compactNames(c)
 	return c, nil
+}
+
+// deviceBound bounds the device lines in src from above for
+// Builder.Grow without a pass over its lines.  Every device line holds
+// the word "device" and is at least as long as "device a b c", so blank
+// lines and comments reserve nothing, and no padding can make Grow
+// reserve more than a module of real devices as long as src would.
+func deviceBound(src string) int {
+	return min(strings.Count(src, "device"), len(src)/len("device a b c\n")+1)
+}
+
+// compactNames moves every name in c into one fresh string.  Until
+// then each is a substring of the source, so a circuit held in a cache
+// would keep its whole source alive, comments and padding included;
+// after it, a circuit retains its names and nothing else.  Each device
+// keeps a copy of its type (a map to share them costs more than the
+// bytes), and a port's name is its net's, as ParseMnet builds them.
+func compactNames(c *netlist.Circuit) {
+	names := func(f func(*string)) {
+		f(&c.Name)
+		for _, d := range c.Devices {
+			f(&d.Name)
+			f(&d.Type)
+		}
+		for _, n := range c.Nets {
+			f(&n.Name)
+		}
+	}
+	size := 0
+	names(func(s *string) { size += len(*s) })
+	var sb strings.Builder
+	sb.Grow(size)
+	names(func(s *string) { sb.WriteString(*s) })
+	all, off := sb.String(), 0
+	names(func(s *string) {
+		*s, off = all[off:off+len(*s)], off+len(*s)
+	})
+	for _, p := range c.Ports {
+		p.Name = p.Net.Name
+	}
+}
+
+// readSource reads r to the end into one string, sized up front when
+// r reports its remaining length (strings.Reader, bytes.Reader and
+// bytes.Buffer do).  On a read error it returns what was read with
+// the error, which ParseMnet reports after the lines read before it.
+func readSource(r io.Reader) (string, error) {
+	var sb strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		sb.Grow(l.Len())
+	}
+	_, err := io.Copy(&sb, r)
+	return sb.String(), err
+}
+
+// splitFields returns the fields of line in buf's storage: what
+// strings.Fields returns, without allocating once buf has grown.  A
+// line holding any byte >= 0x80 goes to strings.Fields itself, so
+// Unicode spaces (U+0085, U+00A0, ...) split exactly as they do there.
+func splitFields(buf []string, line string) []string {
+	buf = buf[:0]
+	start := -1
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c >= utf8.RuneSelf:
+			return append(buf[:0], strings.Fields(line)...)
+		case c == ' ' || c >= '\t' && c <= '\r':
+			if start >= 0 {
+				buf = append(buf, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		buf = append(buf, line[start:])
+	}
+	return buf
 }
 
 func checkName(name string, line int) error {

@@ -3,9 +3,8 @@ package netlist
 // This file is the mutation support behind the engine's ECO edit
 // algebra (engine.Edit / Plan.Delta): a deep Clone plus a small set of
 // structural mutators that preserve every invariant the Builder
-// establishes — contiguous Index fields, interning maps (when
-// present), distinct Net.Devices lists in first-connection order, and
-// PinCount accounting.  The estimator's incremental re-compilation edits a
+// establishes — contiguous Index fields, distinct Net.Devices lists in
+// first-connection order, and PinCount accounting.  The estimator's incremental re-compilation edits a
 // *clone* of a compiled circuit, never the original (a compiled Plan
 // shares its circuit, so mutating it in place would corrupt the Plan).
 //
@@ -22,18 +21,15 @@ import "fmt"
 // order — and therefore the canonical rendering, the gathered
 // statistics, and every float-summation order downstream — is
 // preserved exactly.  Cross-references are rewired through the
-// contiguous Index fields (not pointer maps), the element structs
-// come from three bulk allocations, and the by-name indexes are left
-// nil (lookups scan) — Clone runs once per ECO edit, so its constant
-// factors are the incremental path's floor.
+// contiguous Index fields (not pointer maps) and the element structs
+// come from three bulk allocations — Clone runs once per ECO edit, so
+// its constant factors are the incremental path's floor.
 func (c *Circuit) Clone() *Circuit {
 	out := &Circuit{
 		Name:    c.Name,
 		Devices: make([]*Device, len(c.Devices)),
 		Nets:    make([]*Net, len(c.Nets)),
 		Ports:   make([]*Port, len(c.Ports)),
-		// The by-name maps stay nil: lookups scan (see Circuit), which
-		// is far cheaper per edit script than three map rebuilds.
 	}
 	// netOf/devOf map an original element's Index to its copy; Index
 	// values are dense in [0, len) by the Builder/mutator invariant.
@@ -115,9 +111,6 @@ func (c *Circuit) internNet(name string) *Net {
 	}
 	n := &Net{Index: len(c.Nets), Name: name}
 	c.Nets = append(c.Nets, n)
-	if c.netByName != nil {
-		c.netByName[name] = n
-	}
 	return n
 }
 
@@ -142,15 +135,9 @@ func (c *Circuit) AddDevice(name, typ string, netNames ...string) (*Device, erro
 		}
 		n := c.internNet(netName)
 		d.Pins = append(d.Pins, n)
-		n.PinCount++
-		if !containsDevice(n.Devices, d) {
-			n.Devices = append(n.Devices, d)
-		}
+		n.attachNew(d)
 	}
 	c.Devices = append(c.Devices, d)
-	if c.deviceByName != nil {
-		c.deviceByName[name] = d
-	}
 	return d, nil
 }
 
@@ -176,9 +163,6 @@ func (c *Circuit) RemoveDevice(name string) error {
 		n.Devices = removeDevice(n.Devices, d)
 	}
 	c.Devices = append(c.Devices[:d.Index], c.Devices[d.Index+1:]...)
-	if c.deviceByName != nil {
-		delete(c.deviceByName, name)
-	}
 	for i := d.Index; i < len(c.Devices); i++ {
 		c.Devices[i].Index = i
 	}
@@ -299,13 +283,9 @@ func (c *Circuit) pruneNets(nets []*Net) {
 	}
 }
 
-// deleteNet removes one net from the slice and interning map,
-// reindexing the nets behind it.
+// deleteNet removes one net, reindexing the nets behind it.
 func (c *Circuit) deleteNet(n *Net) {
 	c.Nets = append(c.Nets[:n.Index], c.Nets[n.Index+1:]...)
-	if c.netByName != nil {
-		delete(c.netByName, n.Name)
-	}
 	for i := n.Index; i < len(c.Nets); i++ {
 		c.Nets[i].Index = i
 	}
@@ -354,6 +334,16 @@ func removePinsOn(pins []*Net, n *Net) []*Net {
 		}
 	}
 	return out
+}
+
+// containsDevice reports whether the component list holds the device.
+func containsDevice(ds []*Device, d *Device) bool {
+	for _, x := range ds {
+		if x == d {
+			return true
+		}
+	}
+	return false
 }
 
 // pinsContain reports whether any pin references the net.

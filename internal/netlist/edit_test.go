@@ -7,9 +7,8 @@ import (
 
 // checkInvariants verifies everything the Builder establishes and the
 // mutators promise to preserve: contiguous indices, consistent name
-// lookup (through the interning maps when present, scans otherwise),
-// PinCount accounting, distinct component lists, and no dangling
-// (pinless, portless) nets.
+// lookup, PinCount accounting, distinct component lists, and no
+// dangling (pinless, portless) nets.
 func checkInvariants(t *testing.T, c *Circuit) {
 	t.Helper()
 	for i, d := range c.Devices {
@@ -19,9 +18,6 @@ func checkInvariants(t *testing.T, c *Circuit) {
 		if c.DeviceByName(d.Name) != d {
 			t.Fatalf("device %q does not resolve to itself", d.Name)
 		}
-	}
-	if c.deviceByName != nil && len(c.deviceByName) != len(c.Devices) {
-		t.Fatalf("%d interned devices, %d listed", len(c.deviceByName), len(c.Devices))
 	}
 	pinCount := map[*Net]int{}
 	onNet := map[*Net]map[*Device]bool{}
@@ -58,9 +54,6 @@ func checkInvariants(t *testing.T, c *Circuit) {
 		if n.PinCount == 0 && !n.External() {
 			t.Fatalf("net %q is dangling (no pins, no ports)", n.Name)
 		}
-	}
-	if c.netByName != nil && len(c.netByName) != len(c.Nets) {
-		t.Fatalf("%d interned nets, %d listed", len(c.netByName), len(c.Nets))
 	}
 }
 

@@ -13,6 +13,7 @@ package netlist
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -102,29 +103,23 @@ type Port struct {
 }
 
 // Circuit is a flat module netlist.
+//
+// A circuit carries no by-name index: the Builder interns names in
+// maps of its own, and neither a built nor a cloned circuit keeps
+// them, so DeviceByName, NetByName and PortByName scan.  Callers
+// resolve a handful of names per ECO edit script, which costs less
+// than the three maps every cached circuit would otherwise carry (and
+// the garbage collector scan); an unindexed circuit is also what keeps
+// lookups on shared, read-only circuits race-free.
 type Circuit struct {
 	Name    string
 	Devices []*Device
 	Nets    []*Net
 	Ports   []*Port
-
-	// The by-name interning maps are an optional index: the Builder
-	// populates them, but Clone leaves them nil and every lookup falls
-	// back to a linear scan.  An ECO edit resolves a handful of names
-	// per script, so rebuilding three maps per clone cost more than
-	// every scan it saved; leaving clones unindexed is also what keeps
-	// lookups on shared (read-only) circuits race-free.  When non-nil,
-	// a map is complete and exact — the mutators keep it so.
-	deviceByName map[string]*Device
-	netByName    map[string]*Net
-	portByName   map[string]*Port
 }
 
 // DeviceByName returns the named device instance, or nil.
 func (c *Circuit) DeviceByName(name string) *Device {
-	if c.deviceByName != nil {
-		return c.deviceByName[name]
-	}
 	for _, d := range c.Devices {
 		if d.Name == name {
 			return d
@@ -135,9 +130,6 @@ func (c *Circuit) DeviceByName(name string) *Device {
 
 // NetByName returns the named net, or nil.
 func (c *Circuit) NetByName(name string) *Net {
-	if c.netByName != nil {
-		return c.netByName[name]
-	}
 	for _, n := range c.Nets {
 		if n.Name == name {
 			return n
@@ -148,9 +140,6 @@ func (c *Circuit) NetByName(name string) *Net {
 
 // PortByName returns the named port, or nil.
 func (c *Circuit) PortByName(name string) *Port {
-	if c.portByName != nil {
-		return c.portByName[name]
-	}
 	for _, p := range c.Ports {
 		if p.Name == name {
 			return p
@@ -173,19 +162,81 @@ var ErrInvalidCircuit = errors.New("netlist: invalid circuit")
 
 // Builder incrementally assembles a Circuit, interning nets by name.
 // All errors are deferred to Build so construction code stays linear.
+//
+// The by-name maps are the Builder's own and die with it (see
+// Circuit).  Devices, nets, ports and pin lists are carved from
+// chunked arenas, as Clone carves them, so a circuit costs a few
+// allocations per chunk rather than one per element.
 type Builder struct {
 	c    *Circuit
 	errs []error
+
+	devices map[string]struct{}
+	nets    map[string]*Net
+	ports   map[string]struct{}
+
+	devArena  arena[Device]
+	netArena  arena[Net]
+	portArena arena[Port]
+	pinArena  arena[*Net]
+}
+
+// arena hands out elements from shared chunks.  Each take is carved
+// with a full slice expression, so an append to it (ConnectPin adding
+// a pin) copies out instead of clobbering the neighbouring element.
+// Chunks it allocates itself double from 8, which bounds the unused
+// tail a circuit keeps alive at about half its last chunk, even when
+// a reserve fell short.
+type arena[T any] struct {
+	free  []T
+	chunk int
+}
+
+// take returns k zeroed elements.
+func (a *arena[T]) take(k int) []T {
+	if k > len(a.free) {
+		a.chunk = max(2*a.chunk, 8)
+		a.free = make([]T, max(a.chunk, k))
+	}
+	s := a.free[:k:k]
+	a.free = a.free[k:]
+	return s
+}
+
+// reserve makes the next n elements come from one chunk.
+func (a *arena[T]) reserve(n int) {
+	if n > len(a.free) {
+		a.free = make([]T, n)
+	}
 }
 
 // NewBuilder starts a circuit with the given module name.
 func NewBuilder(name string) *Builder {
-	return &Builder{c: &Circuit{
-		Name:         name,
-		deviceByName: map[string]*Device{},
-		netByName:    map[string]*Net{},
-		portByName:   map[string]*Port{},
-	}}
+	return &Builder{
+		c:       &Circuit{Name: name},
+		devices: map[string]struct{}{},
+		nets:    map[string]*Net{},
+		ports:   map[string]struct{}{},
+	}
+}
+
+// Grow pre-sizes the builder for about n more devices and n more nets
+// with three pins a device, so a front end that can bound its input
+// up front builds from one chunk of each.  The reserve outlives the
+// build in the circuit's chunks, so n should not exceed what the input
+// can really hold (ParseMnet bounds it by the source's device lines).
+func (b *Builder) Grow(n int) {
+	b.c.Devices = slices.Grow(b.c.Devices, n)
+	b.c.Nets = slices.Grow(b.c.Nets, n)
+	b.devArena.reserve(n)
+	b.netArena.reserve(n)
+	b.pinArena.reserve(3 * n)
+	if len(b.devices) == 0 {
+		b.devices = make(map[string]struct{}, n)
+	}
+	if len(b.nets) == 0 {
+		b.nets = make(map[string]*Net, n)
+	}
 }
 
 func (b *Builder) fail(format string, args ...any) {
@@ -198,12 +249,13 @@ func (b *Builder) Net(name string) *Net {
 		b.fail("empty net name")
 		return nil
 	}
-	if n, ok := b.c.netByName[name]; ok {
+	if n, ok := b.nets[name]; ok {
 		return n
 	}
-	n := &Net{Index: len(b.c.Nets), Name: name}
+	n := &b.netArena.take(1)[0]
+	n.Index, n.Name = len(b.c.Nets), name
 	b.c.Nets = append(b.c.Nets, n)
-	b.c.netByName[name] = n
+	b.nets[name] = n
 	return n
 }
 
@@ -218,35 +270,34 @@ func (b *Builder) AddDevice(name, typ string, nets ...string) *Device {
 		b.fail("device %q: empty type", name)
 		return nil
 	}
-	if _, dup := b.c.deviceByName[name]; dup {
+	if _, dup := b.devices[name]; dup {
 		b.fail("duplicate device %q", name)
 		return nil
 	}
-	d := &Device{Index: len(b.c.Devices), Name: name, Type: typ}
-	for _, netName := range nets {
-		if netName == "" {
-			d.Pins = append(d.Pins, nil)
-			continue
-		}
-		n := b.Net(netName)
-		d.Pins = append(d.Pins, n)
-		n.PinCount++
-		if !containsDevice(n.Devices, d) {
-			n.Devices = append(n.Devices, d)
+	d := &b.devArena.take(1)[0]
+	d.Index, d.Name, d.Type = len(b.c.Devices), name, typ
+	if len(nets) > 0 {
+		d.Pins = b.pinArena.take(len(nets))
+	}
+	for i, netName := range nets {
+		if netName != "" {
+			d.Pins[i] = b.Net(netName)
+			d.Pins[i].attachNew(d)
 		}
 	}
 	b.c.Devices = append(b.c.Devices, d)
-	b.c.deviceByName[name] = d
+	b.devices[name] = struct{}{}
 	return d
 }
 
-func containsDevice(ds []*Device, d *Device) bool {
-	for _, x := range ds {
-		if x == d {
-			return true
-		}
+// attachNew records one pin of the device being added on the net.  A
+// new device's pins are connected one after another, so it is already
+// among the net's components exactly when it is the last of them.
+func (n *Net) attachNew(d *Device) {
+	n.PinCount++
+	if k := len(n.Devices); k == 0 || n.Devices[k-1] != d {
+		n.Devices = append(n.Devices, d)
 	}
-	return false
 }
 
 // AddPort declares an external port on the named net (interned if
@@ -256,7 +307,7 @@ func (b *Builder) AddPort(name string, dir PortDir, netName string) *Port {
 		b.fail("empty port name")
 		return nil
 	}
-	if _, dup := b.c.portByName[name]; dup {
+	if _, dup := b.ports[name]; dup {
 		b.fail("duplicate port %q", name)
 		return nil
 	}
@@ -264,10 +315,11 @@ func (b *Builder) AddPort(name string, dir PortDir, netName string) *Port {
 	if n == nil {
 		return nil
 	}
-	p := &Port{Name: name, Dir: dir, Net: n}
+	p := &b.portArena.take(1)[0]
+	p.Name, p.Dir, p.Net = name, dir, n
 	n.Ports = append(n.Ports, p)
 	b.c.Ports = append(b.c.Ports, p)
-	b.c.portByName[name] = p
+	b.ports[name] = struct{}{}
 	return p
 }
 

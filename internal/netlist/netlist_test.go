@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,73 @@ func TestNetDeviceDedup(t *testing.T) {
 	}
 }
 
+// TestBuilderArenas builds one shift register with every arena sizing
+// — no hint, a hint far too small, an exact one — and checks each is
+// the same circuit: a shared clock net with one pin per stage, tied
+// pins counted once per component, and pins carved so that growing
+// one device's pin list never reaches its neighbour's.
+func TestBuilderArenas(t *testing.T) {
+	const stages = 300
+	build := func(hint int) *Circuit {
+		b := NewBuilder("sr")
+		if hint > 0 {
+			b.Grow(hint)
+		}
+		b.AddPort("clk", In, "clk")
+		b.AddPort("d", In, "q0")
+		for i := 0; i < stages; i++ {
+			q, next := fmt.Sprintf("q%d", i), fmt.Sprintf("q%d", i+1)
+			b.AddDevice(fmt.Sprintf("ff%d", i), "DFF", q, "clk", "clk", next)
+		}
+		b.AddPort("q", Out, fmt.Sprintf("q%d", stages))
+		c, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, c)
+		return c
+	}
+	want := build(0)
+	clk := want.NetByName("clk")
+	if clk.Degree() != stages || clk.PinCount != 2*stages {
+		t.Fatalf("clk D=%d pins=%d, want %d and %d", clk.Degree(), clk.PinCount, stages, 2*stages)
+	}
+	for _, hint := range []int{3, stages + 4} {
+		got := build(hint)
+		if g, w := fmt.Sprint(summary(got)), fmt.Sprint(summary(want)); g != w {
+			t.Fatalf("Grow(%d) built a different circuit:\n%s\nwant\n%s", hint, g, w)
+		}
+	}
+	if err := want.ConnectPin("ff0", "clk"); err != nil {
+		t.Fatal(err)
+	}
+	if p := want.DeviceByName("ff1").Pins[0]; p == nil || p.Name != "q1" {
+		t.Fatalf("a pin appended to ff0 reached ff1: pin 0 is %v", p)
+	}
+	checkInvariants(t, want)
+}
+
+// summary lists a circuit's devices with their pin nets and its nets
+// with their components, by name.
+func summary(c *Circuit) []string {
+	var out []string
+	for _, d := range c.Devices {
+		s := d.Name + ":" + d.Type
+		for _, p := range d.Pins {
+			s += " " + p.Name
+		}
+		out = append(out, s)
+	}
+	for _, n := range c.Nets {
+		s := fmt.Sprintf("%s/%d:", n.Name, n.PinCount)
+		for _, d := range n.Devices {
+			s += " " + d.Name
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 func TestUnconnectedPin(t *testing.T) {
 	b := NewBuilder("nc")
 	d := b.AddDevice("g1", "NAND2", "a", "", "y")
@@ -110,6 +178,10 @@ func TestBuilderErrors(t *testing.T) {
 		{"empty port name", func(b *Builder) {
 			b.AddDevice("g", "INV", "a", "b")
 			b.AddPort("", In, "a")
+		}},
+		{"empty port net", func(b *Builder) {
+			b.AddDevice("g", "INV", "a", "b")
+			b.AddPort("p", In, "")
 		}},
 	}
 	for _, c := range cases {

@@ -65,9 +65,15 @@ func BenchmarkEstimateCacheHit(b *testing.B) {
 	}
 }
 
+// cacheMissAllocCeiling is the allocation budget of a cold
+// /v1/estimate, recorder and request included.  The in-place .mnet
+// tokenizer and the Builder's arenas hold it near 260 objects; a line
+// scanner with a heap object per element cost about 560.
+const cacheMissAllocCeiling = 300
+
 // BenchmarkEstimateCacheMiss measures the cold path — full decode →
 // parse → estimate → encode — by disabling the cache so every request
-// recomputes.
+// recomputes, held to cacheMissAllocCeiling.
 func BenchmarkEstimateCacheMiss(b *testing.B) {
 	s := New(Options{CacheSize: -1})
 	body := benchBody(b, "cold")
@@ -75,6 +81,10 @@ func BenchmarkEstimateCacheMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post(b, s, body)
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, func() { post(b, s, body) }); allocs > cacheMissAllocCeiling {
+		b.Fatalf("uncached /v1/estimate allocates %.0f objects, ceiling %d", allocs, cacheMissAllocCeiling)
 	}
 }
 

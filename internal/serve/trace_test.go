@@ -25,8 +25,14 @@ func decodeError(t *testing.T, w *httptest.ResponseRecorder) ErrorResponse {
 func TestTraceparentRootsFlightRecord(t *testing.T) {
 	s := New(Options{FlightSize: 8})
 	incoming := obs.NewTraceContext()
+	// The record's alloc delta reads /gc/heap/allocs:bytes, which
+	// counts a small object only once its mcache span is flushed, so a
+	// request made of small objects can read 0.  Objects over 32 KiB
+	// are counted as they are allocated: a source padded past that by
+	// a comment makes the decoded body string one of them.
+	src := testdata(t, "demo.mnet") + "# " + strings.Repeat("x", 40<<10) + "\n"
 	req := httptest.NewRequest("POST", "/v1/estimate",
-		strings.NewReader(marshal(t, EstimateRequest{Netlist: testdata(t, "demo.mnet")})))
+		strings.NewReader(marshal(t, EstimateRequest{Netlist: src})))
 	req.Header.Set(obs.TraceparentHeader, incoming.Traceparent())
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)

@@ -40,9 +40,15 @@ func Eval(c *netlist.Circuit, inputs map[string]bool) (map[string]bool, error) {
 		}
 		driverOf[out] = d
 	}
+	// Built circuits carry no by-name index, so resolve the inputs
+	// through one map rather than a scan per input.
+	netOf := make(map[string]*netlist.Net, len(c.Nets))
+	for _, n := range c.Nets {
+		netOf[n.Name] = n
+	}
 	values := map[string]bool{}
 	for name, v := range inputs {
-		n := c.NetByName(name)
+		n := netOf[name]
 		if n == nil {
 			return nil, fmt.Errorf("%w: unknown input net %q", ErrSim, name)
 		}

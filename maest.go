@@ -96,7 +96,10 @@ func WriteProcess(w io.Writer, p *Process) error { return tech.Write(w, p) }
 type (
 	// Circuit is a flat module netlist.
 	Circuit = netlist.Circuit
-	// CircuitBuilder assembles circuits programmatically.
+	// CircuitBuilder assembles circuits programmatically.  Its by-name
+	// index lives only as long as the build: a built circuit is
+	// unindexed, and Circuit's DeviceByName, NetByName and PortByName
+	// scan.
 	CircuitBuilder = netlist.Builder
 	// Stats are the §4 estimator inputs gathered from a circuit.
 	Stats = netlist.Stats
