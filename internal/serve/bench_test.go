@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"maest/internal/gen"
+	"maest/internal/hdl"
+	"maest/internal/tech"
 )
 
 func benchBody(b *testing.B, name string) string {
@@ -43,9 +49,11 @@ func post(b *testing.B, s *Server, body string) {
 
 // cacheHitAllocCeiling is the allocation budget of a repeated
 // /v1/estimate, recorder and request included.  The source alias sends
-// the repeat straight to its plan's memo, holding it near 63 objects;
-// parsing, rendering and hashing the body again cost about 490.
-const cacheHitAllocCeiling = 100
+// the repeat straight to its plan's memo and the one-pass decoder reads
+// the body with three, holding it near 47 objects; encoding/json's
+// Decoder made it 63, and parsing, rendering and hashing the body again
+// cost about 490.
+const cacheHitAllocCeiling = 55
 
 // BenchmarkEstimateCacheHit measures the hot serving path: identical
 // request, answer straight from the content-addressed cache, held to
@@ -66,10 +74,11 @@ func BenchmarkEstimateCacheHit(b *testing.B) {
 }
 
 // cacheMissAllocCeiling is the allocation budget of a cold
-// /v1/estimate, recorder and request included.  The in-place .mnet
-// tokenizer and the Builder's arenas hold it near 260 objects; a line
-// scanner with a heap object per element cost about 560.
-const cacheMissAllocCeiling = 300
+// /v1/estimate, recorder and request included.  The one-pass decoder,
+// the in-place .mnet tokenizer and the Builder's arenas hold it near 246
+// objects; with encoding/json's Decoder it was 262, and a line scanner
+// with a heap object per element cost about 560.
+const cacheMissAllocCeiling = 280
 
 // BenchmarkEstimateCacheMiss measures the cold path — full decode →
 // parse → estimate → encode — by disabling the cache so every request
@@ -85,6 +94,48 @@ func BenchmarkEstimateCacheMiss(b *testing.B) {
 	b.StopTimer()
 	if allocs := testing.AllocsPerRun(100, func() { post(b, s, body) }); allocs > cacheMissAllocCeiling {
 		b.Fatalf("uncached /v1/estimate allocates %.0f objects, ceiling %d", allocs, cacheMissAllocCeiling)
+	}
+}
+
+// decodeBodyAllocCeiling is the allocation budget of decoding the
+// 250-gate /v1/estimate body below: the MaxBytesReader, the request
+// value and the netlist string.  encoding/json's Decoder cost 14.
+const decodeBodyAllocCeiling = 4
+
+// BenchmarkDecodeBody times decodeBody on a loadbench-shaped 250-gate
+// EstimateRequest, held to decodeBodyAllocCeiling.
+func BenchmarkDecodeBody(b *testing.B) {
+	c, err := gen.RandomCircuit(gen.RandomConfig{Name: "bench250", Gates: 250, Inputs: 6, Outputs: 4, Seed: 1}, tech.NMOS25())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var src strings.Builder
+	if err := hdl.WriteMnet(&src, c); err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(EstimateRequest{Netlist: src.String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest("POST", "/v1/estimate", io.NopCloser(rd))
+	var w nullResponseWriter
+	decode := func() {
+		rd.Reset(body)
+		var er EstimateRequest
+		if err := decodeBody(&w, req, 8<<20, &er); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, decode); allocs > decodeBodyAllocCeiling {
+		b.Fatalf("decodeBody allocates %.0f objects, ceiling %d", allocs, decodeBodyAllocCeiling)
 	}
 }
 

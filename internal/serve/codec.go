@@ -1,12 +1,19 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"net/http"
 	"strings"
+	"sync"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"maest/internal/congest"
 	"maest/internal/core"
@@ -404,20 +411,474 @@ func reqErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errBadRequest, fmt.Sprintf(format, args...))
 }
 
-// decodeJSON strictly decodes one JSON document from r into v,
-// rejecting trailing garbage.
+// decodeJSON strictly decodes one JSON document from r into v.  Errors
+// come in body order: a malformed document, then anything but
+// whitespace after it, then a read error (413 for a body past the
+// limit).  It is the reference decodeBody falls back to.
 func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {
-		// Both %w verbs matter: errBadRequest classifies the failure
-		// as 4xx while the original chain keeps http.MaxBytesError
-		// reachable for the 413 mapping.
-		return fmt.Errorf("%w: decode: %w", errBadRequest, err)
+		return decodeErr(err)
 	}
-	if dec.More() {
-		return reqErr("decode: trailing data after JSON document")
+	// Decoder.More stops at a stray '}' or ']', so the rest of the body
+	// is scanned here instead.
+	rest := io.MultiReader(dec.Buffered(), r)
+	var chunk [512]byte
+	for {
+		n, err := rest.Read(chunk[:])
+		for _, c := range chunk[:n] {
+			if !isJSONSpace(c) {
+				return reqErr("decode: trailing data after JSON document")
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return decodeErr(err)
+		}
 	}
-	return nil
+}
+
+// decodeErr classifies a decode failure as a bad request.  Both %w
+// verbs matter: errBadRequest makes it a 4xx while the original chain
+// keeps http.MaxBytesError reachable for the 413 mapping.
+func decodeErr(err error) error {
+	return fmt.Errorf("%w: decode: %w", errBadRequest, err)
+}
+
+func isJSONSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
+}
+
+// bodyPool recycles the buffers request bodies are read into; every
+// decoded string is copied out before its buffer goes back.  Buffers
+// grown past maxPooledBody are dropped, so one large body does not stay
+// resident.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// decodeBody reads a request body of at most limit bytes and decodes it
+// into v; every handler decodes through it.  Estimate, congestion and
+// batch bodies take decodeFast, one pass over the bytes.  Any body that
+// pass declines, any other request type, and any body whose read failed
+// go to decodeJSON over the same bytes, with the read error replayed
+// after them.  So every accepted value and every error text is
+// encoding/json's.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil && decodeFast(buf.Bytes(), v) {
+		return nil
+	}
+	var src io.Reader = bytes.NewReader(buf.Bytes())
+	if err != nil {
+		src = io.MultiReader(src, errReader{err})
+	}
+	return decodeJSON(src, v)
+}
+
+// errReader replays a body's read error after its bytes.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeFast decodes an EstimateRequest, CongestionRequest or
+// BatchRequest in one pass over body.  It accepts only what it can
+// decode exactly as encoding/json would: one object of exact lowercase
+// field names, each at most once, holding strings, integers that fit an
+// int, booleans and, for a batch, an array of module objects, with
+// nothing but whitespace around it.  Strings must be valid UTF-8 whose
+// \u escapes are not surrogates.  For anything else, including null,
+// unknown or case-variant keys and numbers with a fraction or exponent,
+// it reports false and leaves v untouched.
+func decodeFast(body []byte, v any) bool {
+	d := fastDecoder{b: body}
+	switch v := v.(type) {
+	case *EstimateRequest:
+		var req EstimateRequest
+		if !d.object(func(key []byte) bool {
+			switch string(key) {
+			case "format":
+				return d.str(&req.Format)
+			case "name":
+				return d.str(&req.Name)
+			case "netlist":
+				return d.str(&req.Netlist)
+			case "process":
+				return d.str(&req.Process)
+			case "rows":
+				return d.integer(&req.Rows)
+			case "track_sharing":
+				return d.boolean(&req.TrackSharing)
+			}
+			return false
+		}) || !d.end() {
+			return false
+		}
+		*v = req
+	case *CongestionRequest:
+		var req CongestionRequest
+		if !d.object(func(key []byte) bool {
+			switch string(key) {
+			case "format":
+				return d.str(&req.Format)
+			case "name":
+				return d.str(&req.Name)
+			case "netlist":
+				return d.str(&req.Netlist)
+			case "process":
+				return d.str(&req.Process)
+			case "rows":
+				return d.integer(&req.Rows)
+			case "gridded":
+				return d.boolean(&req.Gridded)
+			case "model":
+				return d.str(&req.Model)
+			case "capacity":
+				return d.integer(&req.Capacity)
+			case "feed_budget":
+				return d.integer(&req.FeedBudget)
+			}
+			return false
+		}) || !d.end() {
+			return false
+		}
+		*v = req
+	case *BatchRequest:
+		var req BatchRequest
+		if !d.object(func(key []byte) bool {
+			switch string(key) {
+			case "process":
+				return d.str(&req.Process)
+			case "rows":
+				return d.integer(&req.Rows)
+			case "track_sharing":
+				return d.boolean(&req.TrackSharing)
+			case "workers":
+				return d.integer(&req.Workers)
+			case "modules":
+				return d.modules(&req.Modules)
+			}
+			return false
+		}) || !d.end() {
+			return false
+		}
+		*v = req
+	default:
+		return false
+	}
+	return true
+}
+
+// fastDecoder is decodeFast's cursor over a body.
+type fastDecoder struct {
+	b []byte
+	i int
+}
+
+// maxFields bounds the keys of one object the fast path accepts: no
+// request type has more fields, so a longer object repeats a key or
+// names an unknown one, and either declines anyway.
+const maxFields = 9
+
+func (d *fastDecoder) skipSpace() {
+	for d.i < len(d.b) && isJSONSpace(d.b[d.i]) {
+		d.i++
+	}
+}
+
+// consume skips whitespace and then c, reporting whether c was there.
+func (d *fastDecoder) consume(c byte) bool {
+	d.skipSpace()
+	if d.i < len(d.b) && d.b[d.i] == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace is left.
+func (d *fastDecoder) end() bool {
+	d.skipSpace()
+	return d.i == len(d.b)
+}
+
+// object decodes one object, calling field after each key's colon to
+// decode its value.  Keys must be plain printable ASCII and distinct:
+// encoding/json unescapes keys, matches them case-insensitively and
+// merges repeats, none of which this path models.
+func (d *fastDecoder) object(field func(key []byte) bool) bool {
+	if !d.consume('{') {
+		return false
+	}
+	if d.consume('}') {
+		return true
+	}
+	var seen [maxFields][]byte
+	for n := 0; ; n++ {
+		if n == len(seen) || !d.consume('"') {
+			return false
+		}
+		start := d.i
+		for d.i < len(d.b) && d.b[d.i] != '"' {
+			if c := d.b[d.i]; c < 0x20 || c == '\\' || c >= utf8.RuneSelf {
+				return false
+			}
+			d.i++
+		}
+		if d.i == len(d.b) {
+			return false
+		}
+		key := d.b[start:d.i]
+		d.i++
+		for _, k := range seen[:n] {
+			if string(k) == string(key) {
+				return false
+			}
+		}
+		seen[n] = key
+		if !d.consume(':') || !field(key) {
+			return false
+		}
+		if d.consume('}') {
+			return true
+		}
+		if !d.consume(',') {
+			return false
+		}
+	}
+}
+
+// modules decodes a batch's module array.  An empty array decodes to an
+// empty, non-nil slice, as encoding/json's does.
+func (d *fastDecoder) modules(dst *[]ModuleInput) bool {
+	if !d.consume('[') {
+		return false
+	}
+	mods := []ModuleInput{}
+	if !d.consume(']') {
+		for {
+			var m ModuleInput
+			if !d.object(func(key []byte) bool {
+				switch string(key) {
+				case "format":
+					return d.str(&m.Format)
+				case "name":
+					return d.str(&m.Name)
+				case "netlist":
+					return d.str(&m.Netlist)
+				}
+				return false
+			}) {
+				return false
+			}
+			mods = append(mods, m)
+			if d.consume(']') {
+				break
+			}
+			if !d.consume(',') {
+				return false
+			}
+		}
+	}
+	*dst = mods
+	return true
+}
+
+// plainString marks the bytes a JSON string carries verbatim: printable
+// ASCII other than the quote and the backslash.
+var plainString = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// plainRun returns the index of the first byte at or after i that
+// plainString does not mark, or len(b).  It tests eight bytes at a
+// time: a lane is flagged when it is below 0x20, equal to the quote or
+// the backslash, or has its top bit set.  A subtraction borrows only
+// out of a flagged lane, so the lowest flagged lane is a real one.
+func plainRun(b []byte, i int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		q, bs := x^(ones*'"'), x^(ones*'\\')
+		if m := ((x-ones*0x20)|(q-ones)|(bs-ones))&^x&highs | x&highs; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for i < len(b) && plainString[b[i]] {
+		i++
+	}
+	return i
+}
+
+// str decodes a string value.  A first pass finds the closing quote,
+// checks every escape and sizes the result; a string without escapes is
+// then one copy, and any other is built in one exact-size allocation by
+// copying the runs between its escapes.
+func (d *fastDecoder) str(dst *string) bool {
+	if !d.consume('"') {
+		return false
+	}
+	b, start := d.b, d.i
+	i, shrink, high := start, 0, false
+	for {
+		if i = plainRun(b, i); i == len(b) {
+			return false
+		}
+		c := b[i]
+		if c == '"' {
+			break
+		}
+		switch {
+		case c == '\\':
+			n, size := unescape(b[i:])
+			if n == 0 {
+				return false
+			}
+			i += n
+			shrink += n - size
+		case c < 0x20:
+			return false
+		default:
+			high = true
+			i++
+		}
+	}
+	raw := b[start:i]
+	d.i = i + 1
+	// encoding/json turns each byte of an invalid sequence into U+FFFD.
+	if high && !utf8.Valid(raw) {
+		return false
+	}
+	if shrink == 0 {
+		*dst = string(raw)
+		return true
+	}
+	var sb strings.Builder
+	sb.Grow(len(raw) - shrink)
+	for {
+		j := bytes.IndexByte(raw, '\\')
+		if j < 0 {
+			sb.Write(raw)
+			break
+		}
+		sb.Write(raw[:j])
+		if raw[j+1] == 'u' {
+			sb.WriteRune(hex4(raw[j+2 : j+6]))
+			raw = raw[j+6:]
+		} else {
+			sb.WriteByte(escapedByte[raw[j+1]])
+			raw = raw[j+2:]
+		}
+	}
+	*dst = sb.String()
+	return true
+}
+
+// escapedByte maps the letter after a backslash to the byte it stands
+// for; 0 marks a letter that is not a one-byte escape.
+var escapedByte = [256]byte{
+	'"': '"', '\\': '\\', '/': '/',
+	'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t',
+}
+
+// unescape measures the escape at the start of s: its length n in s and
+// the size of what it decodes to.  n is 0 for a malformed escape and for
+// a \u escape in the surrogate range, whose pairing encoding/json
+// resolves.
+func unescape(s []byte) (n, size int) {
+	if len(s) < 2 {
+		return 0, 0
+	}
+	if s[1] != 'u' {
+		if escapedByte[s[1]] == 0 {
+			return 0, 0
+		}
+		return 2, 1
+	}
+	if len(s) < 6 {
+		return 0, 0
+	}
+	r := hex4(s[2:6])
+	if r < 0 || utf16.IsSurrogate(r) {
+		return 0, 0
+	}
+	return 6, utf8.RuneLen(r)
+}
+
+// hex4 decodes four hex digits, or returns -1.
+func hex4(s []byte) rune {
+	var r rune
+	for _, c := range s {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}
+
+// integer decodes an integer: an optional minus sign and at most 18 digits
+// without a leading zero, so it cannot overflow int64, and it must also
+// fit an int.  A fraction or exponent fails at the caller's next
+// delimiter.
+func (d *fastDecoder) integer(dst *int) bool {
+	d.skipSpace()
+	b, i := d.b, d.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var n int64
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		n = n*10 + int64(b[i]-'0')
+		i++
+	}
+	digits := i - start
+	if digits == 0 || digits > 18 || (b[start] == '0' && digits > 1) {
+		return false
+	}
+	if neg {
+		n = -n
+	}
+	if int64(int(n)) != n {
+		return false
+	}
+	*dst, d.i = int(n), i
+	return true
+}
+
+// boolean decodes true or false.
+func (d *fastDecoder) boolean(dst *bool) bool {
+	d.skipSpace()
+	switch rest := d.b[d.i:]; {
+	case bytes.HasPrefix(rest, []byte("true")):
+		*dst, d.i = true, d.i+4
+	case bytes.HasPrefix(rest, []byte("false")):
+		*dst, d.i = false, d.i+5
+	default:
+		return false
+	}
+	return true
 }
 
 // parseCircuit turns one module input into a circuit through the
@@ -454,13 +915,36 @@ func parseCircuit(format, name, source string, p *tech.Process) (*netlist.Circui
 	}
 }
 
+// builtinProcs holds one copy of each built-in process, shared by every
+// request and never written: Compile clones the process it plans under.
+var builtinProcs = func() map[string]*tech.Process {
+	m := map[string]*tech.Process{}
+	for _, name := range tech.BuiltinNames() {
+		p, err := tech.Lookup(name)
+		if err != nil {
+			panic(err) // BuiltinNames lists only registered processes
+		}
+		m[name] = p
+	}
+	return m
+}()
+
+// builtinProcess returns the shared copy of a built-in process.
+func builtinProcess(name string) (*tech.Process, error) {
+	if p, ok := builtinProcs[name]; ok {
+		return p, nil
+	}
+	_, err := tech.Lookup(name) // fails; it names the known processes
+	return nil, err
+}
+
 // lookupProcess resolves a request's process name against the
 // built-in database, falling back to the server default.
 func lookupProcess(name, fallback string) (*tech.Process, string, error) {
 	if name == "" {
 		name = fallback
 	}
-	p, err := tech.Lookup(name)
+	p, err := builtinProcess(name)
 	if err != nil {
 		return nil, "", reqErr("%v", err)
 	}
@@ -527,7 +1011,7 @@ func decodeEdits(bodies []EditBody) ([]engine.Edit, int, error) {
 			}
 			rows = e.Rows
 		case "swap_process":
-			p, err := tech.Lookup(e.Process)
+			p, err := builtinProcess(e.Process)
 			if err != nil {
 				return nil, 0, reqErr("edit %d: %v", i, err)
 			}

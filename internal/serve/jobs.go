@@ -452,7 +452,7 @@ func encodeFloorplan(p *floorplan.Plan, procName string, cfg jobConfig) *Floorpl
 // duplicate of a known job answers 200 with its current snapshot.
 func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *reqInfo) {
 	var req FloorplanRequest
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes), &req); err != nil {
+	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
 		s.fail(w, info, err)
 		return
 	}

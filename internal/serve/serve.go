@@ -477,7 +477,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 	defer cancel()
 
 	var req EstimateRequest
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes), &req); err != nil {
+	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
 		s.fail(w, info, err)
 		return
 	}
@@ -529,7 +529,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 	defer cancel()
 
 	var req DeltaRequest
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes), &req); err != nil {
+	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
 		s.fail(w, info, err)
 		return
 	}
@@ -633,7 +633,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 	defer cancel()
 
 	var req BatchRequest
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes), &req); err != nil {
+	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
 		s.fail(w, info, err)
 		return
 	}
@@ -729,7 +729,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 	defer cancel()
 
 	var req CongestionRequest
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes), &req); err != nil {
+	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
 		s.fail(w, info, err)
 		return
 	}

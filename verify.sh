@@ -74,8 +74,9 @@ go test -race -run 'TestTwoProcessTraceStitch|TestTraceStoreRestartEndToEnd' ./c
 # Bench smoke: every benchmark must still compile and survive one
 # iteration (catches bit-rot in the perf harness without timing it).
 # The exact allocation ceilings ride along: BenchmarkParseMnet,
-# BenchmarkEstimateCacheHit and BenchmarkEstimateCacheMiss fail when
-# testing.AllocsPerRun exceeds their budgets.
+# BenchmarkDecodeBody, BenchmarkEstimateCacheHit and
+# BenchmarkEstimateCacheMiss fail when testing.AllocsPerRun exceeds
+# their budgets.
 go test -run=NONE -bench=. -benchtime=1x ./...
 # ECO gate: the incremental route (Plan.Delta + re-estimate, warm
 # memo) must stay at least 5x faster per edit than the from-scratch
