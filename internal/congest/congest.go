@@ -39,7 +39,6 @@ import (
 	"sort"
 	"time"
 
-	"maest/internal/engine/distmemo"
 	"maest/internal/netlist"
 	"maest/internal/obs"
 	"maest/internal/prob"
@@ -268,36 +267,14 @@ type Distributions struct {
 
 // ComputeDistributions convolves the module's degree classes into the
 // per-channel demand distributions (and, for standard-cell rows, the
-// per-row feed-through distributions) without scoring them.
-//
-// The convolutions depend only on the degree histogram and the
-// (rows, gridded, model) knobs — never on the module's name — so the
-// result is served from (and fed into) the process-wide distmemo:
-// differently-named modules, and successive edit states of one module
-// in an ECO loop, with equal histograms share one computation.  The
-// payload slices are shared through the memo; Distributions is
-// already documented immutable, so sharing is safe.
+// per-row feed-through distributions) without scoring them.  It
+// memoizes nothing: an engine Plan keeps the result per (rows,
+// gridded, model), which is the one cache of these distributions.
 func ComputeDistributions(s *netlist.Stats, rows int, gridded bool, model Model) (*Distributions, error) {
 	if rows < 1 {
 		return nil, anaErr("module %q: row count %d < 1", s.CircuitName, rows)
 	}
 	classes := demandClasses(s, gridded)
-	mc := make([]distmemo.Class, len(classes))
-	for i, cl := range classes {
-		mc[i] = distmemo.Class{Degree: cl.degree, Count: cl.count}
-	}
-	key := distmemo.ShapeKey{Hist: distmemo.HashClasses(mc), Rows: rows, Gridded: gridded, Model: int(model)}
-	if sh, ok := distmemo.LookupShape(key, mc); ok {
-		return &Distributions{
-			Module:   s.CircuitName,
-			Rows:     rows,
-			Gridded:  gridded,
-			Model:    model,
-			Nets:     sh.Nets,
-			Channels: sh.Channels,
-			Feeds:    sh.Feeds,
-		}, nil
-	}
 	d := &Distributions{
 		Module:  s.CircuitName,
 		Rows:    rows,
@@ -323,7 +300,6 @@ func ComputeDistributions(s *netlist.Stats, rows int, gridded bool, model Model)
 			d.Feeds[r] = dist
 		}
 	}
-	distmemo.StoreShape(key, mc, &distmemo.Shape{Nets: d.Nets, Channels: d.Channels, Feeds: d.Feeds})
 	return d, nil
 }
 

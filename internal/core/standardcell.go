@@ -54,40 +54,34 @@ type SCOptions struct {
 	// share tracks.
 	TrackSharing bool
 	// Spans optionally overrides where the Eq. 2–3 row-span quantities
-	// come from.  An implementation must return exactly what
-	// internal/prob computes for the same (n, D) — the engine's
-	// process-wide distribution memo qualifies, since it caches prob's
-	// own outputs.  nil computes directly.
+	// and Eq. 11's feed-through expectation come from.  An
+	// implementation must return exactly what internal/prob computes for
+	// the same arguments — the engine's process-wide distribution memo
+	// qualifies, since it caches prob's own outputs.  nil computes
+	// directly.
 	Spans RowSpans
 }
 
-// RowSpans supplies the Eq. 2–3 row-span quantities the Standard-Cell
-// track model is built on: E(i), the expected number of rows a
-// degree-D net spans over n rows, and its per-net track round-up.
+// RowSpans supplies the pure functions of small keys the Standard-Cell
+// model is built on: E(i), the expected number of rows a degree-D net
+// spans over n rows, its per-net track round-up, and Eq. 11's rounded
+// feed-through expectation for H nets at central-row probability p.
 // Implementations must be bit-identical to prob.ExpectedRowSpan /
-// prob.TracksForNet; the interface exists so a caller can memoize
-// those computations across modules and edit states.
+// prob.TracksForNet / prob.FeedThroughsCeil; the interface exists so a
+// caller can memoize those computations across modules and edit
+// states.
 type RowSpans interface {
 	ExpectedRowSpan(n, d int) (float64, error)
 	TracksForNet(n, d int) (int, error)
-}
-
-// FeedThroughMemo is an optional extension of RowSpans: a Spans
-// implementation that also provides it overrides where Eq. 11's
-// rounded feed-through expectation comes from, under the same
-// contract — the result must be bit-identical to
-// prob.FeedThroughsCeil(h, p).  Eq. 11 honors the paper's derivation
-// by summing the full Eq. 10 binomial law, which is the costliest
-// term of a warm estimate and a pure function of (H, p) — ideal memo
-// material.
-type FeedThroughMemo interface {
 	FeedThroughsCeil(h int, p float64) (int, error)
 }
 
-// feedThroughsCeil resolves Eq. 11 through the optional memo.
+// feedThroughsCeil, tracksForNet and expectedRowSpan route one lookup
+// through the optional provider, defaulting to the direct prob
+// computation.
 func feedThroughsCeil(spans RowSpans, h int, p float64) (int, error) {
-	if m, ok := spans.(FeedThroughMemo); ok {
-		return m.FeedThroughsCeil(h, p)
+	if spans != nil {
+		return spans.FeedThroughsCeil(h, p)
 	}
 	return prob.FeedThroughsCeil(h, p)
 }
@@ -213,8 +207,6 @@ func expectedTracks(s *netlist.Stats, n int, sharing bool, spans RowSpans) (int,
 	return int(math.Ceil(demand - 1e-9)), nil
 }
 
-// tracksForNet and expectedRowSpan route one row-span lookup through
-// the optional provider, defaulting to the direct prob computation.
 func tracksForNet(spans RowSpans, n, d int) (int, error) {
 	if spans != nil {
 		return spans.TracksForNet(n, d)

@@ -33,9 +33,9 @@ var (
 // and every §3 statistic outside the edit's footprint — device edits
 // adjust the width histogram and area sums by the touched types only,
 // net edits re-bucket only the touched nets' degree classes.  The
-// Eq. 2–11 distributions are not plan state (they live in the
-// process-wide distmemo), so an edit that preserves the degree
-// histogram re-estimates on memo hits alone.
+// Eq. 2–3 and Eq. 11 values come from the process-wide distmemo, and
+// an edit that keeps the degree histogram also keeps the parent's
+// congestion distributions, so it re-estimates on memo hits alone.
 //
 // SwapProcess is outside the incremental algebra and falls back to a
 // full recompile (counted by maest_delta_fallback_total).  An empty
@@ -147,7 +147,7 @@ func (pl *Plan) DeltaCtx(ctx context.Context, edits ...Edit) (np *Plan, err erro
 			AvgDeviceHeight:  s.AvgHeight(),
 		},
 	}
-	np.initMemos()
+	np.initMemos(pl)
 	sp.SetInt("devices", int64(s.N))
 	sp.SetInt("nets", int64(s.H))
 	return np, nil
@@ -155,9 +155,7 @@ func (pl *Plan) DeltaCtx(ctx context.Context, edits ...Edit) (np *Plan, err erro
 
 // childWithRows is the rows-only delta: same circuit, process,
 // statistics, and hash — only the default row count differs.  The
-// memo tables start empty; the parent's entries would all be valid
-// (they are keyed by resolved rows), but sharing mutex-guarded maps
-// across plans is not worth the coupling.
+// memo tables start empty apart from the inherited distributions.
 func (pl *Plan) childWithRows(rows int) *Plan {
 	np := &Plan{
 		circ:         pl.circ,
@@ -174,7 +172,7 @@ func (pl *Plan) childWithRows(rows int) *Plan {
 		initialRows:  pl.initialRows,
 		consts:       pl.consts,
 	}
-	np.initMemos()
+	np.initMemos(pl)
 	return np
 }
 

@@ -1,27 +1,18 @@
-// Package distmemo is the process-wide memo of the estimator's
-// probability distributions: the per-channel Poisson-binomial /
-// per-row feed-through shape sets of internal/congest, keyed by the
-// net-degree histogram they are convolved from, and the §4.1 row-span
-// quantities of internal/prob, keyed by (n, D).
+// Package distmemo is the process-wide memo of the standard-cell
+// estimator's two pure functions of small keys: the §4.1 row-span
+// quantities of internal/prob, keyed by (n, D), and Eq. 11's rounded
+// feed-through expectation, keyed by (H, p).
 //
-// The paper's Eq. 2–11 machinery depends on remarkably little — a
-// channel-demand distribution is a function of the degree histogram,
-// the row count, the grid variant, and the demand model; a row-span
-// distribution is a function of (n, D) alone.  Different modules (and
-// different edit states of one module in an ECO loop) therefore
-// recompute identical convolutions constantly.  This package shares
-// them across every compiled plan in the process.
+// Different modules, and different edit states of one module in an ECO
+// loop, ask for the same keys constantly, so this package shares the
+// values across every compiled plan in the process.  Congestion
+// distributions are not memoized here: each engine Plan keeps its own.
 //
 // The memo is sharded (16 ways, hashed by key) so concurrent plans do
-// not serialize on one lock, size-bounded per shard (oldest-first
-// eviction) so a long-lived service cannot grow it without bound, and
-// collision-proof: a shape entry stores the exact degree classes it
-// was computed from and a lookup verifies them, so a 64-bit histogram
-// hash collision degrades to a miss, never to a wrong distribution.
-//
-// Every value handed out is shared and must be treated as immutable
-// by callers — the same discipline congest.Distributions already
-// documents for its slices.
+// not serialize on one lock, and size-bounded per shard (oldest-first
+// eviction) so a long-lived service cannot grow it without bound.
+// Every value is the one internal/prob computed, so a hit is
+// bit-identical to calling prob directly.
 package distmemo
 
 import (
@@ -36,88 +27,18 @@ import (
 // re-estimate after an edit that preserves the degree histogram
 // should be all hits.
 var (
-	mShapeHits    = obs.DefCounter("maest_distmemo_shape_hits_total", "congestion shape-set memo hits")
-	mShapeMisses  = obs.DefCounter("maest_distmemo_shape_misses_total", "congestion shape-set memo misses")
-	mShapeEvicted = obs.DefCounter("maest_distmemo_shape_evictions_total", "congestion shape-set memo evictions")
-	mSpanHits     = obs.DefCounter("maest_distmemo_rowspan_hits_total", "row-span memo hits")
-	mSpanMisses   = obs.DefCounter("maest_distmemo_rowspan_misses_total", "row-span memo misses")
-	mSpanEvicted  = obs.DefCounter("maest_distmemo_rowspan_evictions_total", "row-span memo evictions")
-	mFeedHits     = obs.DefCounter("maest_distmemo_feedthrough_hits_total", "feed-through count memo hits")
-	mFeedMisses   = obs.DefCounter("maest_distmemo_feedthrough_misses_total", "feed-through count memo misses")
-	mFeedEvicted  = obs.DefCounter("maest_distmemo_feedthrough_evictions_total", "feed-through count memo evictions")
+	mSpanHits    = obs.DefCounter("maest_distmemo_rowspan_hits_total", "row-span memo hits")
+	mSpanMisses  = obs.DefCounter("maest_distmemo_rowspan_misses_total", "row-span memo misses")
+	mSpanEvicted = obs.DefCounter("maest_distmemo_rowspan_evictions_total", "row-span memo evictions")
+	mFeedHits    = obs.DefCounter("maest_distmemo_feedthrough_hits_total", "feed-through count memo hits")
+	mFeedMisses  = obs.DefCounter("maest_distmemo_feedthrough_misses_total", "feed-through count memo misses")
+	mFeedEvicted = obs.DefCounter("maest_distmemo_feedthrough_evictions_total", "feed-through count memo evictions")
 )
-
-// Class is one net-degree class of the §3 histogram: Count nets of
-// degree Degree.  Shape keys are derived from the ordered class list
-// (ascending degree, as netlist.Stats.Degrees yields it).
-type Class struct {
-	Degree, Count int
-}
-
-// HashClasses folds an ordered class list into the 64-bit histogram
-// hash shape keys carry (FNV-1a over the degree/count pairs).  Equal
-// histograms hash equal; the reverse is enforced by the stored-class
-// verification on lookup, not by the hash.
-func HashClasses(classes []Class) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	for _, c := range classes {
-		mix(uint64(c.Degree))
-		mix(uint64(c.Count))
-	}
-	return h
-}
-
-// ShapeKey identifies one congestion shape-set computation: the
-// histogram hash plus every knob the distributions depend on.  The
-// module name is deliberately absent — the shapes are name-free, so
-// differently-named modules with equal histograms share one entry.
-type ShapeKey struct {
-	Hist    uint64
-	Rows    int
-	Gridded bool
-	Model   int
-}
-
-// Shape is the name-free payload of one congestion distribution set:
-// exactly the slices congest.Distributions carries, minus the module
-// identity.  Channels and Feeds are shared; treat them as immutable.
-type Shape struct {
-	// Nets is the number of routable nets the classes sum to.
-	Nets int
-	// Channels[c][t] = P(channel c demands exactly t tracks).
-	Channels [][]float64
-	// Feeds[r][m] = P(row r needs exactly m feed-throughs); nil for
-	// gridded variants.
-	Feeds [][]float64
-}
-
-// shapeEntry pairs a stored shape with the exact classes it was
-// computed from, for collision-proof verification.
-type shapeEntry struct {
-	classes []Class
-	shape   *Shape
-}
 
 const (
 	numShards = 16
-	// shapeShardCap bounds each shard to 64 shape sets (1024 process-
-	// wide); a shape set for a 200-net module is ~100 KiB, so the memo
-	// tops out around 100 MiB in the worst case and far less in
-	// practice (most modules share far smaller shapes).
-	shapeShardCap = 64
 	// spanShardCap bounds each shard to 512 row-span entries (8192
-	// process-wide); an entry is O(n) floats, a few KiB at most.
+	// process-wide); an entry is one float and one int.
 	spanShardCap = 512
 	// feedShardCap bounds each shard to 512 feed-through expectations
 	// (8192 process-wide); an entry is a single int.
@@ -170,16 +91,11 @@ func (s *shard[K, V]) purge() {
 }
 
 var (
-	shapeShards [numShards]shard[ShapeKey, *shapeEntry]
-	spanShards  [numShards]shard[spanKey, *spanEntry]
-	feedShards  [numShards]shard[feedKey, int]
+	spanShards [numShards]shard[spanKey, *spanEntry]
+	feedShards [numShards]shard[feedKey, int]
 )
 
 func init() {
-	for i := range shapeShards {
-		shapeShards[i].cap = shapeShardCap
-		shapeShards[i].evicted = mShapeEvicted
-	}
 	for i := range spanShards {
 		spanShards[i].cap = spanShardCap
 		spanShards[i].evicted = mSpanEvicted
@@ -190,60 +106,14 @@ func init() {
 	}
 }
 
-func shapeShard(k ShapeKey) *shard[ShapeKey, *shapeEntry] {
-	h := k.Hist ^ uint64(k.Rows)<<32 ^ uint64(k.Model)<<16
-	if k.Gridded {
-		h ^= 1 << 8
-	}
-	return &shapeShards[h%numShards]
-}
-
-// classesEqual verifies a candidate entry against the exact histogram
-// a lookup carries.
-func classesEqual(a, b []Class) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// LookupShape returns the memoized shape set for one (histogram,
-// rows, gridded, model) computation, verifying the stored classes
-// match exactly (a hash collision is a miss, never a wrong answer).
-func LookupShape(k ShapeKey, classes []Class) (*Shape, bool) {
-	e, ok := shapeShard(k).get(k)
-	if !ok || !classesEqual(e.classes, classes) {
-		mShapeMisses.Inc()
-		return nil, false
-	}
-	mShapeHits.Inc()
-	return e.shape, true
-}
-
-// StoreShape records a freshly computed shape set.  The classes slice
-// is copied; the shape's payload slices are shared from here on and
-// must never be mutated.
-func StoreShape(k ShapeKey, classes []Class, sh *Shape) {
-	cp := make([]Class, len(classes))
-	copy(cp, classes)
-	shapeShard(k).put(k, &shapeEntry{classes: cp, shape: sh})
-}
-
 // spanKey identifies one row-span computation.
 type spanKey struct {
 	n, d int
 }
 
-// spanEntry memoizes every derived quantity of one RowSpanDist call
-// together, so TracksForNet / ExpectedRowSpan lookups after a RowSpan
-// lookup are free.
+// spanEntry memoizes both row-span quantities of one (n, D) together,
+// so a TracksForNet lookup after an ExpectedRowSpan lookup is free.
 type spanEntry struct {
-	dist   []float64
 	e      float64
 	tracks int
 }
@@ -262,10 +132,6 @@ func rowSpanEntry(n, d int) (*spanEntry, error) {
 		return e, nil
 	}
 	mSpanMisses.Inc()
-	dist, err := prob.RowSpanDist(n, d)
-	if err != nil {
-		return nil, err
-	}
 	ev, err := prob.ExpectedRowSpan(n, d)
 	if err != nil {
 		return nil, err
@@ -274,19 +140,9 @@ func rowSpanEntry(n, d int) (*spanEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &spanEntry{dist: dist, e: ev, tracks: tracks}
+	e := &spanEntry{e: ev, tracks: tracks}
 	spanShard(k).put(k, e)
 	return e, nil
-}
-
-// RowSpan returns prob.RowSpanDist(n, D), memoized.  The returned
-// slice is shared; treat it as immutable.
-func RowSpan(n, d int) ([]float64, error) {
-	e, err := rowSpanEntry(n, d)
-	if err != nil {
-		return nil, err
-	}
-	return e.dist, nil
 }
 
 // ExpectedRowSpan returns prob.ExpectedRowSpan(n, D), memoized.  The
@@ -347,27 +203,10 @@ func FeedThroughsCeil(h int, p float64) (int, error) {
 // measure cold paths; production code never needs it (the tables are
 // size-bounded).
 func Purge() {
-	for i := range shapeShards {
-		shapeShards[i].purge()
-	}
 	for i := range spanShards {
 		spanShards[i].purge()
 	}
 	for i := range feedShards {
 		feedShards[i].purge()
 	}
-}
-
-// Metrics reports the cumulative hit/miss/eviction counters of the
-// shape and row-span tables (shape set first), for tests and
-// debugging; the same numbers are exported as maest_distmemo_*
-// Prometheus counters.
-func Metrics() (shapeHits, shapeMisses, shapeEvictions, spanHits, spanMisses, spanEvictions int64) {
-	return mShapeHits.Value(), mShapeMisses.Value(), mShapeEvicted.Value(),
-		mSpanHits.Value(), mSpanMisses.Value(), mSpanEvicted.Value()
-}
-
-// FeedMetrics reports the feed-through table's counters.
-func FeedMetrics() (hits, misses, evictions int64) {
-	return mFeedHits.Value(), mFeedMisses.Value(), mFeedEvicted.Value()
 }

@@ -7,16 +7,26 @@ package distmemo
 // depends on the memo never perturbing a float.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"maest/internal/prob"
 )
 
+// feedCase is one Eq. 11 input: H routable nets at central-row
+// feed-through probability p.
+type feedCase struct {
+	h int
+	p float64
+}
+
 // TestRowSpanBitIdentical sweeps randomized (n, D) pairs — including
 // the n≈200 regime where the naive Eq. 2 evaluation catastrophically
-// cancels and the forward chain matters — and demands exact equality
-// with internal/prob on the cold path and again on the memo hit.
+// cancels and the forward chain matters — and (H, p) pairs from the
+// degenerate H = 0, p = 0 and p = 1 ends to H in the thousands, and
+// demands exact equality with internal/prob on the cold path and
+// again on the memo hit.
 func TestRowSpanBitIdentical(t *testing.T) {
 	Purge()
 	rng := rand.New(rand.NewSource(1988))
@@ -30,37 +40,20 @@ func TestRowSpanBitIdentical(t *testing.T) {
 		pairs = append(pairs, pair{n: 1 + rng.Intn(220), d: 2 + rng.Intn(20)})
 	}
 	for _, pc := range pairs {
-		wantDist, err := prob.RowSpanDist(pc.n, pc.d)
-		if err != nil {
-			t.Fatalf("(%d,%d): %v", pc.n, pc.d, err)
-		}
 		wantE, err := prob.ExpectedRowSpan(pc.n, pc.d)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("(%d,%d): %v", pc.n, pc.d, err)
 		}
 		wantTracks, err := prob.TracksForNet(pc.n, pc.d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for round := 0; round < 2; round++ { // cold, then memo hit
-			dist, err := RowSpan(pc.n, pc.d)
+			e, err := ExpectedRowSpan(pc.n, pc.d)
 			if err != nil {
 				t.Fatalf("(%d,%d) round %d: %v", pc.n, pc.d, round, err)
 			}
-			if len(dist) != len(wantDist) {
-				t.Fatalf("(%d,%d) round %d: dist length %d, want %d", pc.n, pc.d, round, len(dist), len(wantDist))
-			}
-			for j := range dist {
-				if dist[j] != wantDist[j] {
-					t.Fatalf("(%d,%d) round %d: dist[%d] = %g, prob says %g",
-						pc.n, pc.d, round, j, dist[j], wantDist[j])
-				}
-			}
-			e, err := ExpectedRowSpan(pc.n, pc.d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e != wantE {
+			if math.Float64bits(e) != math.Float64bits(wantE) {
 				t.Fatalf("(%d,%d) round %d: E = %g, prob says %g", pc.n, pc.d, round, e, wantE)
 			}
 			tracks, err := TracksForNet(pc.n, pc.d)
@@ -72,27 +65,54 @@ func TestRowSpanBitIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	feeds := []feedCase{
+		{0, 0.3}, {0, 0}, {0, 1}, {17, 0}, {17, 1}, {1, 0.5},
+		{2500, 0.5}, {4000, 0.001}, {9999, 2.0 / 9},
+	}
+	for i := 0; i < 40; i++ {
+		p, err := prob.CentralFeedThroughProb(1 + rng.Intn(40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		feeds = append(feeds, feedCase{h: rng.Intn(3000), p: p})
+	}
+	for _, fc := range feeds {
+		want, err := prob.FeedThroughsCeil(fc.h, fc.p)
+		if err != nil {
+			t.Fatalf("(%d,%g): %v", fc.h, fc.p, err)
+		}
+		for round := 0; round < 2; round++ {
+			got, err := FeedThroughsCeil(fc.h, fc.p)
+			if err != nil {
+				t.Fatalf("(%d,%g) round %d: %v", fc.h, fc.p, round, err)
+			}
+			if got != want {
+				t.Fatalf("(%d,%g) round %d: feed-throughs = %d, prob says %d", fc.h, fc.p, round, got, want)
+			}
+		}
+	}
 }
 
 func TestRowSpanHitMissAccounting(t *testing.T) {
 	Purge()
-	_, _, _, h0, m0, _ := Metrics()
+	h0, m0 := mSpanHits.Value(), mSpanMisses.Value()
 	if _, err := ExpectedRowSpan(17, 5); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, h1, m1, _ := Metrics()
+	h1, m1 := mSpanHits.Value(), mSpanMisses.Value()
 	if m1 != m0+1 || h1 != h0 {
 		t.Fatalf("cold lookup moved (hits,misses) by (%d,%d), want (0,1)", h1-h0, m1-m0)
 	}
-	// The entry memoizes every derived quantity together: a different
-	// quantity at the same (n, D) is a hit, not a second computation.
+	// The entry memoizes both quantities together: the other quantity
+	// at the same (n, D) is a hit, not a second computation.
 	if _, err := TracksForNet(17, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RowSpan(17, 5); err != nil {
+	if _, err := ExpectedRowSpan(17, 5); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, h2, m2, _ := Metrics()
+	h2, m2 := mSpanHits.Value(), mSpanMisses.Value()
 	if m2 != m1 || h2 != h1+2 {
 		t.Fatalf("warm lookups moved (hits,misses) by (%d,%d), want (2,0)", h2-h1, m2-m1)
 	}
@@ -103,110 +123,46 @@ func TestRowSpanHitMissAccounting(t *testing.T) {
 // same error prob would.
 func TestErrorsNeverCached(t *testing.T) {
 	Purge()
-	_, wantErr := prob.RowSpanDist(0, 2)
+	_, wantErr := prob.ExpectedRowSpan(0, 2)
 	if wantErr == nil {
 		t.Fatal("prob accepted n = 0; update this test")
 	}
-	_, _, _, _, m0, _ := Metrics()
+	badFeeds := []feedCase{{-1, 0.5}, {5, -0.1}, {5, 1.5}, {5, math.NaN()}}
+	s0, f0 := mSpanMisses.Value(), mFeedMisses.Value()
 	for i := 0; i < 2; i++ {
-		if _, err := RowSpan(0, 2); err == nil {
+		if _, err := ExpectedRowSpan(0, 2); err == nil {
 			t.Fatal("memo accepted n = 0")
 		} else if err.Error() != wantErr.Error() {
 			t.Fatalf("error rewritten by the memo: %q, want %q", err, wantErr)
 		}
-		if _, err := ExpectedRowSpan(3, 0); err == nil {
+		if _, err := TracksForNet(3, 0); err == nil {
 			t.Fatal("memo accepted D = 0")
 		}
-	}
-	_, _, _, _, m1, _ := Metrics()
-	if m1-m0 != 4 {
-		t.Fatalf("4 failing lookups counted %d misses; errors must not be cached", m1-m0)
-	}
-}
-
-func TestShapeRoundTrip(t *testing.T) {
-	Purge()
-	classes := []Class{{Degree: 2, Count: 5}, {Degree: 3, Count: 2}}
-	key := ShapeKey{Hist: HashClasses(classes), Rows: 4, Gridded: false, Model: 1}
-	if _, ok := LookupShape(key, classes); ok {
-		t.Fatal("hit on an empty memo")
-	}
-	sh := &Shape{Nets: 7, Channels: [][]float64{{0.5, 0.5}}, Feeds: [][]float64{{1}}}
-	StoreShape(key, classes, sh)
-	got, ok := LookupShape(key, classes)
-	if !ok {
-		t.Fatal("miss immediately after store")
-	}
-	if got != sh {
-		t.Fatal("lookup returned a different payload than stored")
-	}
-	// Any key component change is a distinct computation.
-	for _, k := range []ShapeKey{
-		{Hist: key.Hist, Rows: 5, Gridded: false, Model: 1},
-		{Hist: key.Hist, Rows: 4, Gridded: true, Model: 1},
-		{Hist: key.Hist, Rows: 4, Gridded: false, Model: 0},
-		{Hist: key.Hist + 1, Rows: 4, Gridded: false, Model: 1},
-	} {
-		if _, ok := LookupShape(k, classes); ok {
-			t.Fatalf("hit under mismatched key %+v", k)
+		for _, fc := range badFeeds {
+			_, want := prob.FeedThroughsCeil(fc.h, fc.p)
+			if want == nil {
+				t.Fatalf("prob accepted (%d,%g); update this test", fc.h, fc.p)
+			}
+			if _, err := FeedThroughsCeil(fc.h, fc.p); err == nil {
+				t.Fatalf("memo accepted (%d,%g)", fc.h, fc.p)
+			} else if err.Error() != want.Error() {
+				t.Fatalf("error rewritten by the memo: %q, want %q", err, want)
+			}
 		}
 	}
-}
-
-// TestShapeCollisionIsMiss pins the collision-proofing: two different
-// histograms forced under one 64-bit key must degrade to a miss for
-// the second, never to the first histogram's distributions.
-func TestShapeCollisionIsMiss(t *testing.T) {
-	Purge()
-	a := []Class{{Degree: 2, Count: 3}}
-	b := []Class{{Degree: 2, Count: 4}, {Degree: 5, Count: 1}}
-	// Same key for both — a simulated FNV collision.
-	key := ShapeKey{Hist: 42, Rows: 3, Model: 0}
-	StoreShape(key, a, &Shape{Nets: 3})
-	if _, ok := LookupShape(key, b); ok {
-		t.Fatal("histogram collision served the wrong distributions")
+	if got := mSpanMisses.Value() - s0; got != 4 {
+		t.Fatalf("4 failing row-span lookups counted %d misses; errors must not be cached", got)
 	}
-	if got, ok := LookupShape(key, a); !ok || got.Nets != 3 {
-		t.Fatal("original histogram no longer resident")
-	}
-	// The stored classes are a private copy: mutating the caller's
-	// slice after StoreShape must not corrupt verification.
-	c := []Class{{Degree: 7, Count: 2}}
-	keyC := ShapeKey{Hist: 43, Rows: 3, Model: 0}
-	StoreShape(keyC, c, &Shape{Nets: 2})
-	c[0].Count = 99
-	if _, ok := LookupShape(keyC, []Class{{Degree: 7, Count: 2}}); !ok {
-		t.Fatal("stored classes aliased the caller's slice")
+	if got := mFeedMisses.Value() - f0; got != 8 {
+		t.Fatalf("8 failing feed-through lookups counted %d misses; errors must not be cached", got)
 	}
 }
 
-// TestShapeEviction overfills the shape table (capacity 64 × 16
-// shards) and checks oldest-first eviction: early keys are gone, late
-// keys resident, and the eviction counter accounts for the overflow.
-func TestShapeEviction(t *testing.T) {
-	Purge()
-	classes := []Class{{Degree: 2, Count: 1}}
-	const total = 2048 // 2× process-wide capacity
-	_, _, e0, _, _, _ := Metrics()
-	for i := 0; i < total; i++ {
-		StoreShape(ShapeKey{Hist: uint64(i), Rows: 1}, classes, &Shape{Nets: i})
-	}
-	_, _, e1, _, _, _ := Metrics()
-	if evicted := e1 - e0; evicted != total-16*64 {
-		t.Fatalf("evicted %d entries storing %d into a %d-entry table", evicted, total, 16*64)
-	}
-	if _, ok := LookupShape(ShapeKey{Hist: 0, Rows: 1}, classes); ok {
-		t.Fatal("oldest entry survived a full overwrite cycle")
-	}
-	if got, ok := LookupShape(ShapeKey{Hist: total - 1, Rows: 1}, classes); !ok || got.Nets != total-1 {
-		t.Fatal("newest entry missing after eviction cycle")
-	}
-}
-
-// TestSpanEvictionStaysBitIdentical drives one span shard past its
-// capacity (keys n ≡ 2 mod 16 at fixed D land in one shard) and
-// checks both the eviction accounting and the property eviction must
-// preserve: a recomputed entry equals the evicted one exactly.
+// TestSpanEvictionStaysBitIdentical drives one span shard and one feed
+// shard past capacity (keys n ≡ 2 mod 16 at fixed D, and H ≡ 1 mod 16
+// at fixed p, each land in one shard) and checks both the eviction
+// accounting and the property eviction must preserve: a recomputed
+// entry equals the evicted one exactly.
 func TestSpanEvictionStaysBitIdentical(t *testing.T) {
 	Purge()
 	const d = 2
@@ -215,30 +171,54 @@ func TestSpanEvictionStaysBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, _, ev0 := Metrics()
-	for k := 0; k < 512+extra; k++ {
+	ev0 := mSpanEvicted.Value()
+	for k := 0; k < spanShardCap+extra; k++ {
 		if _, err := ExpectedRowSpan(2+16*k, d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, _, _, _, _, ev1 := Metrics()
-	// The first loop iteration re-hits the warm (2, d) entry, so the
-	// shard holds 512+extra-? entries; at least `extra` evictions must
-	// have happened and the oldest key (n=2) must be among the victims.
-	if ev1-ev0 < extra {
-		t.Fatalf("only %d evictions after overfilling a 512-entry shard by %d", ev1-ev0, extra)
+	// The first loop iteration re-hits the warm (2, d) entry, so at
+	// least `extra` evictions must have happened and the oldest key
+	// (n=2) must be among the victims.
+	if ev := mSpanEvicted.Value() - ev0; ev < extra {
+		t.Fatalf("only %d evictions after overfilling a %d-entry shard by %d", ev, spanShardCap, extra)
 	}
-	_, _, _, _, m0, _ := Metrics()
+	m0 := mSpanMisses.Value()
 	again, err := ExpectedRowSpan(2, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, m1, _ := Metrics()
-	if m1 != m0+1 {
-		t.Fatalf("evicted entry did not recompute (miss delta %d)", m1-m0)
+	if m := mSpanMisses.Value() - m0; m != 1 {
+		t.Fatalf("evicted entry did not recompute (miss delta %d)", m)
 	}
-	if again != firstE {
+	if math.Float64bits(again) != math.Float64bits(firstE) {
 		t.Fatalf("recomputed span %g differs from pre-eviction %g", again, firstE)
+	}
+
+	const p = 2.0 / 9
+	firstM, err := FeedThroughsCeil(1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe0 := mFeedEvicted.Value()
+	for k := 1; k <= feedShardCap+extra; k++ {
+		if _, err := FeedThroughsCeil(1+16*k, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev := mFeedEvicted.Value() - fe0; ev != extra+1 {
+		t.Fatalf("%d feed evictions after overfilling a %d-entry shard by %d", ev, feedShardCap, extra+1)
+	}
+	fm0 := mFeedMisses.Value()
+	againM, err := FeedThroughsCeil(1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := mFeedMisses.Value() - fm0; m != 1 {
+		t.Fatalf("evicted feed entry did not recompute (miss delta %d)", m)
+	}
+	if againM != firstM {
+		t.Fatalf("recomputed feed-throughs %d differ from pre-eviction %d", againM, firstM)
 	}
 }
 
@@ -247,38 +227,21 @@ func TestPurge(t *testing.T) {
 	if _, err := ExpectedRowSpan(9, 3); err != nil {
 		t.Fatal(err)
 	}
-	classes := []Class{{Degree: 2, Count: 2}}
-	key := ShapeKey{Hist: HashClasses(classes), Rows: 2}
-	StoreShape(key, classes, &Shape{Nets: 2})
-	Purge()
-	if _, ok := LookupShape(key, classes); ok {
-		t.Fatal("shape survived Purge")
+	if _, err := FeedThroughsCeil(9, 0.25); err != nil {
+		t.Fatal(err)
 	}
-	_, _, _, _, m0, _ := Metrics()
+	Purge()
+	s0, f0 := mSpanMisses.Value(), mFeedMisses.Value()
 	if _, err := ExpectedRowSpan(9, 3); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, m1, _ := Metrics()
-	if m1 != m0+1 {
+	if mSpanMisses.Value() != s0+1 {
 		t.Fatal("span entry survived Purge")
 	}
-}
-
-func TestHashClasses(t *testing.T) {
-	a := []Class{{2, 3}, {4, 1}}
-	b := []Class{{2, 3}, {4, 1}}
-	if HashClasses(a) != HashClasses(b) {
-		t.Fatal("equal class lists hash differently")
+	if _, err := FeedThroughsCeil(9, 0.25); err != nil {
+		t.Fatal(err)
 	}
-	for _, other := range [][]Class{
-		{{2, 3}},
-		{{4, 1}, {2, 3}},
-		{{2, 4}, {4, 1}},
-		{{3, 2}, {4, 1}},
-		nil,
-	} {
-		if HashClasses(a) == HashClasses(other) {
-			t.Fatalf("distinct class lists %v and %v collide", a, other)
-		}
+	if mFeedMisses.Value() != f0+1 {
+		t.Fatal("feed entry survived Purge")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -296,19 +297,25 @@ func CompileCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process) (pl *P
 			AvgDeviceHeight:  s.AvgHeight(),
 		},
 	}
-	pl.initMemos()
+	pl.initMemos(nil)
 	return pl, nil
 }
 
-// initMemos allocates the (empty) execute-result memo tables; shared
-// by Compile and the incremental Delta constructor.
-func (pl *Plan) initMemos() {
+// initMemos allocates the execute-result memo tables for Compile and
+// Delta.  A Delta child starts with its parent's congestion
+// distributions when the degree histogram, all they depend on, is equal.
+func (pl *Plan) initMemos(parent *Plan) {
 	pl.sc = make(map[scKey]*core.SCEstimate)
 	pl.prof = make(map[scKey]*core.SCEstimate)
 	pl.sweeps = make(map[sweepKey][]*core.SCEstimate)
 	pl.bundle = make(map[scKey]*core.Result)
 	pl.dists = make(map[distKey]*congest.Distributions)
 	pl.maps = make(map[congKey]*congest.Map)
+	if parent != nil && maps.Equal(pl.stats.DegreeCount, parent.stats.DegreeCount) {
+		parent.mu.Lock()
+		maps.Copy(pl.dists, parent.dists)
+		parent.mu.Unlock()
+	}
 }
 
 // rowsFor resolves a row knob against the plan's ResizeRows default:

@@ -216,7 +216,6 @@ func TestDeltaConcurrentHammer(t *testing.T) {
 						return
 					}
 				case 4:
-					distmemo.Metrics()
 					if (w+i)%15 == 4 {
 						distmemo.Purge()
 					}

@@ -199,7 +199,7 @@ func FeedThroughCountDist(H int, p float64) ([]float64, error) {
 	if H < 0 {
 		return nil, fmt.Errorf("prob: FeedThroughCountDist needs H ≥ 0, got %d", H)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("prob: feed-through probability %g outside [0,1]", p)
 	}
 	dist := make([]float64, H+1)

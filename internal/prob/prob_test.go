@@ -336,6 +336,9 @@ func TestFeedThroughCountDist(t *testing.T) {
 	if _, err := FeedThroughCountDist(3, 1.5); err == nil {
 		t.Error("p=1.5 accepted")
 	}
+	if _, err := FeedThroughCountDist(3, math.NaN()); err == nil {
+		t.Error("p=NaN accepted")
+	}
 }
 
 func TestExpectedFeedThroughsEqualsHp(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -385,7 +386,10 @@ func (jm *jobManager) drain() {
 // canonical module renderings, the nets and the resolved knobs.
 // Identical requests — byte-level differences in netlist formatting
 // included — share one job, which is also what lets a restarted
-// server answer a resubmit from the persisted record.
+// server answer a resubmit from the persisted record.  The fields are
+// written without framing, so handleFloorplan rejects the separator
+// bytes they could carry; two different requests then never hash
+// alike.
 func jobID(chip, procName string, canons [][]byte, nets []floorplan.Net, cfg jobConfig) (string, Key) {
 	h := sha256.New()
 	io.WriteString(h, "maest-floorplan-job-v1\x00")
@@ -486,8 +490,16 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 	}
 	nets := make([]floorplan.Net, len(req.Nets))
 	for i, n := range req.Nets {
+		if strings.ContainsAny(n.Name, " \x00") {
+			s.fail(w, info, reqErr("net %q: name contains a space or NUL", n.Name))
+			return
+		}
 		pins := make([]floorplan.NetPin, len(n.Pins))
 		for j, p := range n.Pins {
+			if strings.ContainsAny(p.Module, " .\x00") || strings.ContainsAny(p.Port, " \x00") {
+				s.fail(w, info, reqErr("net %q: pin %q.%q: a space or NUL, or a '.' in the module, would make the job id ambiguous", n.Name, p.Module, p.Port))
+				return
+			}
 			if !names[p.Module] {
 				s.fail(w, info, reqErr("net %q references unknown module %q", n.Name, p.Module))
 				return
@@ -525,6 +537,10 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 	chip := req.Chip
 	if chip == "" {
 		chip = "chip"
+	}
+	if strings.IndexByte(chip, 0) >= 0 {
+		s.fail(w, info, reqErr("chip name %q contains NUL", chip))
+		return
 	}
 
 	id, key := jobID(chip, procName, canons, nets, cfg)

@@ -365,9 +365,23 @@ func TestJobManagerHammer(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFloorplanRequestValidation also pins that no two different
+// requests share a job id.  jobID writes net names, pin modules and
+// pin ports without framing, so net "n" with pins fp0.out and fp1.in
+// and net "n fp0.out" with pin fp1.in hash alike; the second submit
+// used to be answered with the first job.  Every field byte the hash
+// could confuse is a 400 at submit.
 func TestFloorplanRequestValidation(t *testing.T) {
 	s := New(Options{})
 	t.Cleanup(s.FlushStore)
+	withNet := func(name string, pins ...GlobalPinBody) string {
+		r := fpRequest(2)
+		r.Nets = []GlobalNetBody{{Name: name, Pins: pins}}
+		return marshal(t, r)
+	}
+	fp0Out, fp1In := GlobalPinBody{Module: "fp0", Port: "out"}, GlobalPinBody{Module: "fp1", Port: "in"}
+	nulChip := fpRequest(2)
+	nulChip.Chip = "chip\x00"
 	cases := []struct {
 		name string
 		body string
@@ -392,6 +406,19 @@ func TestFloorplanRequestValidation(t *testing.T) {
 				{Module: "ghost", Port: "p"},
 			}}},
 		}), http.StatusBadRequest},
+		{"net name with a space", withNet("n fp0.out", fp1In), http.StatusBadRequest},
+		{"NUL in net name", withNet("n\x00", fp1In), http.StatusBadRequest},
+		{"space in pin module", withNet("n", GlobalPinBody{Module: "fp0 x", Port: "out"}), http.StatusBadRequest},
+		{"NUL in pin module", withNet("n", GlobalPinBody{Module: "fp0\x00", Port: "out"}), http.StatusBadRequest},
+		{"dot in pin module", marshal(t, FloorplanRequest{
+			Modules: []ModuleInput{batchModule("a.b", 3), batchModule("c", 3)},
+			Nets: []GlobalNetBody{{Name: "n", Pins: []GlobalPinBody{
+				{Module: "a.b", Port: "out"}, {Module: "c", Port: "in"},
+			}}},
+		}), http.StatusBadRequest},
+		{"space in pin port", withNet("n", GlobalPinBody{Module: "fp0", Port: "o ut"}), http.StatusBadRequest},
+		{"NUL in pin port", withNet("n", GlobalPinBody{Module: "fp0", Port: "out\x00"}), http.StatusBadRequest},
+		{"NUL in chip name", marshal(t, nulChip), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if w := do(s, "POST", "/v1/floorplan", tc.body); w.Code != tc.want {
@@ -404,6 +431,13 @@ func TestFloorplanRequestValidation(t *testing.T) {
 	s.jobs.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d jobs registered by rejected submits", n)
+	}
+	// The colliding pair: the first is a job, the second still a 400.
+	if w := do(s, "POST", "/v1/floorplan", withNet("n", fp0Out, fp1In)); w.Code != http.StatusAccepted {
+		t.Fatalf("first of the pair: status %d: %s", w.Code, w.Body.String())
+	}
+	if w := do(s, "POST", "/v1/floorplan", withNet("n fp0.out", fp1In)); w.Code != http.StatusBadRequest {
+		t.Fatalf("second of the pair: status %d, want 400: %s", w.Code, w.Body.String())
 	}
 }
 

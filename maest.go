@@ -873,14 +873,10 @@ type (
 	// RemoveCell, ResizeRows, and SwapProcess.
 	Edit = engine.Edit
 	// RowSpans optionally overrides where the standard-cell kernel's
-	// Eq. 2–3 row-span quantities come from; implementations must be
-	// bit-identical to the direct computation.
+	// Eq. 2–3 row-span quantities and Eq. 11 feed-through expectation
+	// come from; implementations must be bit-identical to the direct
+	// computation.
 	RowSpans = core.RowSpans
-	// FeedThroughMemo is the optional second interface a RowSpans
-	// implementation may provide to also serve the Eq. 11 feed-through
-	// expectation (the engine's memoSpans does, through distmemo);
-	// results must be bit-identical to the direct computation.
-	FeedThroughMemo = core.FeedThroughMemo
 )
 
 // AddNet creates a new net connecting the named devices.

@@ -16,6 +16,9 @@ go build ./...
 # The examples tree is built explicitly: example programs have no
 # tests, so only a build catches API drift there.
 go build ./examples/...
+# Layering: the estimator kernels sit below the engine, so none of
+# them may depend on any internal/engine package.
+if go list -deps ./internal/core ./internal/congest ./internal/prob | grep '^maest/internal/engine'; then echo "layering: a kernel depends on internal/engine" >&2; exit 1; fi
 # The load benchmark is its own module linking the serve and engine
 # packages, so neither ./... run above reaches it; vet and short-test
 # it so API drift there fails here rather than in a benchmark run.
