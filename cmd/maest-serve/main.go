@@ -22,14 +22,16 @@
 // -backend turns the instance into a forwarding hop (the maest-router
 // building block): /v1/* relays to the backend with the W3C
 // traceparent re-injected, so one trace id spans client → router →
-// shard.  -store-dir mounts the persistent plan store: results and
-// congestion maps persist across restarts under their content
-// addresses, so a restarted instance answers repeat requests from disk
-// instead of re-paying compile+execute (-store-max-bytes caps the
-// store; the oldest segments are evicted beyond it).  -watchdog starts the accuracy watchdog: every interval the
-// golden circuit set replays through the live plan cache and /healthz
-// degrades (503) when any module drifts beyond -watchdog-tol
-// percentage points from the pinned reference.
+// shard.  -store-dir mounts the persistent plan store: estimate
+// results, congestion maps and finished floorplan jobs persist across
+// restarts under their content addresses, so a restarted instance
+// answers repeat requests from disk instead of re-paying
+// compile+execute.  The store is write-once: a rewritten key
+// supersedes its older record, and beyond -store-max-bytes the oldest
+// segments are evicted whole.  -watchdog starts the accuracy
+// watchdog: every interval the golden circuit set replays through the
+// live plan cache and /healthz degrades (503) when any module drifts
+// beyond -watchdog-tol percentage points from the pinned reference.
 //
 // Endpoints:
 //

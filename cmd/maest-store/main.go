@@ -1,18 +1,18 @@
-// Command maest-store inspects and maintains a persistent estimate
-// store directory (a maest-serve -store-dir) offline.
+// Command maest-store inspects a persistent estimate store directory
+// (a maest-serve -store-dir) offline.
 //
 // Usage:
 //
-//	maest-store stats   -dir DIR [-json]
-//	maest-store verify  -dir DIR [-json]
-//	maest-store compact -dir DIR [-json]
+//	maest-store stats  -dir DIR [-json]
+//	maest-store verify -dir DIR [-json]
 //
 // stats prints the store's statistics snapshot; verify re-reads and
 // re-checksums every record in every segment and exits non-zero when
-// any fails its CRC — including records the open-time WAL repair
-// already skipped and truncated away, which a post-repair scan alone
-// would never see; compact rewrites segments until no superseded or
-// tombstoned records remain, reporting the bytes reclaimed.
+// any fails its CRC — including records open already skipped (a WAL
+// tail truncated away, a sealed segment whose header is unreadable),
+// which a post-open scan alone would never see.  The store is
+// write-once, so there is nothing to maintain: superseded records
+// leave with their segment when the byte budget evicts it.
 //
 // The store is an embedded, single-owner database: run this tool only
 // against a directory no maest-serve instance currently has open.
@@ -42,8 +42,6 @@ func main() {
 		err = runStats(args)
 	case "verify":
 		err = runVerify(args)
-	case "compact":
-		err = runCompact(args)
 	case "help", "-h", "-help", "--help":
 		usage(os.Stdout)
 		return
@@ -63,9 +61,8 @@ func usage(w *os.File) {
 
 Usage:
 
-  maest-store stats   -dir DIR [-json]   statistics snapshot
-  maest-store verify  -dir DIR [-json]   re-checksum every record
-  maest-store compact -dir DIR [-json]   drop superseded/tombstoned records
+  maest-store stats  -dir DIR [-json]   statistics snapshot
+  maest-store verify -dir DIR [-json]   re-checksum every record
 
 Run only against a directory no server has open.
 `)
@@ -115,7 +112,6 @@ func runStats(args []string) error {
 	fmt.Printf("segments:     %d sealed (%d cold) + WAL\n", stats.Segments, stats.ColdSegments)
 	fmt.Printf("bytes:        %d (WAL %d)\n", stats.Bytes, stats.WALBytes)
 	fmt.Printf("records:      %d on disk, %d keys indexed\n", stats.Records, stats.IndexedKeys)
-	fmt.Printf("garbage:      %d bytes superseded or tombstoned\n", stats.GarbageBytes)
 	if stats.TruncatedTails > 0 {
 		fmt.Printf("repairs:      %d torn tails truncated on open\n", stats.TruncatedTails)
 	}
@@ -133,12 +129,13 @@ func runVerify(args []string) error {
 		return err
 	}
 	defer st.Close()
-	// Opening already scanned the WAL and repaired what it found: a
-	// record failing its CRC mid-file is counted and truncated away
-	// there, so by the time Verify re-reads the file it looks clean.
-	// Fold the open-time evidence into the verdict — corruption must
-	// not hide behind its own repair.  A pure torn tail (short final
-	// record, the ordinary crash signature) is reported but benign.
+	// Opening already scanned every file and repaired what it found: a
+	// WAL record failing its CRC mid-file is counted and truncated
+	// away, and a sealed segment with an unreadable header is counted
+	// and skipped, so Verify's re-read never sees either.  Fold the
+	// open-time evidence into the verdict — corruption must not hide
+	// behind its own repair.  A pure torn tail (short final record, the
+	// ordinary crash signature) is reported but benign.
 	stats := st.Stats()
 	rep, err := st.Verify()
 	if err != nil {
@@ -160,45 +157,17 @@ func runVerify(args []string) error {
 			fmt.Printf("open: %d torn tails truncated (benign crash signature)\n", stats.TruncatedTails)
 		}
 		if stats.CorruptRecords > 0 {
-			fmt.Printf("open: %d corrupt records skipped during WAL repair; later records were discarded\n", stats.CorruptRecords)
+			fmt.Printf("open: %d corrupt records skipped during WAL repair or segment load; the records after each were not loaded\n", stats.CorruptRecords)
 		}
 	}
 	switch {
 	case !rep.Clean:
 		return fmt.Errorf("verification failed: %d corrupt records", rep.Corrupt)
 	case stats.CorruptRecords > 0:
-		return fmt.Errorf("verification failed: %d corrupt records repaired away on open", stats.CorruptRecords)
+		return fmt.Errorf("verification failed: %d corrupt records skipped on open", stats.CorruptRecords)
 	case stats.Degraded:
 		return fmt.Errorf("verification failed: store is degraded")
 	}
-	return nil
-}
-
-func runCompact(args []string) error {
-	fs, dir, asJSON := dirFlags("compact")
-	fs.Parse(args)
-	st, err := open(*dir)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	before := st.Stats()
-	n, err := st.Compact()
-	if err != nil {
-		return err
-	}
-	after := st.Stats()
-	if *asJSON {
-		return printJSON(struct {
-			Compacted      int   `json:"segments_compacted"`
-			BytesBefore    int64 `json:"bytes_before"`
-			BytesAfter     int64 `json:"bytes_after"`
-			BytesReclaimed int64 `json:"bytes_reclaimed"`
-			Records        int64 `json:"records"`
-		}{n, before.Bytes, after.Bytes, before.Bytes - after.Bytes, after.Records})
-	}
-	fmt.Printf("compacted %d segments: %d -> %d bytes (%d reclaimed), %d records\n",
-		n, before.Bytes, after.Bytes, before.Bytes-after.Bytes, after.Records)
 	return nil
 }
 

@@ -13,9 +13,9 @@ import (
 	"maest/internal/store"
 )
 
-// populate writes n keys (and rewrites the first third, so compaction
-// has garbage to reclaim) across several small segments, then closes
-// the store.
+// populate writes n keys (and rewrites the first third, leaving
+// superseded records on disk) across several small segments, then
+// closes the store.
 func populate(t *testing.T, dir string, n int) {
 	t.Helper()
 	st, err := store.Open(store.Options{Dir: dir, SegmentBytes: 4 << 10})
@@ -81,9 +81,10 @@ func TestStatsTextAndJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &stats); err != nil {
 		t.Fatalf("stats -json not parseable: %v\n%s", err, out)
 	}
-	// 60 keys plus 20 rewrites: 80 physical records until compaction.
-	if stats.Records != 80 || stats.GarbageBytes == 0 || stats.Degraded {
-		t.Fatalf("stats = %+v, want 80 records with garbage, not degraded", stats)
+	// 60 keys plus 20 rewrites: the store is write-once, so all 80
+	// physical records stay on disk.
+	if stats.Records != 80 || stats.Degraded {
+		t.Fatalf("stats = %+v, want 80 records, not degraded", stats)
 	}
 }
 
@@ -196,48 +197,30 @@ func TestVerifyWALCorruption(t *testing.T) {
 	})
 }
 
-func TestCompactReclaims(t *testing.T) {
+// TestVerifyRottenSegmentHeader: a sealed segment whose magic is
+// unreadable does not stop the store from opening, but open skips it,
+// so verify must fail on the open-time evidence.
+func TestVerifyRottenSegmentHeader(t *testing.T) {
 	dir := t.TempDir()
 	populate(t, dir, 60)
-
-	out, err := capture(t, func() error { return runCompact([]string{"-dir", dir, "-json"}) })
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no sealed segments: %v %v", segs, err)
+	}
+	b, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res struct {
-		Compacted      int   `json:"segments_compacted"`
-		BytesReclaimed int64 `json:"bytes_reclaimed"`
-		Records        int64 `json:"records"`
-	}
-	if err := json.Unmarshal([]byte(out), &res); err != nil {
-		t.Fatalf("compact -json not parseable: %v\n%s", err, out)
-	}
-	if res.Compacted == 0 || res.BytesReclaimed <= 0 {
-		t.Fatalf("compact reclaimed nothing: %+v", res)
-	}
-	if res.Records != 60 {
-		t.Fatalf("compact lost records: %+v", res)
-	}
-
-	// Every key survives with its latest value.
-	st, err := store.Open(store.Options{Dir: dir})
-	if err != nil {
+	b[0] ^= 0xFF
+	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	for i := 0; i < 60; i++ {
-		key := store.Key(sha256.Sum256([]byte(fmt.Sprintf("cli-key-%d", i))))
-		val, ok, err := st.Get(store.NSResult, key)
-		if err != nil || !ok {
-			t.Fatalf("key %d missing after compact: ok=%v err=%v", i, ok, err)
-		}
-		want := fmt.Sprintf(`{"module":"m%d","area":%d.5}`, i, i*100)
-		if i < 20 {
-			want = `{"rewritten":true}`
-		}
-		if string(val) != want {
-			t.Fatalf("key %d = %s, want %s", i, val, want)
-		}
+	out, err := capture(t, func() error { return runVerify([]string{"-dir", dir}) })
+	if err == nil {
+		t.Fatalf("verify passed with a skipped segment:\n%s", out)
+	}
+	if !strings.Contains(out, "corrupt records skipped") {
+		t.Errorf("verify output does not report the skipped segment:\n%s", out)
 	}
 }
 

@@ -371,14 +371,12 @@ type HealthResponse struct {
 // and skipped (never served) — answers stay correct, the disk should
 // be looked at.
 type StoreHealth struct {
-	Status             string `json:"status"`
-	Segments           int    `json:"segments"`
-	Bytes              int64  `json:"bytes"`
-	Records            int64  `json:"records"`
-	Hits               int64  `json:"hits"`
-	Misses             int64  `json:"misses"`
-	Compactions        int64  `json:"compactions"`
-	LastCompactionUnix int64  `json:"last_compaction_unix,omitempty"`
+	Status   string `json:"status"`
+	Segments int    `json:"segments"`
+	Bytes    int64  `json:"bytes"`
+	Records  int64  `json:"records"`
+	Hits     int64  `json:"hits"`
+	Misses   int64  `json:"misses"`
 }
 
 // WatchdogHealth is the accuracy watchdog's view in /healthz.

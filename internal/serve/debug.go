@@ -197,14 +197,12 @@ func (s *Server) handleDebugStore(w http.ResponseWriter, r *http.Request) {
 // storeHealth condenses a store snapshot into its /healthz block.
 func storeHealth(st store.Stats) *StoreHealth {
 	h := &StoreHealth{
-		Status:             "ok",
-		Segments:           st.Segments,
-		Bytes:              st.Bytes,
-		Records:            st.Records,
-		Hits:               st.Hits,
-		Misses:             st.Misses,
-		Compactions:        st.Compactions,
-		LastCompactionUnix: st.LastCompactionUnix,
+		Status:   "ok",
+		Segments: st.Segments,
+		Bytes:    st.Bytes,
+		Records:  st.Records,
+		Hits:     st.Hits,
+		Misses:   st.Misses,
 	}
 	if st.Degraded {
 		h.Status = "degraded"

@@ -245,7 +245,6 @@ func (s *Server) plan(ctx context.Context, k Key, circ *netlist.Circuit, proc *t
 	if err != nil {
 		return nil, err
 	}
-	s.stier.putPlanMeta(k, pl)
 	return s.plans.Put(k, pl), nil
 }
 

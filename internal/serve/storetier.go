@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 
-	"maest/internal/engine"
 	"maest/internal/obs"
 	"maest/internal/store"
 )
@@ -21,21 +20,6 @@ var (
 	mStoreWriteDrops = obs.DefCounter("maest_store_writebehind_dropped_total", "write-behind persists dropped because the queue was full")
 	gStoreQueue      = obs.DefGauge("maest_store_writebehind_queue", "write-behind queue depth")
 )
-
-// PlanMeta is the compiled-plan metadata persisted under a plan's
-// content address (store.NSPlanMeta).  It records what the service
-// compiled — which module, against which process, and how big — for
-// the maest-store inspection CLI and capacity planning.  It is
-// deliberately not a serialized Plan: recompiling needs the netlist
-// source, which every request carries anyway; what a restart cannot
-// recover for free is the history of what was compiled.
-type PlanMeta struct {
-	Module  string `json:"module"`
-	Process string `json:"process"`
-	Devices int    `json:"devices"`
-	Nets    int    `json:"nets"`
-	Ports   int    `json:"ports"`
-}
 
 // storeWrite is one queued persist.  The value is kept as its in-memory
 // shape; the writer goroutine marshals it so the request path never
@@ -111,21 +95,6 @@ func load[T any](t *storeTier, ns store.Namespace, key Key) (*T, bool) {
 		return nil, false
 	}
 	return v, true
-}
-
-// putPlanMeta persists one compiled plan's metadata, write-behind.
-func (t *storeTier) putPlanMeta(key Key, pl *engine.Plan) {
-	if t == nil {
-		return
-	}
-	stats := pl.Stats()
-	t.put(store.NSPlanMeta, key, &PlanMeta{
-		Module:  stats.CircuitName,
-		Process: pl.Process().Name,
-		Devices: stats.N,
-		Nets:    stats.H,
-		Ports:   stats.NumPorts,
-	})
 }
 
 // stats snapshots the underlying store (ok=false when disabled).

@@ -39,7 +39,6 @@ func TestStoreTierDisabled(t *testing.T) {
 		t.Error("nil tier has stats")
 	}
 	tier.put(store.NSResult, Key{}, nil)
-	tier.putPlanMeta(Key{}, nil)
 	tier.flush()
 	tier.flush()
 
@@ -315,29 +314,25 @@ func TestServeStoreBatchWarm(t *testing.T) {
 	}
 }
 
-// TestStorePlanMetaPersisted: compiling a plan records its metadata
-// under the plan's content address, keyed for the inspection CLI.
-func TestStorePlanMetaPersisted(t *testing.T) {
+// TestStoreColdEstimateWritesOneRecord: a cold estimate persists its
+// answer and nothing else: compiling the plan writes no record of its
+// own.
+func TestStoreColdEstimateWritesOneRecord(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
 	defer st.Close()
 	s := New(Options{Store: st})
-	resp := decodeEstimate(t, do(s, "POST", "/v1/estimate",
-		marshal(t, EstimateRequest{Netlist: testdata(t, "demo.mnet")})))
+	if w := do(s, "POST", "/v1/estimate", marshal(t, EstimateRequest{Netlist: testdata(t, "demo.mnet")})); w.Code != 200 {
+		t.Fatalf("estimate: %d %s", w.Code, w.Body.String())
+	}
 	s.FlushStore()
-
-	planKey, err := parseKey(resp.Plan)
-	if err != nil {
+	if puts := st.Stats().Puts; puts != 1 {
+		t.Fatalf("a cold estimate appended %d records, want 1", puts)
+	}
+	n := 0
+	if err := st.Scan(store.NSResult, func(store.Key, []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	b, ok, err := st.Get(store.NSPlanMeta, store.Key(planKey))
-	if err != nil || !ok {
-		t.Fatalf("plan metadata not persisted: ok=%v err=%v", ok, err)
-	}
-	var meta PlanMeta
-	if err := json.Unmarshal(b, &meta); err != nil {
-		t.Fatal(err)
-	}
-	if meta.Module != "demo" || meta.Devices != resp.Stats.Devices || meta.Process == "" {
-		t.Fatalf("plan metadata %+v does not match the answer %+v", meta, resp.Stats)
+	if n != 1 {
+		t.Fatalf("the one record is not the answer: %d NSResult records", n)
 	}
 }

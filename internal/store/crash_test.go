@@ -213,35 +213,109 @@ func TestKillMidWriteThenAppendContinues(t *testing.T) {
 }
 
 func TestKillDuringSealLeavesConsistentStore(t *testing.T) {
-	// A crash between WAL fsync and rename leaves... the WAL (rename
-	// is atomic: old name or new name, never both/neither).  A crash
-	// mid-compaction leaves a .tmp that reopen removes.  Simulate the
-	// latter and prove the store ignores it.
+	// Sealing fsyncs the WAL and renames it, and the rename is atomic,
+	// so a crash mid-seal leaves a complete WAL past its seal size.
+	// Reopening serves all of it, and the next append seals it.  A
+	// stray file that is not NNNNNNNN.seg (an older version's .tmp,
+	// say) is ignored and left alone.
 	dir := t.TempDir()
+	writeCrashFixture(t, dir, 100)
+	stray := filepath.Join(dir, segName(99)+".tmp")
+	if err := os.WriteFile(stray, []byte("not a segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hits, st := reopenAndCheck(t, dir, 100)
+	if hits != 100 || st.Segments != 0 || st.Degraded {
+		t.Fatalf("%d survivors, stats %+v; want 100, no sealed segment, not degraded", hits, st)
+	}
+
 	s, err := Open(Options{Dir: dir, SegmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
+	if err := s.Put(NSResult, testKey(100), testVal(100)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Segments != 1 || st.Records != 101 {
+		t.Fatalf("the append after reopen did not seal the oversized WAL: %+v", st)
+	}
+	s.Close()
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("stray file touched: %v", err)
+	}
+	if hits, _ := reopenAndCheck(t, dir, 101); hits != 101 {
+		t.Fatalf("%d survivors after the seal, want 101", hits)
+	}
+}
+
+// TestRottenSegmentHeaderSkipped: one flipped byte in a sealed
+// segment's magic costs that segment, not the store.  Open skips it,
+// counts it and serves the rest degraded, and later seals take
+// sequence numbers past it instead of renaming onto it.
+func TestRottenSegmentHeaderSkipped(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, SegmentBytes: 1 << 10}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
 		if err := s.Put(NSResult, testKey(i), testVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.Close()
 
-	tmp := filepath.Join(dir, segName(99)+tmpExt)
-	if err := os.WriteFile(tmp, []byte("half-written compaction output"), 0o644); err != nil {
+	// Rot the newest sealed segment, so the next free sequence number
+	// can only come from the file Open skips.
+	names, _, err := listSegments(dir)
+	if err != nil || len(names) < 2 {
+		t.Fatalf("want several sealed segments, got %v (%v)", names, err)
+	}
+	rotten := filepath.Join(dir, names[len(names)-1])
+	img, err := os.ReadFile(rotten)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hits, st := reopenAndCheck(t, dir, 100)
-	if hits != 100 {
-		t.Fatalf("%d survivors, want 100", hits)
+	img[0] ^= 0xFF
+	if err := os.WriteFile(rotten, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if st.Degraded {
-		t.Fatalf("leftover .tmp degraded the store: %+v", st)
+
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open with one rotten segment header: %v", err)
 	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("leftover .tmp not cleaned up on reopen")
+	defer s2.Close()
+	if st := s2.Stats(); !st.Degraded || st.CorruptRecords != 1 || st.Segments != len(names)-1 {
+		t.Fatalf("stats %+v; want degraded, 1 corrupt, %d segments", st, len(names)-1)
+	}
+	hits := 0
+	for i := 0; i < 60; i++ {
+		got, ok, err := s2.Get(NSResult, testKey(i))
+		if err != nil {
+			t.Fatalf("Get %d: %v", i, err)
+		}
+		if ok {
+			if !bytes.Equal(got, testVal(i)) {
+				t.Fatalf("key %d: payload %q", i, got)
+			}
+			hits++
+		}
+	}
+	if hits == 0 || hits == 60 {
+		t.Fatalf("%d of 60 keys hit; want the skipped segment's keys to miss and the rest to hit", hits)
+	}
+	for i := 100; i < 160; i++ {
+		if err := s2.Put(NSResult, testKey(i), testVal(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s2.Stats(); st.Segments < len(names) {
+		t.Fatalf("no seal after 60 more puts: %+v", st)
+	}
+	if after, err := os.ReadFile(rotten); err != nil || !bytes.Equal(after, img) {
+		t.Fatalf("a seal replaced the skipped segment (err %v)", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 )
@@ -20,12 +21,17 @@ import (
 //     replays round-trips byte-identical.
 //  4. Claimed sizes are honest: the decoded extent lies within the
 //     input and its payload length matches the header.
+//  5. Only kindPut decodes; kind 2 (the retired tombstone) and every
+//     other kind byte are ErrCorrupt.
 func FuzzRecord(f *testing.F) {
 	// Seed with valid encodings of each shape...
 	key := sha256.Sum256([]byte("seed"))
 	f.Add(appendRecord(nil, &record{ns: NSResult, key: key, payload: []byte(`{"area":42.5}`)}))
 	f.Add(appendRecord(nil, &record{ns: NSCongest, key: key, payload: nil}))
-	f.Add(appendRecord(nil, &record{ns: NSPlanMeta, key: key, tombstone: true}))
+	tomb := appendRecord(nil, &record{ns: NSResult, key: key})
+	tomb[0] = 2
+	binary.LittleEndian.PutUint32(tomb[len(tomb)-crcLen:], crc32.Checksum(tomb[:len(tomb)-crcLen], castagnoli))
+	f.Add(tomb)
 	// ...and classic liars: truncations, flipped bits, wild lengths.
 	valid := appendRecord(nil, &record{ns: NSResult, key: key, payload: []byte("payload")})
 	f.Add(valid[:len(valid)-1])
@@ -44,16 +50,19 @@ func FuzzRecord(f *testing.F) {
 			if r != nil || n != 0 {
 				t.Fatalf("error return leaked a record: r=%v n=%d", r, n)
 			}
+			if len(data) >= recOverhead && data[0] != kindPut && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("kind %d decoded with err %v, want ErrCorrupt", data[0], err)
+			}
 			return
+		}
+		if data[0] != kindPut {
+			t.Fatalf("decoded a record of kind %d", data[0])
 		}
 		if n < recOverhead || n > int64(len(data)) {
 			t.Fatalf("decoded size %d outside input of %d bytes", n, len(data))
 		}
 		if int64(recOverhead+len(r.payload)) != n {
 			t.Fatalf("payload %d bytes inconsistent with size %d", len(r.payload), n)
-		}
-		if r.tombstone && len(r.payload) != 0 {
-			t.Fatal("tombstone decoded with a payload")
 		}
 		// The checksum over the accepted extent must actually verify —
 		// acceptance without a matching CRC would let corruption through.

@@ -18,16 +18,16 @@ import (
 // length field pointing past the true payload — fails verification
 // instead of being served.  Records are immutable once written; a key
 // written again later in the log supersedes every earlier record for
-// it, and a tombstone (kindTombstone, zero payload) supersedes with
-// "deleted".
+// it.  kindPut is the only kind.  Kind 2 once marked a tombstone that
+// no production path ever wrote; it and every other kind byte decode
+// as ErrCorrupt.
 
 const (
 	// segMagic opens every segment file (WAL and sealed alike); a file
 	// without it is rejected wholesale rather than scanned.
 	segMagic = "MAESTST1"
 
-	kindPut       = 1
-	kindTombstone = 2
+	kindPut = 1
 
 	// recHeaderLen is kind+ns+payloadLen, the fixed prefix before the key.
 	recHeaderLen = 1 + 1 + 4
@@ -61,8 +61,8 @@ const (
 	NSResult Namespace = 1
 	// NSCongest holds serialized congestion maps (serve.CongestKey keyed).
 	NSCongest Namespace = 2
-	// NSPlanMeta holds compiled-plan metadata (engine.PlanHash keyed).
-	NSPlanMeta Namespace = 3
+	// Namespace 3 held compiled-plan metadata.  It is retired and must
+	// not be reused: old records still decode, and nothing reads them.
 	// NSTrace holds sampled request traces (obs.EncodeTrace payloads),
 	// keyed by trace id (16 bytes) + span id (8 bytes) + zero padding —
 	// one record per hop, so a distributed trace's hops share a key
@@ -91,10 +91,9 @@ var errShort = errors.New("store: short record")
 
 // record is one decoded log entry.
 type record struct {
-	ns        Namespace
-	key       Key
-	payload   []byte
-	tombstone bool
+	ns      Namespace
+	key     Key
+	payload []byte
 }
 
 // size returns the record's encoded length in bytes.
@@ -103,11 +102,7 @@ func (r *record) size() int64 { return int64(recOverhead + len(r.payload)) }
 // appendRecord encodes r onto buf and returns the extended slice.
 func appendRecord(buf []byte, r *record) []byte {
 	start := len(buf)
-	kind := byte(kindPut)
-	if r.tombstone {
-		kind = kindTombstone
-	}
-	buf = append(buf, kind, byte(r.ns))
+	buf = append(buf, kindPut, byte(r.ns))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.payload)))
 	buf = append(buf, r.key[:]...)
 	buf = append(buf, r.payload...)
@@ -119,26 +114,19 @@ func appendRecord(buf []byte, r *record) []byte {
 // record and its encoded size.  Errors:
 //
 //   - errShort: b ends before the record does (a torn final append)
-//   - ErrCorrupt: the shape is invalid (unknown kind, oversized or
-//     non-empty-tombstone length) or the checksum fails
+//   - ErrCorrupt: the shape is invalid (a kind other than kindPut, an
+//     oversized length) or the checksum fails
 //
 // The returned payload aliases b; callers that outlive b must copy.
 func decodeRecord(b []byte) (*record, int64, error) {
 	if len(b) < recOverhead {
 		return nil, 0, errShort
 	}
-	kind := b[0]
-	ns := Namespace(b[1])
-	payLen := binary.LittleEndian.Uint32(b[2:6])
-	switch kind {
-	case kindPut:
-	case kindTombstone:
-		if payLen != 0 {
-			return nil, 0, fmt.Errorf("%w: tombstone with %d payload bytes", ErrCorrupt, payLen)
-		}
-	default:
+	if kind := b[0]; kind != kindPut {
 		return nil, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
+	ns := Namespace(b[1])
+	payLen := binary.LittleEndian.Uint32(b[2:6])
 	if payLen > MaxPayload {
 		return nil, 0, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorrupt, payLen)
 	}
@@ -150,7 +138,7 @@ func decodeRecord(b []byte) (*record, int64, error) {
 	if crc32.Checksum(b[:total-crcLen], castagnoli) != want {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	r := &record{ns: ns, tombstone: kind == kindTombstone}
+	r := &record{ns: ns}
 	copy(r.key[:], b[recHeaderLen:recHeaderLen+KeyLen])
 	r.payload = b[recHeaderLen+KeyLen : total-crcLen]
 	return r, int64(total), nil
@@ -159,6 +147,8 @@ func decodeRecord(b []byte) (*record, int64, error) {
 // readRecordAt reads and CRC-verifies the record of known encoded
 // size at off.  Every disk read in the store goes through here, so
 // bit rot after open is caught at serve time, not just at scan time.
+// The payload aliases a buffer read for this call alone, so it is the
+// caller's to keep.
 func readRecordAt(f io.ReaderAt, off, size int64) (*record, error) {
 	if size < recOverhead || size > recOverhead+MaxPayload {
 		return nil, fmt.Errorf("%w: implausible record size %d", ErrCorrupt, size)

@@ -35,17 +35,17 @@ func TestScanNamespaceIsolationAndSupersede(t *testing.T) {
 	if err := s.Put(NSTrace, testKey(3), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	// Tombstone: deleted keys never surface.
-	if err := s.Delete(NSTrace, testKey(7)); err != nil {
+	// An empty payload is a value like any other, not a deletion.
+	if err := s.Put(NSTrace, testKey(7), nil); err != nil {
 		t.Fatal(err)
 	}
 
 	got := scanAll(t, s, NSTrace)
-	if len(got) != 19 {
-		t.Fatalf("scanned %d keys, want 19", len(got))
+	if len(got) != 20 {
+		t.Fatalf("scanned %d keys, want 20", len(got))
 	}
-	if _, ok := got[testKey(7)]; ok {
-		t.Fatal("tombstoned key surfaced in Scan")
+	if v, ok := got[testKey(7)]; !ok || len(v) != 0 {
+		t.Fatalf("key rewritten empty yielded %q ok=%v, want an empty payload", v, ok)
 	}
 	if v := got[testKey(3)]; string(v) != "v2" {
 		t.Fatalf("superseded key yielded %q, want v2", v)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,10 +35,6 @@ type segment struct {
 	// entries (kept when the index is demoted).
 	records  int64
 	distinct int64
-	// garbage accumulates the encoded bytes of records superseded by
-	// later writes or tombstones; compaction candidates are picked by
-	// garbage/size ratio.
-	garbage int64
 }
 
 // idxKey is the full lookup key: namespace byte + content address.
@@ -50,21 +45,20 @@ type idxKey struct {
 
 // recLoc locates one record inside its segment.
 type recLoc struct {
-	off       int64 // record start offset (including header)
-	size      int64 // full encoded size
-	tombstone bool
+	off  int64 // record start offset (including header)
+	size int64 // full encoded size
 }
 
 const (
 	walName = "active.wal"
 	segExt  = ".seg"
-	tmpExt  = ".tmp"
 )
 
 func segName(seq uint64) string { return fmt.Sprintf("%08d%s", seq, segExt) }
 
 // parseSegSeq extracts the sequence number from a sealed segment file
-// name; ok is false for anything that is not NNNNNNNN.seg.
+// name; ok is false for anything that is not NNNNNNNN.seg, so stray
+// files in the directory are ignored.
 func parseSegSeq(name string) (uint64, bool) {
 	base := strings.TrimSuffix(name, segExt)
 	if base == name || len(base) == 0 {
@@ -78,8 +72,7 @@ func parseSegSeq(name string) (uint64, bool) {
 }
 
 // listSegments returns the sealed segment files under dir in log
-// order (oldest first) and removes leftover temporaries from an
-// interrupted seal or compaction.
+// order (oldest first).
 func listSegments(dir string) ([]string, []uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -94,15 +87,8 @@ func listSegments(dir string) ([]string, []uint64, error) {
 		if e.IsDir() {
 			continue
 		}
-		name := e.Name()
-		if strings.HasSuffix(name, tmpExt) {
-			// A crash mid-compaction leaves a .tmp; the rename never
-			// happened, so the file is dead weight.
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if seq, ok := parseSegSeq(name); ok {
-			segs = append(segs, nameSeq{name, seq})
+		if seq, ok := parseSegSeq(e.Name()); ok {
+			segs = append(segs, nameSeq{e.Name(), seq})
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
@@ -155,7 +141,7 @@ func scanBytes(buf []byte, visit func(r *record, off, size int64)) (scanOutcome,
 }
 
 // scanFile is scanBytes over a whole file read into memory.  Cold
-// lookups and compaction use it instead of seeking a shared fd, so
+// lookups and Verify use it instead of seeking a shared fd, so
 // concurrent readers never race on a file offset.
 func scanFile(path string, visit func(r *record, off, size int64)) (scanOutcome, error) {
 	buf, err := os.ReadFile(path)
@@ -169,16 +155,13 @@ func scanFile(path string, visit func(r *record, off, size int64)) (scanOutcome,
 // in-memory index and bloom filter.  Corruption inside a sealed
 // segment cannot be truncated away (the file is immutable and records
 // after the bad region are unreachable); the valid prefix is served
-// and the store marks itself degraded.
+// and the store marks itself degraded.  A file whose header is
+// unreadable returns an ErrCorrupt error, and Open skips it.
 func loadSegment(path string, seq uint64) (*segment, int64, error) {
 	seg := &segment{seq: seq, path: path, index: make(map[idxKey]recLoc)}
 	out, err := scanFile(path, func(r *record, off, size int64) {
 		seg.records++
-		ik := idxKey{r.ns, r.key}
-		if old, ok := seg.index[ik]; ok {
-			seg.garbage += old.size
-		}
-		seg.index[ik] = recLoc{off: off, size: size, tombstone: r.tombstone}
+		seg.index[idxKey{r.ns, r.key}] = recLoc{off: off, size: size}
 	})
 	if err != nil {
 		return nil, 0, err
@@ -221,7 +204,7 @@ func (s *segment) lookup(ik idxKey) (loc recLoc, found bool, scanned bool, err e
 	// too; they scan and find nothing.
 	_, err = scanFile(s.path, func(r *record, off, size int64) {
 		if r.ns == ik.ns && r.key == ik.key {
-			loc = recLoc{off: off, size: size, tombstone: r.tombstone}
+			loc = recLoc{off: off, size: size}
 			found = true
 		}
 	})
@@ -231,16 +214,16 @@ func (s *segment) lookup(ik idxKey) (loc recLoc, found bool, scanned bool, err e
 	return loc, found, true, nil
 }
 
-// reindex rebuilds a demoted segment's index map (compaction needs
-// exact membership, not bloom maybes).  The result is returned rather
-// than installed so the segment stays cold.
+// reindex rebuilds a demoted segment's index map (Scan needs exact
+// membership, not bloom maybes).  The result is returned rather than
+// installed so the segment stays cold.
 func (s *segment) reindex() (map[idxKey]recLoc, error) {
 	if s.index != nil {
 		return s.index, nil
 	}
 	m := make(map[idxKey]recLoc, s.distinct)
 	_, err := scanFile(s.path, func(r *record, off, size int64) {
-		m[idxKey{r.ns, r.key}] = recLoc{off: off, size: size, tombstone: r.tombstone}
+		m[idxKey{r.ns, r.key}] = recLoc{off: off, size: size}
 	})
 	if err != nil {
 		return nil, err

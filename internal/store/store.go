@@ -1,11 +1,11 @@
 // Package store is the persistent plan store: an embedded,
 // stdlib-only, disk-backed database of estimate results, congestion
-// maps, and compiled-plan metadata, keyed by the SHA-256 content
-// addresses the engine and serving layer already mint.  It exists so
-// a restarted maest-serve warm-starts from everything it (or a prior
-// fleet member sharing the directory) ever computed, instead of
-// re-paying compile+execute for the repeat-heavy floorplanner
-// workload.
+// maps, finished floorplan jobs and sampled traces, keyed by the
+// SHA-256 content addresses (or job and trace ids) the engine and
+// serving layer already mint.  It exists so a restarted maest-serve
+// warm-starts from everything it (or a prior fleet member sharing the
+// directory) ever computed, instead of re-paying compile+execute for
+// the repeat-heavy floorplanner workload.
 //
 // Design: an append-only log of length-prefixed, CRC-32C-checksummed
 // records, split into segments.  Appends go to a WAL (`active.wal`);
@@ -15,10 +15,14 @@
 // segment; beyond a configurable index budget the oldest segments
 // demote their index to a per-segment Bloom filter, so misses still
 // skip them at memory speed while the store itself scales past RAM.
-// Background compaction rewrites segments whose superseded/tombstoned
-// garbage crosses a threshold, and a byte budget evicts the oldest
-// sealed segments wholesale (the store is a cache of recomputable
-// results; losing the oldest is the documented policy, not a fault).
+//
+// The store is write-once: a record is never rewritten or deleted in
+// place.  A key written again supersedes its older records (lookups
+// and scans resolve to the newest), and a byte budget evicts the
+// oldest sealed segments wholesale, superseded records and all (the
+// store is a cache of recomputable results; losing the oldest is the
+// documented policy, not a fault).  Those are the only two lifecycle
+// rules.
 //
 // Crash-safety contract: a record is either fully on disk and
 // checksummed, or it is detected (torn tail, CRC mismatch) on reopen
@@ -34,7 +38,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"maest/internal/obs"
 )
@@ -44,22 +47,18 @@ import (
 // gauges reflect the most recent store to update, which in production
 // is the only one).
 var (
-	mHits       = obs.DefCounter("maest_store_hits_total", "store lookups answered from disk")
-	mMisses     = obs.DefCounter("maest_store_misses_total", "store lookups that found nothing")
-	mPuts       = obs.DefCounter("maest_store_puts_total", "records appended")
-	mDeletes    = obs.DefCounter("maest_store_deletes_total", "tombstones appended")
-	mSeals      = obs.DefCounter("maest_store_seals_total", "WAL segments sealed")
-	mCompact    = obs.DefCounter("maest_store_compactions_total", "segment compactions completed")
-	mEvicted    = obs.DefCounter("maest_store_evicted_segments_total", "sealed segments evicted by the byte budget")
-	mCorrupt    = obs.DefCounter("maest_store_corrupt_records_skipped_total", "corrupt records detected and skipped, never served")
-	mTruncated  = obs.DefCounter("maest_store_torn_tails_truncated_total", "torn WAL tails truncated on reopen")
-	mColdScans  = obs.DefCounter("maest_store_cold_scans_total", "lookups that scanned a demoted (cold) segment after a bloom maybe")
-	gBytes      = obs.DefGauge("maest_store_bytes", "total bytes across WAL and sealed segments")
-	gSegments   = obs.DefGauge("maest_store_segments", "sealed segment count")
-	gRecords    = obs.DefGauge("maest_store_records", "log records across all segments")
-	gGarbage    = obs.DefGauge("maest_store_garbage_bytes", "bytes of superseded/tombstoned records awaiting compaction")
-	gIndexKeys  = obs.DefGauge("maest_store_indexed_keys", "keys resident in the in-memory hash index")
-	gLastCompat = obs.DefGauge("maest_store_last_compaction_unix_seconds", "wall time of the last completed compaction")
+	mHits      = obs.DefCounter("maest_store_hits_total", "store lookups answered from disk")
+	mMisses    = obs.DefCounter("maest_store_misses_total", "store lookups that found nothing")
+	mPuts      = obs.DefCounter("maest_store_puts_total", "records appended")
+	mSeals     = obs.DefCounter("maest_store_seals_total", "WAL segments sealed")
+	mEvicted   = obs.DefCounter("maest_store_evicted_segments_total", "sealed segments evicted by the byte budget")
+	mCorrupt   = obs.DefCounter("maest_store_corrupt_records_skipped_total", "corrupt records detected and skipped, never served")
+	mTruncated = obs.DefCounter("maest_store_torn_tails_truncated_total", "torn WAL tails truncated on reopen")
+	mColdScans = obs.DefCounter("maest_store_cold_scans_total", "lookups that scanned a demoted (cold) segment after a bloom maybe")
+	gBytes     = obs.DefGauge("maest_store_bytes", "total bytes across WAL and sealed segments")
+	gSegments  = obs.DefGauge("maest_store_segments", "sealed segment count")
+	gRecords   = obs.DefGauge("maest_store_records", "log records across all segments")
+	gIndexKeys = obs.DefGauge("maest_store_indexed_keys", "keys resident in the in-memory hash index")
 )
 
 // ErrClosed is returned by every operation on a closed store.
@@ -67,7 +66,7 @@ var ErrClosed = errors.New("store: closed")
 
 // Options configures Open.  The zero value (plus a Dir) selects
 // production defaults: 1 GiB byte budget, 8 MiB segments, 2M indexed
-// keys, fsync on seal only, compaction at 50% garbage.
+// keys, fsync on seal only.
 type Options struct {
 	// Dir is the store directory, created if missing.
 	Dir string
@@ -81,13 +80,6 @@ type Options struct {
 	// sealed segments demote to bloom-filter-only ("cold").  0 selects
 	// 2^21 (~2M keys); negative keeps every segment indexed.
 	IndexKeys int
-	// SyncEveryPut fsyncs the WAL after every append.  Off by default:
-	// the durability unit is the sealed segment, and the crash contract
-	// for the WAL tail is detect-and-truncate, not never-lose.
-	SyncEveryPut bool
-	// CompactMinGarbage is the garbage/size ratio at which a sealed
-	// segment becomes a compaction candidate.  0 selects 0.5.
-	CompactMinGarbage float64
 }
 
 func (o Options) withDefaults() Options {
@@ -103,14 +95,13 @@ func (o Options) withDefaults() Options {
 	if o.IndexKeys == 0 {
 		o.IndexKeys = 1 << 21
 	}
-	if o.CompactMinGarbage == 0 {
-		o.CompactMinGarbage = 0.5
-	}
 	return o
 }
 
 // Store is one open store directory.  All methods are safe for
-// concurrent use.
+// concurrent use.  The durability unit is the sealed segment: the
+// WAL is fsynced when it seals and on Close, and the crash contract
+// for its tail is detect-and-truncate, not never-lose.
 type Store struct {
 	opts Options
 
@@ -127,22 +118,17 @@ type Store struct {
 	// the read lock.
 	degraded atomic.Bool
 
-	compactCh chan struct{}
-	done      chan struct{}
-	wg        sync.WaitGroup
-
 	// Per-store counters, mirrored into the process-global metrics, so
 	// Stats() is meaningful with several stores in one process (tests,
 	// the bench harness).
-	nHits, nMisses, nPuts, nDeletes  atomic.Int64
-	nCompactions, nEvicted, nCorrupt atomic.Int64
-	nTruncated, nColdScans           atomic.Int64
-	lastCompaction                   time.Time // guarded by mu
+	nHits, nMisses, nPuts  atomic.Int64
+	nEvicted, nCorrupt     atomic.Int64
+	nTruncated, nColdScans atomic.Int64
 }
 
 // Open opens (creating if needed) the store under opts.Dir, rebuilds
-// the in-memory index from the segment files, truncates a torn WAL
-// tail, and starts the background compactor.
+// the in-memory index from the segment files and truncates a torn WAL
+// tail.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -151,43 +137,43 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		opts:      opts,
-		compactCh: make(chan struct{}, 1),
-		done:      make(chan struct{}),
-	}
+	s := &Store{opts: opts}
 
 	names, seqs, err := listSegments(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
+		// seqs ascend, and nextSeq moves past every file, even one
+		// skipped below, so a later seal never renames onto it.
+		s.nextSeq = seqs[i] + 1
 		seg, corrupt, err := loadSegment(filepath.Join(opts.Dir, name), seqs[i])
-		if err != nil {
+		switch {
+		case errors.Is(err, ErrCorrupt):
+			// The header itself is unreadable, so nothing in the file
+			// can be trusted.  Skip the segment (the file stays for
+			// inspection) and serve the rest degraded, as a WAL with
+			// the same damage would be.
+			corrupt = 1
+		case err != nil:
 			s.closeAll()
 			return nil, fmt.Errorf("store: segment %s: %w", name, err)
+		default:
+			s.sealed = append(s.sealed, seg)
 		}
 		if corrupt > 0 {
 			s.degraded.Store(true)
 			s.nCorrupt.Add(corrupt)
 			mCorrupt.Add(corrupt)
 		}
-		s.sealed = append(s.sealed, seg)
-		if seg.seq >= s.nextSeq {
-			s.nextSeq = seg.seq + 1
-		}
 	}
 	if err := s.openWAL(); err != nil {
 		s.closeAll()
 		return nil, err
 	}
-	s.accountCrossSegmentGarbage()
 	s.enforceIndexBudget()
 	s.evictOverBudget()
 	s.publishGauges()
-
-	s.wg.Add(1)
-	go s.compactor()
 	return s, nil
 }
 
@@ -216,11 +202,7 @@ func (s *Store) openWAL() error {
 	wal := &segment{path: path, index: make(map[idxKey]recLoc)}
 	out, err := scanBytes(buf, func(r *record, off, size int64) {
 		wal.records++
-		ik := idxKey{r.ns, r.key}
-		if old, ok := wal.index[ik]; ok {
-			wal.garbage += old.size
-		}
-		wal.index[ik] = recLoc{off: off, size: size, tombstone: r.tombstone}
+		wal.index[idxKey{r.ns, r.key}] = recLoc{off: off, size: size}
 	})
 	if err != nil {
 		// The WAL header itself is gone (empty or foreign file): the
@@ -285,30 +267,10 @@ func (s *Store) createWAL(path string) error {
 	return syncDir(s.opts.Dir)
 }
 
-// accountCrossSegmentGarbage charges every record shadowed by a newer
-// segment to its own segment's garbage counter, so compaction
-// candidates surface immediately after a reopen.
-func (s *Store) accountCrossSegmentGarbage() {
-	seen := make(map[idxKey]struct{}, len(s.wal.index))
-	for ik := range s.wal.index {
-		seen[ik] = struct{}{}
-	}
-	for i := len(s.sealed) - 1; i >= 0; i-- {
-		seg := s.sealed[i]
-		for ik, loc := range seg.index {
-			if _, shadowed := seen[ik]; shadowed {
-				seg.garbage += loc.size
-			} else {
-				seen[ik] = struct{}{}
-			}
-		}
-	}
-}
-
-// Get returns the newest stored value for (ns, key).  A tombstone, a
-// missing key, and a value that fails its checksum all answer
-// ok=false (the last also latches degraded and counts the corrupt
-// record); err is reserved for I/O failures.
+// Get returns the newest stored value for (ns, key); the slice is the
+// caller's to keep.  A missing key and a value that fails its checksum
+// both answer ok=false (the latter also latches degraded and counts
+// the corrupt record); err is reserved for I/O failures.
 func (s *Store) Get(ns Namespace, key Key) (val []byte, ok bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -324,7 +286,7 @@ func (s *Store) Get(ns Namespace, key Key) (val []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if seg == nil || loc.tombstone {
+	if seg == nil {
 		s.nMisses.Add(1)
 		mMisses.Inc()
 		return nil, false, nil
@@ -343,7 +305,7 @@ func (s *Store) Get(ns Namespace, key Key) (val []byte, ok bool, err error) {
 		}
 		return nil, false, err
 	}
-	if r.ns != ns || r.key != key || r.tombstone {
+	if r.ns != ns || r.key != key {
 		// An indexed location that decodes to a different record means
 		// the index and file disagree — treat as corruption.
 		s.degraded.Store(true)
@@ -355,15 +317,12 @@ func (s *Store) Get(ns Namespace, key Key) (val []byte, ok bool, err error) {
 	}
 	s.nHits.Add(1)
 	mHits.Inc()
-	out := make([]byte, len(r.payload))
-	copy(out, r.payload)
-	return out, true, nil
+	return r.payload, true, nil
 }
 
-// Scan visits the newest live record of every key in ns, in no
-// particular key order.  Supersede and tombstone semantics match Get:
-// a key written twice yields only its newest payload, a tombstoned key
-// is skipped.  Records that fail their checksum are skipped (latching
+// Scan visits the newest record of every key in ns, in no particular
+// key order: as with Get, a key written twice yields only its newest
+// payload.  Records that fail their checksum are skipped (latching
 // degraded) rather than aborting the scan — a scan is how a trace
 // index rebuilds after a restart, and one rotten record must not erase
 // the rest of the history.  fn returning an error stops the scan and
@@ -404,9 +363,6 @@ func (s *Store) Scan(ns Namespace, fn func(key Key, payload []byte) error) error
 	}
 	// Pass 2: read and verify each winner.
 	for key, w := range winners {
-		if w.loc.tombstone {
-			continue
-		}
 		r, err := readRecordAt(w.seg.f, w.loc.off, w.loc.size)
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {
@@ -417,39 +373,17 @@ func (s *Store) Scan(ns Namespace, fn func(key Key, payload []byte) error) error
 			}
 			return err
 		}
-		if r.ns != ns || r.key != key || r.tombstone {
+		if r.ns != ns || r.key != key {
 			s.degraded.Store(true)
 			s.nCorrupt.Add(1)
 			mCorrupt.Inc()
 			continue
 		}
-		payload := make([]byte, len(r.payload))
-		copy(payload, r.payload)
-		if err := fn(key, payload); err != nil {
+		if err := fn(key, r.payload); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Has reports whether (ns, key) resolves to a live value, without
-// reading the payload (the final checksum pass is skipped, so a Has
-// true can still become a Get miss on a rotten disk).
-func (s *Store) Has(ns Namespace, key Key) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	loc, seg, scanned, err := s.locate(idxKey{ns, key})
-	if scanned {
-		s.nColdScans.Add(1)
-		mColdScans.Inc()
-	}
-	if err != nil {
-		return false, err
-	}
-	return seg != nil && !loc.tombstone, nil
 }
 
 // locate resolves (ns, key) to the newest record holding it: the WAL
@@ -479,16 +413,7 @@ func (s *Store) Put(ns Namespace, key Key, val []byte) error {
 	if len(val) > MaxPayload {
 		return fmt.Errorf("store: payload %d bytes exceeds %d cap", len(val), MaxPayload)
 	}
-	return s.append(&record{ns: ns, key: key, payload: val})
-}
-
-// Delete tombstones (ns, key): subsequent Gets miss, and compaction
-// eventually drops both the tombstone and the records it shadows.
-func (s *Store) Delete(ns Namespace, key Key) error {
-	return s.append(&record{ns: ns, key: key, tombstone: true})
-}
-
-func (s *Store) append(r *record) error {
+	r := &record{ns: ns, key: key, payload: val}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -498,41 +423,16 @@ func (s *Store) append(r *record) error {
 	if _, err := s.wal.f.WriteAt(buf, s.wal.size); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if s.opts.SyncEveryPut {
-		if err := s.wal.f.Sync(); err != nil {
-			return err
-		}
+	ik := idxKey{ns, key}
+	if _, ok := s.wal.index[ik]; !ok {
+		s.wal.distinct++
 	}
-	ik := idxKey{r.ns, r.key}
-	loc := recLoc{off: s.wal.size, size: r.size(), tombstone: r.tombstone}
+	s.wal.index[ik] = recLoc{off: s.wal.size, size: r.size()}
 	s.wal.size += r.size()
 	s.wal.records++
-	if old, ok := s.wal.index[ik]; ok {
-		s.wal.garbage += old.size
-	} else {
-		s.wal.distinct++
-		// The key is new to the WAL; whatever indexed sealed segment
-		// holds it now carries garbage.  Cold segments are skipped —
-		// scanning them per put would defeat the demotion — so their
-		// garbage is undercounted until compaction or reopen recounts.
-		for i := len(s.sealed) - 1; i >= 0; i-- {
-			if seg := s.sealed[i]; seg.index != nil {
-				if prev, ok := seg.index[ik]; ok {
-					seg.garbage += prev.size
-					break
-				}
-			}
-		}
-	}
-	s.wal.index[ik] = loc
-	s.wal.filter.add(bloomHashes(r.ns, r.key))
-	if r.tombstone {
-		s.nDeletes.Add(1)
-		mDeletes.Inc()
-	} else {
-		s.nPuts.Add(1)
-		mPuts.Inc()
-	}
+	s.wal.filter.add(bloomHashes(ns, key))
+	s.nPuts.Add(1)
+	mPuts.Inc()
 
 	if s.wal.size >= s.opts.SegmentBytes {
 		if err := s.seal(); err != nil {
@@ -581,7 +481,6 @@ func (s *Store) seal() error {
 	}
 	s.enforceIndexBudget()
 	s.evictOverBudget()
-	s.signalCompact()
 	return nil
 }
 
@@ -641,14 +540,6 @@ func (s *Store) totalRecords() int64 {
 	return total
 }
 
-func (s *Store) totalGarbage() int64 {
-	total := s.wal.garbage
-	for _, seg := range s.sealed {
-		total += seg.garbage
-	}
-	return total
-}
-
 func (s *Store) indexedKeys() int64 {
 	total := int64(len(s.wal.index))
 	for _, seg := range s.sealed {
@@ -664,35 +555,7 @@ func (s *Store) publishGauges() {
 	gBytes.Set(float64(s.totalBytes()))
 	gSegments.Set(float64(len(s.sealed)))
 	gRecords.Set(float64(s.totalRecords()))
-	gGarbage.Set(float64(s.totalGarbage()))
 	gIndexKeys.Set(float64(s.indexedKeys()))
-}
-
-// signalCompact nudges the background compactor without blocking.
-func (s *Store) signalCompact() {
-	select {
-	case s.compactCh <- struct{}{}:
-	default:
-	}
-}
-
-// compactor is the background compaction loop: each nudge compacts
-// candidate segments until none qualify.
-func (s *Store) compactor() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.compactCh:
-			for {
-				n, err := s.compactOnce(s.opts.CompactMinGarbage)
-				if err != nil || n == 0 {
-					break
-				}
-			}
-		}
-	}
 }
 
 // Stats is a point-in-time snapshot of the store's state.
@@ -705,20 +568,15 @@ type Stats struct {
 	Bytes        int64 `json:"bytes"`
 	WALBytes     int64 `json:"wal_bytes"`
 	Records      int64 `json:"records"`
-	GarbageBytes int64 `json:"garbage_bytes"`
 	IndexedKeys  int64 `json:"indexed_keys"`
 
 	Hits            int64 `json:"hits"`
 	Misses          int64 `json:"misses"`
 	Puts            int64 `json:"puts"`
-	Deletes         int64 `json:"deletes"`
 	ColdScans       int64 `json:"cold_scans"`
-	Compactions     int64 `json:"compactions"`
 	EvictedSegments int64 `json:"evicted_segments"`
 	CorruptRecords  int64 `json:"corrupt_records_skipped"`
 	TruncatedTails  int64 `json:"torn_tails_truncated"`
-	// LastCompactionUnix is 0 until a compaction completes.
-	LastCompactionUnix int64 `json:"last_compaction_unix,omitempty"`
 }
 
 // Stats returns the current snapshot.
@@ -731,7 +589,7 @@ func (s *Store) Stats() Stats {
 			cold++
 		}
 	}
-	st := Stats{
+	return Stats{
 		Dir:             s.opts.Dir,
 		Degraded:        s.degraded.Load(),
 		Segments:        len(s.sealed),
@@ -739,51 +597,27 @@ func (s *Store) Stats() Stats {
 		Bytes:           s.totalBytes(),
 		WALBytes:        s.wal.size,
 		Records:         s.totalRecords(),
-		GarbageBytes:    s.totalGarbage(),
 		IndexedKeys:     s.indexedKeys(),
 		Hits:            s.nHits.Load(),
 		Misses:          s.nMisses.Load(),
 		Puts:            s.nPuts.Load(),
-		Deletes:         s.nDeletes.Load(),
 		ColdScans:       s.nColdScans.Load(),
-		Compactions:     s.nCompactions.Load(),
 		EvictedSegments: s.nEvicted.Load(),
 		CorruptRecords:  s.nCorrupt.Load(),
 		TruncatedTails:  s.nTruncated.Load(),
 	}
-	if !s.lastCompaction.IsZero() {
-		st.LastCompactionUnix = s.lastCompaction.Unix()
-	}
-	return st
 }
 
-// Sync flushes the WAL to disk.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.wal.f.Sync()
-}
-
-// Close flushes the WAL, stops the background compactor, and closes
-// every file.  The store is unusable afterwards.
+// Close flushes the WAL and closes every file.  The store is unusable
+// afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
-	err := s.wal.f.Sync()
 	s.closed = true
-	s.mu.Unlock()
-
-	close(s.done)
-	s.wg.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	err := s.wal.f.Sync()
 	s.closeAll()
 	return err
 }

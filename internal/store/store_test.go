@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -55,8 +56,13 @@ func mustGet(t *testing.T, s *Store, ns Namespace, i int) {
 	}
 }
 
+// TestPutGetDelete: puts answer byte-identical gets, namespaces stay
+// apart and a newer put supersedes.  The store has no delete: a
+// retired tombstone (kind 2) found in the WAL removes nothing — reopen
+// cuts it off as a corrupt tail and the key keeps its value.
 func TestPutGetDelete(t *testing.T) {
-	s := openTest(t, Options{})
+	dir := t.TempDir()
+	s := openTest(t, Options{Dir: dir})
 	for i := 0; i < 100; i++ {
 		mustPut(t, s, NSResult, i)
 	}
@@ -75,16 +81,62 @@ func TestPutGetDelete(t *testing.T) {
 	if !ok || string(got) != "v2" {
 		t.Fatalf("after overwrite: %q ok=%v", got, ok)
 	}
-	// Delete tombstones.
-	if err := s.Delete(NSResult, testKey(7)); err != nil {
+	if st := s.Stats(); st.Puts != 101 || st.Hits != 101 || st.Misses != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Get(NSResult, testKey(7)); ok {
-		t.Fatal("deleted key still resolves")
+
+	tomb := appendRecord(nil, &record{ns: NSResult, key: testKey(7)})
+	tomb[0] = 2
+	binary.LittleEndian.PutUint32(tomb[len(tomb)-crcLen:], crc32.Checksum(tomb[:len(tomb)-crcLen], castagnoli))
+	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Deletes != 1 || st.Puts != 101 {
+	if _, err := f.Write(tomb); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2 := openTest(t, Options{Dir: dir})
+	mustGet(t, s2, NSResult, 7)
+	if st := s2.Stats(); st.CorruptRecords != 1 || st.TruncatedTails != 1 {
+		t.Fatalf("retired tombstone not cut off as a corrupt tail: %+v", st)
+	}
+}
+
+// TestHas: Get's ok flag answers whether a key is present; an absent
+// key misses without error.
+func TestHas(t *testing.T) {
+	s := openTest(t, Options{})
+	mustPut(t, s, NSResult, 1)
+	if _, ok, err := s.Get(NSResult, testKey(1)); err != nil || !ok {
+		t.Fatalf("present key: ok=%v err=%v", ok, err)
+	}
+	if _, ok, err := s.Get(NSResult, testKey(2)); err != nil || ok {
+		t.Fatalf("absent key: ok=%v err=%v", ok, err)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestGetHitAllocs pins a hit's allocations: the record read buffer
+// (whose payload is handed to the caller without a second copy) and
+// the decoded record header.
+func TestGetHitAllocs(t *testing.T) {
+	s := openTest(t, Options{})
+	mustPut(t, s, NSResult, 1)
+	key := testKey(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, err := s.Get(NSResult, key); !ok || err != nil {
+			t.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Get hit allocates %v times, want at most 2", allocs)
 	}
 }
 
@@ -94,7 +146,11 @@ func TestReopenRecovers(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mustPut(t, s, NSResult, i)
 	}
-	s.Delete(NSResult, testKey(3))
+	// Key 3's first record is sealed by now; its rewrite lands in the
+	// WAL and must still win after the reopen.
+	if err := s.Put(NSResult, testKey(3), []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -102,8 +158,8 @@ func TestReopenRecovers(t *testing.T) {
 	s2 := openTest(t, Options{Dir: dir, SegmentBytes: 4 << 10})
 	for i := 0; i < 200; i++ {
 		if i == 3 {
-			if _, ok, _ := s2.Get(NSResult, testKey(3)); ok {
-				t.Fatal("tombstone lost across reopen")
+			if got, ok, _ := s2.Get(NSResult, testKey(3)); !ok || string(got) != "v2" {
+				t.Fatalf("rewrite lost across reopen: %q ok=%v", got, ok)
 			}
 			continue
 		}
@@ -180,95 +236,6 @@ func TestEvictionBudget(t *testing.T) {
 	mustGet(t, s, NSResult, 499)
 	if _, ok, _ := s.Get(NSResult, testKey(0)); ok {
 		t.Fatal("oldest key survived a budget 60x smaller than the data")
-	}
-}
-
-func TestCompaction(t *testing.T) {
-	dir := t.TempDir()
-	// A garbage ratio never reaches 2, so the background compactor
-	// never qualifies a segment: only the explicit Compact below (which
-	// takes any garbage) runs, and it always has work to report.
-	s := openTest(t, Options{Dir: dir, SegmentBytes: 2 << 10, CompactMinGarbage: 2})
-	// Write the same small key set over and over: almost everything is
-	// garbage once sealed.
-	for round := 0; round < 30; round++ {
-		for i := 0; i < 10; i++ {
-			if err := s.Put(NSResult, testKey(i), []byte(fmt.Sprintf("round-%d-key-%d", round, i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before := s.Stats()
-	n, err := s.Compact()
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if n == 0 {
-		t.Fatalf("no segments compacted; stats before: %+v", before)
-	}
-	after := s.Stats()
-	if after.Bytes >= before.Bytes {
-		t.Fatalf("compaction did not shrink the store: %d -> %d", before.Bytes, after.Bytes)
-	}
-	// Every key must still resolve to its LAST written value.
-	for i := 0; i < 10; i++ {
-		got, ok, err := s.Get(NSResult, testKey(i))
-		if err != nil || !ok {
-			t.Fatalf("key %d after compaction: ok=%v err=%v", i, ok, err)
-		}
-		want := fmt.Sprintf("round-29-key-%d", i)
-		if string(got) != want {
-			t.Fatalf("key %d: %q, want %q", i, got, want)
-		}
-	}
-	// And survive a reopen.
-	s.Close()
-	s2 := openTest(t, Options{Dir: dir, SegmentBytes: 2 << 10})
-	for i := 0; i < 10; i++ {
-		got, ok, _ := s2.Get(NSResult, testKey(i))
-		if !ok || string(got) != fmt.Sprintf("round-29-key-%d", i) {
-			t.Fatalf("key %d lost across compaction+reopen: %q ok=%v", i, got, ok)
-		}
-	}
-}
-
-func TestCompactionDropsTombstones(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments so puts and tombstones land in separate segments.
-	s := openTest(t, Options{Dir: dir, SegmentBytes: 512})
-	for i := 0; i < 20; i++ {
-		mustPut(t, s, NSResult, i)
-	}
-	for i := 0; i < 20; i++ {
-		if err := s.Delete(NSResult, testKey(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Force the WAL to seal so the tombstones become compactable.
-	for i := 100; i < 120; i++ {
-		mustPut(t, s, NSResult, i)
-	}
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Repeat until stable: each pass can expose new garbage as
-	// tombstones move past the records they shadow.
-	for pass := 0; pass < 10; pass++ {
-		n, err := s.Compact()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-	}
-	for i := 0; i < 20; i++ {
-		if _, ok, _ := s.Get(NSResult, testKey(i)); ok {
-			t.Fatalf("deleted key %d resurrected by compaction", i)
-		}
-	}
-	for i := 100; i < 120; i++ {
-		mustGet(t, s, NSResult, i)
 	}
 }
 
@@ -408,19 +375,6 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 }
 
-func TestHas(t *testing.T) {
-	s := openTest(t, Options{})
-	mustPut(t, s, NSPlanMeta, 1)
-	ok, err := s.Has(NSPlanMeta, testKey(1))
-	if err != nil || !ok {
-		t.Fatalf("Has present: %v %v", ok, err)
-	}
-	ok, err = s.Has(NSPlanMeta, testKey(2))
-	if err != nil || ok {
-		t.Fatalf("Has absent: %v %v", ok, err)
-	}
-}
-
 func TestConcurrentReadersWriters(t *testing.T) {
 	s := openTest(t, Options{SegmentBytes: 2 << 10, IndexKeys: 32})
 	const keys = 64
@@ -463,9 +417,6 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	}
 	<-done
 	readers.Wait()
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < keys; i++ {
 		mustGet(t, s, NSResult, i)
 	}
@@ -506,8 +457,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	for _, tc := range []record{
 		{ns: NSResult, key: testKey(1), payload: []byte("hello")},
 		{ns: NSCongest, key: testKey(2), payload: nil},
-		{ns: NSPlanMeta, key: testKey(3), payload: bytes.Repeat([]byte{0xFF}, 4096)},
-		{ns: NSResult, key: testKey(4), tombstone: true},
+		{ns: NSFloorplan, key: testKey(3), payload: bytes.Repeat([]byte{0xFF}, 4096)},
 	} {
 		buf := appendRecord(nil, &tc)
 		got, n, err := decodeRecord(buf)
@@ -517,7 +467,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if n != int64(len(buf)) {
 			t.Fatalf("size %d, want %d", n, len(buf))
 		}
-		if got.ns != tc.ns || got.key != tc.key || got.tombstone != tc.tombstone || !bytes.Equal(got.payload, tc.payload) {
+		if got.ns != tc.ns || got.key != tc.key || !bytes.Equal(got.payload, tc.payload) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", got, tc)
 		}
 	}
@@ -536,5 +486,60 @@ func TestDecodeRejectsLyingLength(t *testing.T) {
 	binary.LittleEndian.PutUint32(buf[2:6], MaxPayload+1)
 	if _, _, err := decodeRecord(buf); err == nil {
 		t.Fatal("oversized length field accepted")
+	}
+}
+
+// fixtureKey and fixtureVal are the keys and payloads of
+// testdata/parent-store, a directory written by the store as it was
+// before it became write-once (it still had a compactor, and the
+// server still wrote namespace 3).  It was made with SegmentBytes 1 KiB
+// by writing, in order, six keys each of NSResult, NSCongest,
+// NSFloorplan and namespace 3 (version 1), then NSResult key 0 again
+// (version 2).  That left one sealed segment, holding the first
+// version of the rewritten key, and a WAL holding the second.
+func fixtureKey(ns Namespace, i int) Key {
+	return sha256.Sum256([]byte(fmt.Sprintf("fixture-%d-%d", ns, i)))
+}
+
+func fixtureVal(ns Namespace, i, version int) []byte {
+	return []byte(fmt.Sprintf(`{"ns":%d,"i":%d,"v":%d,"area":%d.25}`, ns, i, version, i*37))
+}
+
+// TestOpensOlderDirectory: a directory the older store wrote opens
+// clean and answers every record byte-identically, the rewritten key
+// with its newer payload.
+func TestOpensOlderDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{segName(0), walName} {
+		b, err := os.ReadFile(filepath.Join("testdata", "parent-store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := openTest(t, Options{Dir: dir})
+	if st := s.Stats(); st.Segments != 1 || st.Records != 25 || st.Degraded {
+		t.Fatalf("stats %+v, want 1 sealed segment, 25 records, not degraded", st)
+	}
+	for _, ns := range []Namespace{NSResult, NSCongest, NSFloorplan, 3} {
+		for i := 0; i < 6; i++ {
+			want := fixtureVal(ns, i, 1)
+			if ns == NSResult && i == 0 {
+				want = fixtureVal(ns, i, 2)
+			}
+			got, ok, err := s.Get(ns, fixtureKey(ns, i))
+			if err != nil || !ok || !bytes.Equal(got, want) {
+				t.Fatalf("ns %d key %d: %q ok=%v err=%v, want %q", ns, i, got, ok, err, want)
+			}
+		}
+	}
+	rep, err := s.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean || rep.Records != 25 {
+		t.Fatalf("verify: %s", rep)
 	}
 }

@@ -26,7 +26,7 @@ if go list -deps ./internal/core ./internal/congest ./internal/prob | grep '^mae
 # The engine and the serving layer share compiled plans across
 # goroutines, the obs flight recorder is a lock-striped ring hammered
 # by every request, and the persistent store mixes request-path reads
-# with a background compactor and the serve write-behind goroutine,
+# with appends, seals and evictions from the serve write-behind goroutine,
 # and the floorplan annealer runs as async jobs on a worker pool fed
 # by the serve handlers; the cell expander feeds every cold estimate's
 # Full-Custom side.  Their suites run first and explicitly under
