@@ -16,11 +16,15 @@ import (
 
 	"maest"
 	"maest/internal/baseline"
+	"maest/internal/core"
 	"maest/internal/floorplan"
 	"maest/internal/gen"
+	"maest/internal/metrics"
+	"maest/internal/netlist"
 	"maest/internal/pla"
 	"maest/internal/prob"
 	"maest/internal/report"
+	"maest/internal/route"
 	"maest/internal/tech"
 )
 
@@ -212,9 +216,9 @@ func BenchmarkEstimatorCPUTimeStandardCell(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var stats []*maest.Stats
+	var stats []*netlist.Stats
 	for _, c := range suite {
-		s, err := maest.GatherStats(c, p)
+		s, err := netlist.Gather(c, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +227,7 @@ func BenchmarkEstimatorCPUTimeStandardCell(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range stats {
-			if _, err := maest.EstimateStandardCellCandidates(s, p, maest.SCOptions{}, 5); err != nil {
+			if _, err := core.EstimateStandardCellCandidates(s, p, core.SCOptions{}, 5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -240,7 +244,7 @@ func BenchmarkTrackSharingAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := maest.GatherStats(c, p)
+	s, err := netlist.Gather(c, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,14 +252,14 @@ func BenchmarkTrackSharingAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var plain, shared *maest.SCEstimate
+	var plain, shared *core.SCEstimate
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plain, err = maest.EstimateStandardCell(s, p, maest.SCOptions{Rows: 4})
+		plain, err = core.EstimateStandardCell(s, p, core.SCOptions{Rows: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
-		shared, err = maest.EstimateStandardCell(s, p, maest.SCOptions{Rows: 4, TrackSharing: true})
+		shared, err = core.EstimateStandardCell(s, p, core.SCOptions{Rows: 4, TrackSharing: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,7 +302,7 @@ func BenchmarkBaselines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := maest.GatherStats(suite[1], p)
+	s, err := netlist.Gather(suite[1], p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -348,11 +352,11 @@ func BenchmarkAspectRatio(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s, err := maest.GatherStats(c, p)
+				s, err := netlist.Gather(c, p)
 				if err != nil {
 					b.Fatal(err)
 				}
-				est, err := maest.EstimateStandardCell(s, p, maest.SCOptions{})
+				est, err := core.EstimateStandardCell(s, p, core.SCOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -381,11 +385,11 @@ func BenchmarkDetailedRouting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := maest.PlaceCircuit(c, p, maest.PlaceOptions{Rows: 4, Seed: 1})
+	pl, err := maest.PlaceCircuitCtx(context.Background(), c, p, maest.PlaceOptions{Rows: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	coarse, err := maest.RoutePlacement(pl, maest.RouteOptions{TrackSharing: true})
+	coarse, err := route.RouteModule(pl, route.Options{TrackSharing: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,7 +454,7 @@ func BenchmarkRentExponents(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rc, rl *maest.RentResult
+	var rc, rl *metrics.RentResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rc, err = maest.RentExponent(chain)
@@ -476,7 +480,7 @@ func BenchmarkFeedThroughProfileAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sChain, err := maest.GatherStats(chain, p)
+	sChain, err := netlist.Gather(chain, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -486,7 +490,7 @@ func BenchmarkFeedThroughProfileAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sFan, err := maest.GatherStats(fan, p)
+	sFan, err := netlist.Gather(fan, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -494,10 +498,10 @@ func BenchmarkFeedThroughProfileAblation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cse := range []struct {
-			s     *maest.Stats
+			s     *netlist.Stats
 			ratio *float64
 		}{{sChain, &chainRatio}, {sFan, &fanRatio}} {
-			prof, err := maest.FeedThroughRowProfile(cse.s, 5)
+			prof, err := core.FeedThroughRowProfile(cse.s, 5)
 			if err != nil {
 				b.Fatal(err)
 			}

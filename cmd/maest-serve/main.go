@@ -12,31 +12,29 @@
 //	            [-job-workers 2] [-job-queue 32]
 //	            [-flight N] [-access-log FILE] [-debug-addr ADDR]
 //	            [-trace out.jsonl] [-pprof out.cpu]
-//	            [-backend URL] [-runtime-metrics 15s]
+//	            [-runtime-metrics 15s]
 //	            [-store-dir DIR] [-store-max-bytes N]
 //	            [-trace-store DIR] [-trace-sample-rate 0.05]
 //	            [-trace-slow 100ms]
 //	            [-watchdog 0] [-watchdog-golden DIR] [-watchdog-ref FILE]
 //	            [-watchdog-tol 0.5]
 //
-// -backend turns the instance into a forwarding hop (the maest-router
-// building block): /v1/* relays to the backend with the W3C
-// traceparent re-injected, so one trace id spans client → router →
-// shard.  -store-dir mounts the persistent plan store: estimate
-// results, congestion maps and finished floorplan jobs persist across
-// restarts under their content addresses, so a restarted instance
-// answers repeat requests from disk instead of re-paying
-// compile+execute.  The store is write-once: a rewritten key
-// supersedes its older record, and beyond -store-max-bytes the oldest
-// segments are evicted whole.  -watchdog starts the accuracy
-// watchdog: every interval the golden circuit set replays through the
-// live plan cache and /healthz degrades (503) when any module drifts
-// beyond -watchdog-tol percentage points from the pinned reference.
+// -store-dir mounts the persistent plan store: estimate results,
+// congestion maps and finished floorplan jobs persist across restarts
+// under their content addresses, so a restarted instance answers
+// repeat requests from disk instead of re-paying compile+execute.  The
+// store is write-once: a rewritten key supersedes its older record,
+// and beyond -store-max-bytes the oldest segments are evicted whole.
+// -watchdog starts the accuracy watchdog: every interval the golden
+// circuit set replays through the live plan cache and /healthz
+// degrades (503) when any module drifts beyond -watchdog-tol
+// percentage points from the pinned reference.
 //
 // Endpoints:
 //
 //	POST /v1/estimate        {"netlist": "...", "format": "mnet|bench|verilog", ...}
 //	POST /v1/estimate/batch  {"modules": [{"netlist": "..."}, ...]}
+//	POST /v1/estimate/delta  {"parent": "<plan key>", "edits": [...]}
 //	POST /v1/congestion      {"netlist": "...", "model": "occupancy|crossing", ...}
 //	POST /v1/floorplan       submit an async floorplan job (202 + job id)
 //	GET  /v1/jobs/{id}       poll a job (accepted|annealing|done|failed|cancelled)
@@ -106,7 +104,6 @@ type options struct {
 	trace       string
 	pprof       string
 
-	backend        string
 	runtimeMetrics time.Duration
 	storeDir       string
 	storeMaxBytes  int64
@@ -137,7 +134,6 @@ func main() {
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve the observatory debug endpoints (/debug/flight, /debug/slowest, /metrics) on this extra address (empty disables)")
 	flag.StringVar(&o.trace, "trace", "", "write a JSONL span trace to this file ('-' = stdout) and a summary tree to stderr on exit")
 	flag.StringVar(&o.pprof, "pprof", "", "write a CPU profile to this file (and a heap snapshot to FILE.heap)")
-	flag.StringVar(&o.backend, "backend", "", "forward /v1/* to this maest-serve base URL instead of estimating locally (router mode; traceparent is re-injected per hop)")
 	flag.DurationVar(&o.runtimeMetrics, "runtime-metrics", 15*time.Second, "Go runtime telemetry sampling interval for /metrics (0 disables)")
 	flag.StringVar(&o.storeDir, "store-dir", "", "mount the persistent plan store in this directory: results persist across restarts and warm-start the caches (empty disables)")
 	flag.Int64Var(&o.storeMaxBytes, "store-max-bytes", 1<<30, "persistent store size budget in bytes; the oldest segments are evicted beyond it (negative disables eviction)")
@@ -269,7 +265,6 @@ func startServer(ctx context.Context, o options, accessLog io.Writer, hook func(
 		EstimateHook:    hook,
 		FlightSize:      o.flight,
 		AccessLog:       accessLog,
-		Backend:         o.backend,
 		Store:           st,
 		TraceStore:      tst,
 		Sample: obs.SamplePolicy{

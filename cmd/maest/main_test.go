@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"maest"
+	"maest/internal/tech"
 )
 
 const repoTestdata = "../../testdata"
@@ -99,7 +100,7 @@ func TestRunProcessFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := maest.WriteProcess(f, maest.NMOS25()); err != nil {
+	if err := tech.Write(f, tech.NMOS25()); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

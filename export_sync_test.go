@@ -4,55 +4,83 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// TestFacadeCoversInternalExports pins the re-export layer against
-// drift: every exported top-level symbol of the estimator packages
-// (internal/core, internal/congest, internal/engine) must be
-// referenced from maest.go — as an alias target, a shim body, or a
-// re-exported constant — or be listed here as intentionally internal.
-// Adding an export to those packages without deciding its public
-// story fails this test.
-func TestFacadeCoversInternalExports(t *testing.T) {
-	// Symbols deliberately not part of the public facade.  Each entry
-	// should say why.
-	allowed := map[string]string{
-		// The engine re-exports the core FC modes for its internal
-		// consumers; the facade already exposes them from core.
-		"engine.FCExactAreas":   "duplicate of core.FCExactAreas",
-		"engine.FCAverageAreas": "duplicate of core.FCAverageAreas",
-		// Serving-layer plumbing for hashing a rendering it already
-		// holds; PlanHashFor is the public form.
-		"engine.HashCanonical": "PlanHashFor covers the public use",
-		// The Eq. 13 kernel over gathered statistics is the engine's
-		// route; the facade keeps the circuit-taking wrapper.
-		"core.EstimateFullCustomStats": "EstimateFullCustom covers the public use",
+// TestFacadeExportsOnlyCalledNames keeps the root package to the
+// surface its users call.  A maest.go export must either be named as
+// maest.X by the README or by non-test Go under examples/ or cmd/
+// (rule a), or be a type that such a function takes as a parameter,
+// so callers can build its argument (rule b).  Anything else is
+// surface no caller uses: delete it, or reach the internal package
+// from the test that wants it.
+func TestFacadeExportsOnlyCalledNames(t *testing.T) {
+	called := make(map[string]bool)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`\bmaest\.([A-Z]\w*)`).FindAllSubmatch(readme, -1) {
+		called[string(m[1])] = true
+	}
+	for _, root := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			for key := range referencedSelectors(t, path) {
+				if name, ok := strings.CutPrefix(key, "maest."); ok {
+					called[name] = true
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	facade := referencedSelectors(t, "maest.go")
-	for _, pkg := range []string{"core", "congest", "engine"} {
-		for _, sym := range exportedSymbols(t, filepath.Join("internal", pkg)) {
-			key := pkg + "." + sym
-			if _, ok := allowed[key]; ok {
-				continue
-			}
-			if !facade[key] {
-				t.Errorf("%s is exported but not referenced in maest.go; re-export it or allowlist it with a reason", key)
+	exported := make(map[string]bool)
+	for _, name := range exportedSymbols(t, ".") {
+		exported[name] = true
+	}
+	kept := make(map[string]bool)
+	for name := range called {
+		if !exported[name] {
+			t.Errorf("maest.%s is named by a caller but not declared in maest.go", name)
+		}
+		kept[name] = true
+	}
+	for name, types := range facadeParamTypes(t, "maest.go") {
+		if !called[name] {
+			continue
+		}
+		for _, typ := range types {
+			if exported[typ] {
+				kept[typ] = true
 			}
 		}
 	}
-	for key := range allowed {
-		if facade[key] {
-			t.Errorf("%s is allowlisted as internal but maest.go references it; drop the allowlist entry", key)
+
+	var unused []string
+	for name := range exported {
+		if !kept[name] {
+			unused = append(unused, name)
 		}
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("maest.%s is named by no README line, example or command, nor taken by a function they call; delete it", name)
 	}
 }
 
-// exportedSymbols parses every non-test file of an internal package
+// exportedSymbols parses every non-test file of a package directory
 // and returns its exported package-level identifiers.
 func exportedSymbols(t *testing.T, dir string) []string {
 	t.Helper()
@@ -98,8 +126,38 @@ func exportedSymbols(t *testing.T, dir string) []string {
 	return out
 }
 
+// facadeParamTypes maps each top-level function of file to the
+// unqualified identifiers its parameter types mention (through
+// pointers, slices, variadics and func types alike).
+func facadeParamTypes(t *testing.T, file string) map[string][]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]string)
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil {
+			continue
+		}
+		for _, field := range fn.Type.Params.List {
+			ast.Inspect(field.Type, func(n ast.Node) bool {
+				if _, ok := n.(*ast.SelectorExpr); ok {
+					return false // a qualified internal type, not a facade name
+				}
+				if id, ok := n.(*ast.Ident); ok {
+					out[fn.Name.Name] = append(out[fn.Name.Name], id.Name)
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
 // referencedSelectors returns every pkg.Symbol selector mentioned in
-// the facade file, keyed "pkg.Symbol".
+// a Go file, keyed "pkg.Symbol".
 func referencedSelectors(t *testing.T, file string) map[string]bool {
 	t.Helper()
 	fset := token.NewFileSet()

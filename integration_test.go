@@ -2,6 +2,7 @@ package maest_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,10 @@ import (
 	"testing/quick"
 
 	"maest"
+	"maest/internal/core"
+	"maest/internal/hdl"
+	"maest/internal/netlist"
+	"maest/internal/prob"
 )
 
 // randNativeCircuit builds a random circuit out of native 2-input
@@ -181,11 +186,11 @@ func TestFullFlowBothProcesses(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range scSuite {
-			s, err := maest.GatherStats(c, p)
+			s, err := netlist.Gather(c, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := maest.EstimateStandardCell(s, p, maest.SCOptions{Rows: 3})
+			est, err := core.EstimateStandardCell(s, p, core.SCOptions{Rows: 3})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", procName, c.Name, err)
 			}
@@ -229,7 +234,7 @@ func TestGeometryFlowOnSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range suite {
-		pl, err := maest.PlaceCircuit(c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
+		pl, err := maest.PlaceCircuitCtx(context.Background(), c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,12 +272,12 @@ func TestSCEstimateDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := maest.GatherStats(c, p)
+	s, err := netlist.Gather(c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rows := 1; rows <= 8; rows++ {
-		est, err := maest.EstimateStandardCell(s, p, maest.SCOptions{Rows: rows})
+		est, err := core.EstimateStandardCell(s, p, core.SCOptions{Rows: rows})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,18 +303,18 @@ func TestRand180BenchWorkload(t *testing.T) {
 	}
 	defer f.Close()
 	p := maest.NMOS25()
-	c, err := maest.ParseBench(f, "rand180", p)
+	c, err := hdl.ParseBench(f, "rand180", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.NumDevices() < 180 {
 		t.Fatalf("N = %d", c.NumDevices())
 	}
-	s, err := maest.GatherStats(c, p)
+	s, err := netlist.Gather(c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := maest.EstimateStandardCell(s, p, maest.SCOptions{})
+	est, err := core.EstimateStandardCell(s, p, core.SCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +326,7 @@ func TestRand180BenchWorkload(t *testing.T) {
 		t.Fatalf("upper bound violated at scale: %g <= %d", est.Area, real.Area())
 	}
 	// Track-count confidence interval brackets the expectation.
-	mean, lo, hi, err := maest.TrackInterval(est.Rows, s.DegreeCount, 3)
+	mean, lo, hi, err := prob.TrackInterval(est.Rows, s.DegreeCount, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

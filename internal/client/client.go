@@ -1,12 +1,12 @@
 // Package client is the Go client for maest-serve: typed wrappers
 // over the /v1 wire format with W3C trace-context injection, so a
-// floorplanner loop (or the future maest-router) calling the service
+// floorplanner loop (or a forwarding hop) calling the service
 // participates in the same distributed trace as the hops it calls.
 //
 // Trace propagation: every request carries a traceparent header.  If
 // the caller's context holds an obs.TraceContext (installed with
-// obs.WithTraceContext — e.g. inside a serve handler, or minted by the
-// caller for a whole floorplan iteration), that context is injected
+// obs.WithTraceContext — e.g. a hop's child context, or one minted by
+// the caller for a whole floorplan iteration), that context is injected
 // as-is, making its span id the server's parent; otherwise the client
 // mints a fresh root per request.
 package client

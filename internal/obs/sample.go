@@ -15,9 +15,9 @@ import (
 // uint64(first 8 bytes of the trace id) < rate·2⁶⁴.  Random trace ids
 // make this an unbiased rate, and determinism buys two properties a
 // coin flip cannot: every hop of a distributed trace makes the same
-// decision (a router and its shard keep or drop a trace together,
-// so stitched trees are never half-persisted), and tests can pick
-// trace ids on either side of the threshold.
+// decision (two servers on one trace keep or drop it together, so
+// stitched trees are never half-persisted), and tests can pick trace
+// ids on either side of the threshold.
 //
 // A nil *TailSampler is the disabled policy — Keep answers false with
 // no allocation and no atomic traffic — matching the nil *Flight and

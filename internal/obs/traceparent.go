@@ -9,7 +9,7 @@ import (
 
 // W3C Trace Context (traceparent) support: the wire format that lets a
 // span tree survive a process boundary.  A floorplanner loop calling
-// maest-serve — or a maest-router fronting a shard pool — sends
+// maest-serve — or any forwarding hop in front of it — sends
 //
 //	traceparent: 00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>
 //
@@ -191,9 +191,9 @@ func (tc TraceContext) Child() TraceContext {
 
 type traceKey struct{}
 
-// WithTraceContext returns a context carrying tc; downstream clients
-// (internal/client, the serve proxy) read it back to inject the
-// traceparent header into outgoing requests.
+// WithTraceContext returns a context carrying tc; internal/client
+// reads it back to inject the traceparent header into outgoing
+// requests.
 func WithTraceContext(ctx context.Context, tc TraceContext) context.Context {
 	return context.WithValue(ctx, traceKey{}, tc)
 }

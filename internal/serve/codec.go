@@ -393,12 +393,9 @@ type WatchdogHealth struct {
 // absence means a server-side 5xx.
 var errBadRequest = errors.New("serve: bad request")
 
-// errBadGateway marks proxy failures reaching the backend (502).
-var errBadGateway = errors.New("serve: backend unreachable")
-
 // errUnknownParent marks a delta request whose parent plan is not in
-// the plan cache (404): the plan aged out, or the client is talking to
-// a different shard.  The defined fallback is a full /v1/estimate.
+// the plan cache (404): the plan aged out, or another server minted
+// it.  The defined fallback is a full /v1/estimate.
 var errUnknownParent = errors.New("serve: unknown parent plan")
 
 // errUnknownJob marks a job id found neither in memory nor in the

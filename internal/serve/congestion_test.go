@@ -146,6 +146,11 @@ func TestCongestionRejectsBadRequests(t *testing.T) {
 		{"empty netlist", marshal(t, CongestionRequest{}), http.StatusBadRequest},
 		{"bad model", marshal(t, CongestionRequest{Netlist: netlist, Model: "psychic"}), http.StatusBadRequest},
 		{"negative rows", marshal(t, CongestionRequest{Netlist: netlist, Rows: -2}), http.StatusBadRequest},
+		// demo.mnet has N = 4 devices, so the feasible rows are 1..4.
+		{"rows at N", marshal(t, CongestionRequest{Netlist: netlist, Rows: 4}), http.StatusOK},
+		{"rows above N", marshal(t, CongestionRequest{Netlist: netlist, Rows: 5}), http.StatusBadRequest},
+		{"gridded rows above N", marshal(t, CongestionRequest{Netlist: netlist, Rows: 5, Gridded: true}), http.StatusBadRequest},
+		{"huge rows", marshal(t, CongestionRequest{Netlist: netlist, Rows: 2_000_000_000}), http.StatusBadRequest},
 		{"bad process", marshal(t, CongestionRequest{Netlist: netlist, Process: "tube"}), http.StatusBadRequest},
 		{"bad netlist", marshal(t, CongestionRequest{Netlist: "module x\nnonsense\nend\n"}), http.StatusBadRequest},
 	}

@@ -65,7 +65,7 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
 	mux.HandleFunc("GET /debug/plans", s.handleDebugPlans)
 	// The pprof handlers live on the debug socket only — never the
-	// service port — so profiling a production shard needs the same
+	// service port — so profiling a production instance needs the same
 	// loopback access as the rest of the observatory.
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)

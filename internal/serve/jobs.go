@@ -352,9 +352,6 @@ func (jm *jobManager) persisted(key Key) (*JobResponse, bool) {
 // cancelled, and every terminal record is persisted before the store
 // tier flushes.  Idempotent; after drain every submit answers 429.
 func (jm *jobManager) drain() {
-	if jm == nil {
-		return
-	}
 	jm.drainOnce.Do(func() {
 		jm.mu.Lock()
 		jm.draining = true

@@ -491,35 +491,3 @@ func mustKey(t *testing.T, id string) Key {
 	}
 	return k
 }
-
-// TestJobEndpointsProxyToBackend pins router mode: the front hop
-// forwards the job API verbatim — method, path and job id — so a
-// submit through the front and a poll through the front both land on
-// the backend's job.
-func TestJobEndpointsProxyToBackend(t *testing.T) {
-	backend := New(Options{})
-	t.Cleanup(backend.FlushStore)
-	backendTS := httptest.NewServer(backend)
-	defer backendTS.Close()
-	front := New(Options{Backend: backendTS.URL})
-
-	req := fpRequest(3)
-	req.Budget = 80
-	w := do(front, "POST", "/v1/floorplan", marshal(t, req))
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("front submit status %d: %s", w.Code, w.Body.String())
-	}
-	id := decodeJob(t, w).ID
-	fin := pollJob(t, front, id, JobDone)
-	if fin.Result == nil || len(fin.Result.Blocks) != 3 {
-		t.Fatalf("front poll answered %+v", fin)
-	}
-	// Cancel through the front is idempotent on the terminal job.
-	if resp := decodeJob(t, do(front, "DELETE", "/v1/jobs/"+id, "")); resp.State != JobDone {
-		t.Fatalf("front cancel answered %q", resp.State)
-	}
-	// Unknown ids 404 through the hop as well.
-	if w := do(front, "GET", "/v1/jobs/"+strings.Repeat("cd", 32), ""); w.Code != http.StatusNotFound {
-		t.Fatalf("front unknown id: status %d", w.Code)
-	}
-}

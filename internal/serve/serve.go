@@ -77,13 +77,6 @@ type Options struct {
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request (method, path, status, duration, request ID, cache hit).
 	AccessLog io.Writer
-	// Backend, when non-empty, turns the server into a forwarding hop:
-	// the /v1/* endpoints proxy to this base URL (e.g.
-	// "http://shard0:8080") instead of estimating locally, re-injecting
-	// the W3C traceparent so the trace survives the extra hop.  This is
-	// the maest-router building block; health, metrics, and the debug
-	// observatory stay local.
-	Backend string
 	// Watchdog configures the accuracy watchdog; the zero value (or an
 	// Interval of 0) disables it.
 	Watchdog WatchdogOptions
@@ -156,13 +149,12 @@ type Server struct {
 	mux      *http.ServeMux
 	flight   *obs.Flight   // nil when the recorder is disabled
 	access   *accessLogger // nil when access logging is disabled
-	proxy    *http.Client  // non-nil only in Backend (forwarding) mode
 	watchdog *Watchdog     // nil when the accuracy watchdog is disabled
 	stier    *storeTier    // nil when the persistent store is disabled
 	ttier    *traceTier    // nil when the trace store is disabled
 	sampler  *obs.TailSampler
 	profiles *planProfiles // nil when request telemetry is fully off
-	jobs     *jobManager   // nil in Backend (forwarding) mode
+	jobs     *jobManager
 }
 
 // New returns a Server ready to mount on an http.Server.
@@ -193,28 +185,14 @@ func New(opts Options) *Server {
 	if s.flight != nil || s.ttier != nil {
 		s.profiles = newPlanProfiles(planProfileCap)
 	}
-	if opts.Backend != "" {
-		s.proxy = &http.Client{Timeout: opts.Timeout}
-		s.mux.HandleFunc("POST /v1/estimate", s.instrument("/v1/estimate", s.proxyTo("/v1/estimate")))
-		s.mux.HandleFunc("POST /v1/estimate/batch", s.instrument("/v1/estimate/batch", s.proxyTo("/v1/estimate/batch")))
-		s.mux.HandleFunc("POST /v1/estimate/delta", s.instrument("/v1/estimate/delta", s.proxyTo("/v1/estimate/delta")))
-		s.mux.HandleFunc("POST /v1/congestion", s.instrument("/v1/congestion", s.proxyTo("/v1/congestion")))
-		// Job endpoints forward verbatim: the job lives on the backend
-		// shard, id and all, so GET and DELETE must preserve method
-		// and path rather than re-POST.
-		s.mux.HandleFunc("POST /v1/floorplan", s.instrument("/v1/floorplan", s.proxyPath()))
-		s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs", s.proxyPath()))
-		s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", s.proxyPath()))
-	} else {
-		s.jobs = newJobManager(s, opts.JobWorkers, opts.JobQueue)
-		s.mux.HandleFunc("POST /v1/estimate", s.instrument("/v1/estimate", s.handleEstimate))
-		s.mux.HandleFunc("POST /v1/estimate/batch", s.instrument("/v1/estimate/batch", s.handleBatch))
-		s.mux.HandleFunc("POST /v1/estimate/delta", s.instrument("/v1/estimate/delta", s.handleDelta))
-		s.mux.HandleFunc("POST /v1/congestion", s.instrument("/v1/congestion", s.handleCongestion))
-		s.mux.HandleFunc("POST /v1/floorplan", s.instrument("/v1/floorplan", s.handleFloorplan))
-		s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobGet))
-		s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobCancel))
-	}
+	s.jobs = newJobManager(s, opts.JobWorkers, opts.JobQueue)
+	s.mux.HandleFunc("POST /v1/estimate", s.instrument("/v1/estimate", s.handleEstimate))
+	s.mux.HandleFunc("POST /v1/estimate/batch", s.instrument("/v1/estimate/batch", s.handleBatch))
+	s.mux.HandleFunc("POST /v1/estimate/delta", s.instrument("/v1/estimate/delta", s.handleDelta))
+	s.mux.HandleFunc("POST /v1/congestion", s.instrument("/v1/congestion", s.handleCongestion))
+	s.mux.HandleFunc("POST /v1/floorplan", s.instrument("/v1/floorplan", s.handleFloorplan))
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobGet))
+	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobCancel))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if opts.Watchdog.Interval > 0 {
@@ -420,14 +398,12 @@ func writeError(w http.ResponseWriter, info *reqInfo, err error) {
 		// estimated (unknown device, mixed methodologies, …).
 		status = http.StatusUnprocessableEntity
 	case errors.Is(err, errUnknownParent), errors.Is(err, errUnknownJob):
-		// The named parent plan aged out of the plan cache (or belongs
-		// to another shard), or the polled job id is known neither in
-		// memory nor on disk.  The client's defined fallback for a
-		// missing parent is a full /v1/estimate, whose answer mints a
-		// fresh plan key; for a missing job it is a resubmit.
+		// The named parent plan aged out of the plan cache, or the
+		// polled job id is known neither in memory nor on disk.  The
+		// client's defined fallback for a missing parent is a full
+		// /v1/estimate, whose answer mints a fresh plan key; for a
+		// missing job it is a resubmit.
 		status = http.StatusNotFound
-	case errors.Is(err, errBadGateway):
-		status = http.StatusBadGateway
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		mTimeouts.Inc()
 		status = http.StatusGatewayTimeout
@@ -756,6 +732,12 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 		s.fail(w, info, err)
 		return
 	}
+	// Feasible rows are 1..N, one device per row at most; the analysis
+	// allocates per channel, so an unbounded count must not reach it.
+	if n := pl.Stats().N; req.Rows > n {
+		s.fail(w, info, reqErr("rows %d exceeds the module's %d devices", req.Rows, n))
+		return
+	}
 	rows := req.Rows
 	if rows == 0 {
 		if req.Gridded {
@@ -800,7 +782,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resp.Watchdog = &h
 		if h.Degraded {
 			// Degraded accuracy is a health failure: a load balancer
-			// should stop routing floorplanner traffic to a shard whose
+			// should stop routing floorplanner traffic to an instance whose
 			// estimates have drifted off the golden set.
 			resp.Status = "degraded"
 			status = http.StatusServiceUnavailable

@@ -287,8 +287,7 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		// W3C trace context: an incoming traceparent roots this hop in
 		// the caller's trace (the caller's span id becomes our parent);
 		// otherwise this hop is a trace root.  Either way the hop gets
-		// its own span id, installed in ctx so outbound calls (the
-		// proxy, internal/client) can continue the chain.
+		// its own span id.
 		if tc, err := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); err == nil {
 			info.parentSpan = tc.SpanIDString()
 			info.trace = tc.Child()
@@ -308,7 +307,7 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		// Thread the request through a root span carrying the request
 		// ID, fanned out to both the server's trace sink (if any) and
 		// the flight recorder's bounded per-request collector.
-		ctx := obs.WithTraceContext(r.Context(), info.trace)
+		ctx := r.Context()
 		var root *obs.Span
 		if recording {
 			info.spans = obs.NewCollect(flightSpanCap)

@@ -8,6 +8,16 @@ import (
 	"testing"
 
 	"maest"
+	"maest/internal/baseline"
+	"maest/internal/core"
+	"maest/internal/floorplan"
+	"maest/internal/hdl"
+	"maest/internal/layout"
+	"maest/internal/netlist"
+	"maest/internal/prob"
+	"maest/internal/route"
+	"maest/internal/sim"
+	"maest/internal/tech"
 )
 
 const demoMnet = `
@@ -53,7 +63,7 @@ func TestPublicPipeline(t *testing.T) {
 }
 
 func TestPublicBuilderFlow(t *testing.T) {
-	p := maest.CMOS30()
+	p := tech.CMOS30()
 	b := maest.NewCircuitBuilder("pub")
 	b.AddDevice("g1", "NAND2", "a", "b", "y")
 	b.AddDevice("g2", "INV", "y", "z")
@@ -64,14 +74,14 @@ func TestPublicBuilderFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := maest.GatherStats(c, p)
+	s, err := netlist.Gather(c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.N != 2 || s.NumPorts != 3 {
 		t.Fatalf("stats = %+v", s)
 	}
-	sc, err := maest.EstimateStandardCell(s, p, maest.SCOptions{Rows: 1})
+	sc, err := core.EstimateStandardCell(s, p, core.SCOptions{Rows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +114,11 @@ func TestPublicGroundTruthFlow(t *testing.T) {
 	if m.Area() <= 0 {
 		t.Fatal("empty layout")
 	}
-	pl, err := maest.PlaceCircuit(c, p, maest.PlaceOptions{Rows: 2, Seed: 1})
+	pl, err := maest.PlaceCircuitCtx(context.Background(), c, p, maest.PlaceOptions{Rows: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := maest.RoutePlacement(pl, maest.RouteOptions{TrackSharing: true})
+	rr, err := route.RouteModule(pl, route.Options{TrackSharing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,22 +163,19 @@ func TestPublicFloorplanFlow(t *testing.T) {
 }
 
 func TestPublicProbability(t *testing.T) {
-	e, err := maest.ExpectedRowSpan(3, 2)
+	e, err := prob.ExpectedRowSpan(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(e-5.0/3) > 1e-12 {
 		t.Fatalf("E = %g", e)
 	}
-	pft, err := maest.CentralFeedThroughProb(3)
+	pft, err := prob.CentralFeedThroughProb(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(pft-2.0/9) > 1e-12 {
 		t.Fatalf("p = %g", pft)
-	}
-	if _, err := maest.FeedThroughProb(5, 3, 3); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -178,7 +185,7 @@ func TestPublicProcessRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := maest.WriteProcess(&buf, p); err != nil {
+	if err := tech.Write(&buf, p); err != nil {
 		t.Fatal(err)
 	}
 	back, err := maest.ReadProcess(&buf)
@@ -200,14 +207,7 @@ func TestPublicSuitesAndBaselines(t *testing.T) {
 	if err != nil || len(sc) != 2 {
 		t.Fatalf("SC suite: %v %d", err, len(sc))
 	}
-	s, err := maest.GatherStats(sc[0], p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := maest.NaiveEstimate(s, 2); err != nil {
-		t.Fatal(err)
-	}
-	model, err := maest.CalibratePLEST(sc[:1], p, 2, 1)
+	model, err := baseline.CalibratePLEST(sc[:1], p, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,24 +225,6 @@ func TestPublicExtendedSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := maest.GatherStats(c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Profiled estimator and feed-through profile.
-	if _, err := maest.EstimateStandardCellProfiled(s, p, maest.SCOptions{Rows: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := maest.FeedThroughRowProfile(s, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Variance surface.
-	if _, err := maest.RowSpanVariance(4, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := maest.TrackInterval(3, s.DegreeCount, 2); err != nil {
-		t.Fatal(err)
-	}
 	// Parallel chip estimation.
 	cpl, err := maest.Compile(c, p)
 	if err != nil {
@@ -253,7 +235,7 @@ func TestPublicExtendedSurface(t *testing.T) {
 		t.Fatalf("EstimatePlans: %v", err)
 	}
 	// Geometry + DRC + SVG + CIF.
-	pl, err := maest.PlaceCircuit(c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
+	pl, err := maest.PlaceCircuitCtx(context.Background(), c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,18 +247,11 @@ func TestPublicExtendedSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := maest.CheckDRC(g, p); len(vs) != 0 {
+	if vs := layout.CheckDRC(g, p); len(vs) != 0 {
 		t.Fatalf("DRC violations on engine output: %v", vs[0])
 	}
 	var buf bytes.Buffer
 	if err := maest.WriteSVG(&buf, g, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Partitioning and Rent.
-	if _, err := maest.Bipartition(c, nil, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := maest.RentExponentFM(c, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Rescaled process conversions.
@@ -289,10 +264,10 @@ func TestPublicExtendedSurface(t *testing.T) {
 	}
 	// HDL surfaces: Verilog + bench writers.
 	var v, bb bytes.Buffer
-	if err := maest.WriteVerilog(&v, c); err != nil {
+	if err := hdl.WriteVerilog(&v, c); err != nil {
 		t.Fatal(err)
 	}
-	back, err := maest.ParseVerilog(&v, p)
+	back, err := hdl.ParseVerilog(&v, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,16 +332,16 @@ func TestPublicSimAndPlanOpt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := maest.EvalCircuit(c, map[string]bool{"a": true, "b": false})
+	vals, err := sim.Eval(c, map[string]bool{"a": true, "b": false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vals["y"] {
 		t.Fatal("XOR(1,0) != 1")
 	}
-	mods := []maest.PlanModule{{Name: "m", Shapes: []maest.FloorplanShape{{W: 10, H: 10}}}}
+	mods := []maest.PlanModule{{Name: "m", Shapes: []floorplan.Shape{{W: 10, H: 10}}}}
 	if _, err := maest.PlanModules(context.Background(), "x", mods, nil,
-		maest.WithBudget(0), maest.WithWireWeight(1)); err != nil {
+		maest.WithBudget(0), floorplan.WithWireWeight(1)); err != nil {
 		t.Fatal(err)
 	}
 }

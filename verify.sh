@@ -69,10 +69,11 @@ go test -cover $(awk '!/^#/ && NF { print $1 }' testdata/coverage_floor.txt) |
         }
         exit bad
     }'
-# Distributed-trace e2e: two full serve instances (router + shard) on
-# real sockets must stitch one W3C trace id from the client through
-# both flight recorders; the trace-store restart e2e must render a
-# pre-restart trace byte-identically after a kill + reopen.
+# Distributed-trace e2e: a client calls a forwarding hop written in
+# the test, which continues the W3C trace into a full maest-serve on
+# real sockets; one trace id must run from the client through the hop
+# to the serve flight record.  The trace-store restart e2e must render
+# a pre-restart trace byte-identically after a kill + reopen.
 go test -race -run 'TestTwoProcessTraceStitch|TestTraceStoreRestartEndToEnd' ./cmd/maest-serve
 # Bench smoke: every benchmark must still compile and survive one
 # iteration (catches bit-rot in the perf harness without timing it).
