@@ -17,7 +17,6 @@ import (
 	"maest"
 	"maest/internal/baseline"
 	"maest/internal/core"
-	"maest/internal/floorplan"
 	"maest/internal/gen"
 	"maest/internal/metrics"
 	"maest/internal/netlist"
@@ -278,14 +277,14 @@ func BenchmarkFloorplanIterations(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var est, naive *floorplan.ExperimentResult
+	var est, naive *report.ExperimentResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est, err = floorplan.IterationExperiment(chip, p, floorplan.EstimatorShapes, floorplan.ExperimentOptions{Seed: 5})
+		est, err = report.IterationExperiment(chip, p, report.EstimatorShapes, report.ExperimentOptions{Seed: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
-		naive, err = floorplan.IterationExperiment(chip, p, floorplan.NaiveShapes(1.0), floorplan.ExperimentOptions{Seed: 5})
+		naive, err = report.IterationExperiment(chip, p, report.NaiveShapes(1.0), report.ExperimentOptions{Seed: 5})
 		if err != nil {
 			b.Fatal(err)
 		}

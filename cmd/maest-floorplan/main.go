@@ -36,6 +36,7 @@ import (
 	"maest/internal/gen"
 	"maest/internal/netlist"
 	"maest/internal/obs"
+	"maest/internal/report"
 	"maest/internal/serve"
 	"maest/internal/tech"
 )
@@ -281,12 +282,12 @@ func runExperiment(p *tech.Process, modules int, seed int64) error {
 	fmt.Printf("floorplan iteration experiment: %d modules, seed %d (tolerance 25%%)\n", modules, seed)
 	for _, src := range []struct {
 		name string
-		fn   floorplan.ShapeSource
+		fn   report.ShapeSource
 	}{
-		{"estimator (this paper)", floorplan.EstimatorShapes},
-		{"naive active-area guess", floorplan.NaiveShapes(1.0)},
+		{"estimator (this paper)", report.EstimatorShapes},
+		{"naive active-area guess", report.NaiveShapes(1.0)},
 	} {
-		res, err := floorplan.IterationExperiment(chip, p, src.fn, floorplan.ExperimentOptions{Seed: seed})
+		res, err := report.IterationExperiment(chip, p, src.fn, report.ExperimentOptions{Seed: seed})
 		if err != nil {
 			return err
 		}

@@ -151,63 +151,3 @@ func TestRuntimeMetricsExposed(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// TestWatchdogFlagEndToEnd boots the service with the accuracy
-// watchdog enabled and waits for the first probe to publish its drift
-// gauge and a healthy /healthz watchdog block.
-func TestWatchdogFlagEndToEnd(t *testing.T) {
-	base := startTestServer(t, options{
-		watchdog:       time.Hour, // the immediate startup probe is enough
-		watchdogGolden: filepath.Join(repoTestdata, "golden"),
-		watchdogRef:    filepath.Join(repoTestdata, "bench", "BENCH_reference.json"),
-		watchdogTol:    0.5,
-	}, nil)
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var h serve.HealthResponse
-		if err := json.Unmarshal(b, &h); err != nil {
-			t.Fatalf("healthz not JSON: %v\n%s", err, b)
-		}
-		if h.Watchdog == nil {
-			t.Fatalf("healthz missing watchdog block: %s", b)
-		}
-		if h.Watchdog.Probes > 0 {
-			if resp.StatusCode != http.StatusOK || h.Status != "ok" || h.Watchdog.Degraded {
-				t.Fatalf("watchdog unhealthy on pristine goldens: %d %s", resp.StatusCode, b)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never probed")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// The drift gauge is exposed (gauges print with %g, so scrape the
-	// raw text rather than the integer-counter helper).
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), "maest_serve_accuracy_drift_pp") {
-		t.Fatal("metrics exposition missing maest_serve_accuracy_drift_pp")
-	}
-	if !strings.Contains(string(b), "maest_serve_accuracy_degraded 0") {
-		t.Fatal("degraded gauge not 0 on pristine goldens")
-	}
-}

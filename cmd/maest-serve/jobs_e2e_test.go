@@ -55,6 +55,22 @@ func fpChipRequest(budget int) serve.FloorplanRequest {
 	}
 }
 
+// blockingChipRequest is a job that holds its worker until cancelled:
+// eight modules anneal for tens of seconds at the 1,000,000-move
+// maximum budget.
+func blockingChipRequest(seed int64) serve.FloorplanRequest {
+	req := serve.FloorplanRequest{Chip: "e2e-chip", CongestWeight: 1, Budget: 1_000_000, Seed: seed}
+	for i := 0; i < 8; i++ {
+		req.Modules = append(req.Modules, fpModule(fmt.Sprintf("m%d", i), 3+2*i))
+		if i > 0 {
+			req.Nets = append(req.Nets, serve.GlobalNetBody{Name: fmt.Sprintf("n%d", i), Pins: []serve.GlobalPinBody{
+				{Module: fmt.Sprintf("m%d", i-1), Port: "out"}, {Module: fmt.Sprintf("m%d", i), Port: "in"},
+			}})
+		}
+	}
+	return req
+}
+
 // TestFloorplanServiceEndToEnd is the acceptance flow: submit a chip
 // netlist with a congestion weight over the real socket, poll the job
 // to completion, check the plan chose one shape candidate per module
@@ -143,7 +159,7 @@ func TestServeDrainCancelsJobs(t *testing.T) {
 	c := client.New("http://" + rt.apiAddr)
 	ctx := context.Background()
 
-	req := fpChipRequest(50_000_000) // will not finish on its own
+	req := blockingChipRequest(1988)
 	sub, err := c.FloorplanSubmit(ctx, req)
 	if err != nil {
 		t.Fatal(err)

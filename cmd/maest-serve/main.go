@@ -16,8 +16,6 @@
 //	            [-store-dir DIR] [-store-max-bytes N]
 //	            [-trace-store DIR] [-trace-sample-rate 0.05]
 //	            [-trace-slow 100ms]
-//	            [-watchdog 0] [-watchdog-golden DIR] [-watchdog-ref FILE]
-//	            [-watchdog-tol 0.5]
 //
 // -store-dir mounts the persistent plan store: estimate results,
 // congestion maps and finished floorplan jobs persist across restarts
@@ -25,10 +23,6 @@
 // repeat requests from disk instead of re-paying compile+execute.  The
 // store is write-once: a rewritten key supersedes its older record,
 // and beyond -store-max-bytes the oldest segments are evicted whole.
-// -watchdog starts the accuracy watchdog: every interval the golden
-// circuit set replays through the live plan cache and /healthz
-// degrades (503) when any module drifts beyond -watchdog-tol
-// percentage points from the pinned reference.
 //
 // Endpoints:
 //
@@ -110,10 +104,6 @@ type options struct {
 	traceStoreDir  string
 	traceRate      float64
 	traceSlow      time.Duration
-	watchdog       time.Duration
-	watchdogGolden string
-	watchdogRef    string
-	watchdogTol    float64
 }
 
 func main() {
@@ -140,10 +130,6 @@ func main() {
 	flag.StringVar(&o.traceStoreDir, "trace-store", "", "persist tail-sampled request traces in this directory; GET /debug/trace/{id} then answers across restarts (empty disables)")
 	flag.Float64Var(&o.traceRate, "trace-sample-rate", 0.05, "baseline fraction of traces kept by the tail sampler (errors and the slow tail are always kept)")
 	flag.DurationVar(&o.traceSlow, "trace-slow", 100*time.Millisecond, "requests at least this slow are always sampled (0 disables the slow-tail rule)")
-	flag.DurationVar(&o.watchdog, "watchdog", 0, "accuracy watchdog probe interval; replays the golden set through the live plan cache and degrades /healthz on drift (0 disables)")
-	flag.StringVar(&o.watchdogGolden, "watchdog-golden", "testdata/golden", "golden tables directory for the accuracy watchdog")
-	flag.StringVar(&o.watchdogRef, "watchdog-ref", "testdata/bench/BENCH_reference.json", "pinned bench snapshot the watchdog diffs against")
-	flag.Float64Var(&o.watchdogTol, "watchdog-tol", 0.5, "allowed drift growth beyond the reference, in percentage points")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "maest-serve:", err)
@@ -272,12 +258,6 @@ func startServer(ctx context.Context, o options, accessLog io.Writer, hook func(
 			SlowMicros: o.traceSlow.Microseconds(),
 			KeepErrors: true,
 		},
-		Watchdog: serve.WatchdogOptions{
-			Interval:  o.watchdog,
-			GoldenDir: o.watchdogGolden,
-			Reference: o.watchdogRef,
-			TolPP:     o.watchdogTol,
-		},
 	})
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -305,7 +285,6 @@ func startServer(ctx context.Context, o options, accessLog io.Writer, hook func(
 		traceStore: tst,
 	}
 	rt.sampler.Start()
-	rt.handler.Watchdog().Start()
 	go serveListener(rt.api, ln)
 
 	if o.debugAddr != "" {
@@ -341,7 +320,6 @@ func serveListener(srv *http.Server, ln net.Listener) {
 // then closes the listeners hard.  The debug listener has no
 // long-running requests and closes immediately.
 func (rt *running) shutdown(drain time.Duration) error {
-	rt.handler.Watchdog().Stop()
 	rt.sampler.Stop()
 	if rt.debug != nil {
 		rt.debug.Close()

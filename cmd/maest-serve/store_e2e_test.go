@@ -17,8 +17,8 @@ import (
 )
 
 // suiteNetlists renders the golden generator suites (the same modules
-// the bench harness and accuracy watchdog replay) to mnet source, the
-// shape the wire carries.
+// the bench harness replays) to mnet source, the shape the wire
+// carries.
 func suiteNetlists(t *testing.T) map[string]string {
 	t.Helper()
 	p, err := tech.Lookup("nmos25")

@@ -307,13 +307,13 @@ func runPlans(args []string, w io.Writer) error {
 		if *asJSON {
 			return printJSON(w, resp.Plans)
 		}
-		fmt.Fprintf(w, "%-16s %9s %7s %10s %10s %10s %10s %9s\n",
-			"PLAN", "REQUESTS", "ERRORS", "CACHE%", "STORE%", "P50_MS", "P99_MS", "DRIFT_PP")
+		fmt.Fprintf(w, "%-16s %9s %7s %10s %10s %10s %10s\n",
+			"PLAN", "REQUESTS", "ERRORS", "CACHE%", "STORE%", "P50_MS", "P99_MS")
 		for _, p := range resp.Plans {
-			fmt.Fprintf(w, "%-16s %9d %7d %9.1f%% %9.1f%% %10.2f %10.2f %9.3f\n",
+			fmt.Fprintf(w, "%-16s %9d %7d %9.1f%% %9.1f%% %10.2f %10.2f\n",
 				shortHash(p.Plan), p.Requests, p.Errors,
 				p.CacheHitRatio*100, p.StoreHitRatio*100,
-				p.P50Seconds*1000, p.P99Seconds*1000, p.LastDriftPP)
+				p.P50Seconds*1000, p.P99Seconds*1000)
 		}
 		return nil
 	}

@@ -45,6 +45,22 @@ func jobRequest(budget int, seed int64) serve.FloorplanRequest {
 	}
 }
 
+// blockingJobRequest is a job that holds its worker until cancelled:
+// eight modules anneal for tens of seconds at the 1,000,000-move
+// maximum budget.
+func blockingJobRequest(seed int64) serve.FloorplanRequest {
+	req := serve.FloorplanRequest{Chip: "client-chip", CongestWeight: 1, Budget: 1_000_000, Seed: seed}
+	for i := 0; i < 8; i++ {
+		req.Modules = append(req.Modules, jobModule(fmt.Sprintf("m%d", i), 3+2*i))
+		if i > 0 {
+			req.Nets = append(req.Nets, serve.GlobalNetBody{Name: fmt.Sprintf("n%d", i), Pins: []serve.GlobalPinBody{
+				{Module: fmt.Sprintf("m%d", i-1), Port: "out"}, {Module: fmt.Sprintf("m%d", i), Port: "in"},
+			}})
+		}
+	}
+	return req
+}
+
 func TestFloorplanSubmitAndWait(t *testing.T) {
 	s, c := startServe(t, serve.Options{})
 	t.Cleanup(s.FlushStore)
@@ -85,7 +101,7 @@ func TestCancelJobViaClient(t *testing.T) {
 	s, c := startServe(t, serve.Options{})
 	t.Cleanup(s.FlushStore)
 	ctx := context.Background()
-	sub, err := c.FloorplanSubmit(ctx, jobRequest(50_000_000, 2))
+	sub, err := c.FloorplanSubmit(ctx, blockingJobRequest(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +154,7 @@ func TestQueueFullSurfacesRetryAfter(t *testing.T) {
 	s, c := startServe(t, serve.Options{JobWorkers: 1, JobQueue: 1})
 	t.Cleanup(s.FlushStore)
 	ctx := context.Background()
-	subA, err := c.FloorplanSubmit(ctx, jobRequest(50_000_000, 10))
+	subA, err := c.FloorplanSubmit(ctx, blockingJobRequest(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +173,11 @@ func TestQueueFullSurfacesRetryAfter(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	subB, err := c.FloorplanSubmit(ctx, jobRequest(50_000_000, 11))
+	subB, err := c.FloorplanSubmit(ctx, blockingJobRequest(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.FloorplanSubmit(ctx, jobRequest(50_000_000, 12))
+	_, err = c.FloorplanSubmit(ctx, blockingJobRequest(12))
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 429 {
 		t.Fatalf("third submit: %v", err)

@@ -23,7 +23,7 @@
 //     implements: a net contributes a segment to every channel it
 //     crosses (plus the channel above its row when it stays in one
 //     row), which concentrates demand in the central channels.  This
-//     is the model validated against routed layouts.
+//     is the model report.ValidateRoute scores against routed layouts.
 //
 // Channel indices match route.Result.ChannelTracks: channel c runs
 // above row c (0-based), channel n below the last row.  Per-channel
@@ -221,7 +221,7 @@ func AnalyzeCtx(ctx context.Context, s *netlist.Stats, rows int, opts Options) (
 // analyze is the shared engine behind the standard-cell and gridded
 // full-custom entry points: compute the distributions, then score
 // them.  The two halves are exported separately (ComputeDistributions
-// / AnalyzeDistributions) so a compiled engine Plan can memoize the
+// / AnalyzeDistributionsCtx) so a compiled engine Plan can memoize the
 // expensive convolution work and re-score it under different knobs.
 func analyze(s *netlist.Stats, rows int, gridded bool, opts Options) (*Map, error) {
 	if opts.Capacity < 0 {
@@ -303,16 +303,11 @@ func ComputeDistributions(s *netlist.Stats, rows int, gridded bool, model Model)
 	return d, nil
 }
 
-// AnalyzeDistributions scores precomputed distributions into a full
-// congestion map.  opts.Model must match the model the distributions
-// were computed under; capacity and feed-budget knobs are free.
-func AnalyzeDistributions(d *Distributions, opts Options) (*Map, error) {
-	return AnalyzeDistributionsCtx(context.Background(), d, opts)
-}
-
-// AnalyzeDistributionsCtx is AnalyzeDistributions with observability,
-// under the same span name ("congest" or "congest.grid") and metrics
-// as the from-scratch entry point it replaces.
+// AnalyzeDistributionsCtx scores precomputed distributions into a
+// full congestion map, under the same span name ("congest" or
+// "congest.grid") and metrics as the from-scratch entry point it
+// replaces.  opts.Model must match the model the distributions were
+// computed under; capacity and feed-budget knobs are free.
 func AnalyzeDistributionsCtx(ctx context.Context, d *Distributions, opts Options) (m *Map, err error) {
 	name := "congest"
 	if d.Gridded {

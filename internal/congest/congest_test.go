@@ -2,17 +2,18 @@ package congest
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"maest/internal/hdl"
 	"maest/internal/netlist"
-	"maest/internal/place"
 	"maest/internal/prob"
-	"maest/internal/route"
 	"maest/internal/tech"
 )
 
@@ -265,53 +266,62 @@ func TestAnalyzeRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// ValidateRoute on a real placed-and-routed module: channel vectors
-// line up, totals agree with their sums, and the error metrics are
-// consistent.
-func TestValidateRoute(t *testing.T) {
-	circ := parseTestdata(t, "demo.mnet")
-	p := tech.NMOS25()
-	s, err := netlist.Gather(circ, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+// AnalyzeDistributionsCtx is the engine's route to a congestion map:
+// distributions computed once, scored per knob set.  Scoring them must
+// give exactly the map the from-scratch entry points build, for both
+// models, gridded or not, at every capacity and feed budget; bad knobs
+// must fail with the same ErrCongest text.
+func TestAnalyzeDistributionsMatchesAnalyze(t *testing.T) {
+	ctx := context.Background()
+	s := stats("dist", map[int]int{2: 5, 3: 3, 4: 2, 6: 1})
 	const rows = 3
-	m, err := Analyze(s, rows, Options{Model: ModelCrossing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := place.Place(circ, p, place.Options{Rows: rows, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := route.RouteModule(pl, route.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := ValidateRoute(m, routed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Predicted) != rows+1 || len(v.Actual) != rows+1 {
-		t.Fatalf("channel vectors %d/%d, want %d", len(v.Predicted), len(v.Actual), rows+1)
-	}
-	if v.MAE < math.Abs(v.Bias)-1e-12 {
-		t.Fatalf("MAE %g below |bias| %g", v.MAE, v.Bias)
-	}
-	if v.ActualTotal != routed.TotalTracks {
-		t.Fatalf("actual total %d != routed %d", v.ActualTotal, routed.TotalTracks)
-	}
-	if math.Abs(v.PredictedTotal-m.TotalExpectedTracks) > 1e-9 {
-		t.Fatalf("predicted total %g != map total %g", v.PredictedTotal, m.TotalExpectedTracks)
+	for _, model := range []Model{ModelOccupancy, ModelCrossing} {
+		for _, gridded := range []bool{false, true} {
+			d, err := ComputeDistributions(s, rows, gridded, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, capacity := range []int{0, 1, 3, 40} {
+				for _, budget := range []int{0, 1, 5} {
+					opts := Options{Model: model, Capacity: capacity, FeedBudget: budget}
+					var want *Map
+					if gridded {
+						want, err = AnalyzeGridCtx(ctx, s, rows, opts)
+					} else {
+						want, err = AnalyzeCtx(ctx, s, rows, opts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := AnalyzeDistributionsCtx(ctx, d, opts)
+					if err != nil {
+						t.Fatalf("%v gridded=%t %+v: %v", model, gridded, opts, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v gridded=%t %+v: scored distributions differ from the direct analysis\ngot  %+v\nwant %+v",
+							model, gridded, opts, got, want)
+					}
+				}
+			}
+		}
 	}
 
-	// Mismatched row counts are rejected.
-	m2, err := Analyze(s, rows+1, Options{})
+	d, err := ComputeDistributions(s, rows, false, ModelOccupancy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateRoute(m2, routed); err == nil {
-		t.Fatal("mismatched channel counts accepted")
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Capacity: -1}, `congest: analysis failed: module "dist": negative channel capacity -1`},
+		{Options{FeedBudget: -2}, `congest: analysis failed: module "dist": negative feed-through budget -2`},
+		{Options{Model: ModelCrossing}, `congest: analysis failed: module "dist": scoring model crossing against occupancy distributions`},
+	} {
+		_, err := AnalyzeDistributionsCtx(ctx, d, c.opts)
+		if !errors.Is(err, ErrCongest) || err.Error() != c.want {
+			t.Errorf("%+v: error %v, want %q wrapping ErrCongest", c.opts, err, c.want)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"maps"
 	"sort"
 	"sync"
@@ -67,19 +66,13 @@ func hashOrdered(c *netlist.Circuit, procBlob []byte, ports, devs []int32) Hash 
 // multi-KB buffer each time dominated the delta profile.
 var hashBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// WriteCanonicalCircuit emits a deterministic, order-normalized
-// rendering of the circuit: ports and devices sorted by name, so the
-// rendering (and every hash derived from it) is invariant under
-// comments, whitespace, and declaration order in the source netlist.
-// It is close to .mnet but not identical: generated "$" names are
-// allowed even though WriteMnet refuses to emit them.
-func WriteCanonicalCircuit(w io.Writer, c *netlist.Circuit) {
-	w.Write(AppendCanonicalCircuit(nil, c))
-}
-
-// AppendCanonicalCircuit appends the canonical rendering to dst and
-// returns the extended slice.  This is the form the content-hash hot
-// paths use; the bytes are identical to WriteCanonicalCircuit's.
+// AppendCanonicalCircuit appends a deterministic, order-normalized
+// rendering of the circuit to dst and returns the extended slice:
+// ports and devices sorted by name, so the rendering (and every hash
+// derived from it) is invariant under comments, whitespace, and
+// declaration order in the source netlist.  It is close to .mnet but
+// not identical: generated "$" names are allowed even though WriteMnet
+// refuses to emit them.
 func AppendCanonicalCircuit(dst []byte, c *netlist.Circuit) []byte {
 	ports, devs := canonOrders(c)
 	return appendCanonicalOrdered(dst, c, ports, devs)

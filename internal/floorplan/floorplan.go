@@ -5,9 +5,9 @@
 // entry point: a module enters either as a compiled engine.Plan (§4
 // shape candidates via Plan.Candidates, channel overflow risk via
 // Plan.Congestion) or as a fixed list of shapes, which is how an
-// estimate database is planned (FromDB).  It also hosts the §7
-// experiment measuring how estimate quality changes the number of
-// floor-planning iterations.
+// estimate database is planned (FromDB).  The §7 experiment measuring
+// how estimate quality changes the number of floor-planning iterations
+// lives in internal/report, beside the layout engine it needs.
 package floorplan
 
 import (

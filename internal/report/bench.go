@@ -2,7 +2,6 @@ package report
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -63,14 +62,6 @@ type ModuleAccuracy struct {
 // each module's error percentage against the golden tables under
 // goldenDir (testdata/golden/table{1,2}.txt).
 func BuildAccuracy(goldenDir string, p *tech.Process, seed int64) (AccuracySnapshot, error) {
-	return BuildAccuracyCtx(context.Background(), goldenDir, p, seed, nil)
-}
-
-// BuildAccuracyCtx is BuildAccuracy with a caller context and an
-// optional plan resolver (nil = engine.CompileCtx) — the serve
-// accuracy watchdog passes its live plan cache here so every probe
-// exercises the serving stack's own compilation path.
-func BuildAccuracyCtx(ctx context.Context, goldenDir string, p *tech.Process, seed int64, compile CompileFunc) (AccuracySnapshot, error) {
 	snap := AccuracySnapshot{Seed: seed, Process: p.Name}
 
 	golden1, err := parseGoldenTable1(filepath.Join(goldenDir, "table1.txt"))
@@ -82,7 +73,7 @@ func BuildAccuracyCtx(ctx context.Context, goldenDir string, p *tech.Process, se
 		return snap, err
 	}
 
-	rows1, err := RunTable1Ctx(ctx, p, seed, compile)
+	rows1, err := RunTable1(p, seed)
 	if err != nil {
 		return snap, fmt.Errorf("bench: table 1: %w", err)
 	}
@@ -97,7 +88,7 @@ func BuildAccuracyCtx(ctx context.Context, goldenDir string, p *tech.Process, se
 			ErrPct: r.ErrAverage * 100, GoldenPct: g.errAverage})
 	}
 
-	rows2, err := RunTable2Ctx(ctx, p, seed, compile)
+	rows2, err := RunTable2(p, seed)
 	if err != nil {
 		return snap, fmt.Errorf("bench: table 2: %w", err)
 	}
@@ -236,8 +227,8 @@ func CompareBench(old, new *BenchSnapshot, tolPP float64) []string {
 // and returns one message per regression (empty = clean): a module
 // whose drift from golden grew by more than tolPP percentage points
 // beyond the reference drift, or a reference module missing from the
-// fresh snapshot.  CompareBench and the serve accuracy watchdog share
-// this judgement.
+// fresh snapshot.  CompareBench and loadbench's in-run accuracy gate
+// share this judgement.
 func CompareAccuracy(old, new *AccuracySnapshot, tolPP float64) []string {
 	var regressions []string
 	newModules := make(map[string]ModuleAccuracy, len(new.Modules))

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,14 +11,10 @@ import (
 
 // TestBuildAccuracyMatchesGoldens reruns both table experiments at
 // the golden seed and checks the measured errors land on the golden
-// values (within print precision of the rendered tables).  It shares
-// the golden tests' plan cache: the suites are identical, so every
-// module here is a cache hit exercising plan reuse rather than a
-// duplicate compile.
+// values (within print precision of the rendered tables).
 func TestBuildAccuracyMatchesGoldens(t *testing.T) {
 	p := tech.NMOS25()
-	snap, err := BuildAccuracyCtx(context.Background(),
-		filepath.Join("..", "..", "testdata", "golden"), p, 1, testCompile)
+	snap, err := BuildAccuracy(filepath.Join("..", "..", "testdata", "golden"), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package report
 
 import (
+	"fmt"
+	"math"
+
 	"maest/internal/congest"
 	"maest/internal/gen"
 	"maest/internal/netlist"
@@ -91,7 +94,7 @@ func congestRow(c *netlist.Circuit, p *tech.Process, n int, seed int64) (Congest
 	if err != nil {
 		return CongestRow{}, err
 	}
-	v, err := congest.ValidateRoute(m, routed)
+	v, err := ValidateRoute(m, routed)
 	if err != nil {
 		return CongestRow{}, err
 	}
@@ -106,6 +109,56 @@ func congestRow(c *netlist.Circuit, p *tech.Process, n int, seed int64) (Congest
 		PeakOverflow:    m.MaxOverflow(),
 		HotChannel:      m.HottestChannel(),
 	}, nil
+}
+
+// Validation scores a predicted congestion map against the channel
+// assignments an actual routing produced — the congestion analogue of
+// the paper's Tables 1–2, which score predicted area against real
+// layouts.
+type Validation struct {
+	Module string
+	// Predicted[c] is the map's expected track demand in channel c;
+	// Actual[c] is the router's track count there.
+	Predicted []float64
+	Actual    []int
+	// MAE is the mean absolute per-channel track error.
+	MAE float64
+	// Bias is the mean signed error (predicted − actual): positive
+	// means the model overestimates, as the paper's assumption 3
+	// predicts it should.
+	Bias float64
+	// PredictedTotal and ActualTotal are the summed track counts.
+	PredictedTotal float64
+	ActualTotal    int
+}
+
+// ValidateRoute compares a congestion map's expected per-channel
+// demand with a routed module's channel track counts.  The map and the
+// routing must describe the same row count (the channel vectors must
+// line up index-for-index); a mismatch wraps congest.ErrCongest.
+func ValidateRoute(m *congest.Map, routed *route.Result) (*Validation, error) {
+	if len(m.Channels) != len(routed.ChannelTracks) {
+		return nil, fmt.Errorf("%w: module %q: map has %d channels, routing has %d",
+			congest.ErrCongest, m.Module, len(m.Channels), len(routed.ChannelTracks))
+	}
+	v := &Validation{
+		Module:    m.Module,
+		Predicted: make([]float64, len(m.Channels)),
+		Actual:    append([]int(nil), routed.ChannelTracks...),
+	}
+	sumAbs, sumSigned := 0.0, 0.0
+	for c, ch := range m.Channels {
+		v.Predicted[c] = ch.Expected
+		v.PredictedTotal += ch.Expected
+		v.ActualTotal += routed.ChannelTracks[c]
+		diff := ch.Expected - float64(routed.ChannelTracks[c])
+		sumAbs += math.Abs(diff)
+		sumSigned += diff
+	}
+	n := float64(len(m.Channels))
+	v.MAE = sumAbs / n
+	v.Bias = sumSigned / n
+	return v, nil
 }
 
 // CongestTable renders the congestion validation in the evaluation

@@ -7,25 +7,8 @@ import (
 	"maest/internal/engine"
 	"maest/internal/gen"
 	"maest/internal/layout"
-	"maest/internal/netlist"
 	"maest/internal/tech"
 )
-
-// CompileFunc resolves a circuit to a compiled plan.  The experiments
-// default to engine.CompileCtx; callers with a plan cache (the serve
-// accuracy watchdog) inject their own resolver so probe traffic flows
-// through — and warms — the same cache production requests use.
-type CompileFunc func(ctx context.Context, c *netlist.Circuit, p *tech.Process) (*engine.Plan, error)
-
-// resolveCompile defaults a nil CompileFunc.
-func resolveCompile(fn CompileFunc) CompileFunc {
-	if fn != nil {
-		return fn
-	}
-	return func(ctx context.Context, c *netlist.Circuit, p *tech.Process) (*engine.Plan, error) {
-		return engine.CompileCtx(ctx, c, p)
-	}
-}
 
 // FCRow is one Table 1 line: a Full-Custom module's estimates (both
 // device-area modes) against its synthesized layout.
@@ -45,22 +28,16 @@ type FCRow struct {
 // of the Full-Custom suite with exact and average device areas and
 // compare against the synthesized ground-truth layout.
 func RunTable1(p *tech.Process, seed int64) ([]FCRow, error) {
-	return RunTable1Ctx(context.Background(), p, seed, nil)
-}
-
-// RunTable1Ctx is RunTable1 with a caller context and an optional plan
-// resolver (nil = engine.CompileCtx).
-func RunTable1Ctx(ctx context.Context, p *tech.Process, seed int64, compile CompileFunc) ([]FCRow, error) {
 	suite, err := gen.FullCustomSuite(p)
 	if err != nil {
 		return nil, err
 	}
-	compile = resolveCompile(compile)
+	ctx := context.Background()
 	var rows []FCRow
 	for _, c := range suite {
 		// One compile per module covers both device-area modes: the
 		// first FC call gathers the Eq. 13 statistics and fills both.
-		pl, err := compile(ctx, c, p)
+		pl, err := engine.CompileCtx(ctx, c, p)
 		if err != nil {
 			return nil, err
 		}
@@ -142,12 +119,6 @@ var Table2RowCounts = [][]int{{4, 5, 6}, {5, 6}}
 // RunTable2 regenerates the Table 2 experiment over the Standard-Cell
 // suite.
 func RunTable2(p *tech.Process, seed int64) ([]SCRow, error) {
-	return RunTable2Ctx(context.Background(), p, seed, nil)
-}
-
-// RunTable2Ctx is RunTable2 with a caller context and an optional plan
-// resolver (nil = engine.CompileCtx).
-func RunTable2Ctx(ctx context.Context, p *tech.Process, seed int64, compile CompileFunc) ([]SCRow, error) {
 	suite, err := gen.StandardCellSuite(p)
 	if err != nil {
 		return nil, err
@@ -156,13 +127,13 @@ func RunTable2Ctx(ctx context.Context, p *tech.Process, seed int64, compile Comp
 		return nil, fmt.Errorf("report: suite size %d != row-count plan %d",
 			len(suite), len(Table2RowCounts))
 	}
-	compile = resolveCompile(compile)
+	ctx := context.Background()
 	var rows []SCRow
 	for i, c := range suite {
 		// One compile per module covers every row configuration and
 		// the sharing ablation; each variant is a memoized execution
 		// against the same plan.
-		pl, err := compile(ctx, c, p)
+		pl, err := engine.CompileCtx(ctx, c, p)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -38,11 +37,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // The rendered evaluation tables are fully deterministic (seeded
 // generators, seeded annealing); golden files pin them so model or
-// engine regressions surface as diffs.  Both tests resolve plans
-// through the package's shared testCompile cache — the accuracy test
-// reruns the same suites, so recompiling here would be pure waste.
+// engine regressions surface as diffs.
 func TestTable1Golden(t *testing.T) {
-	rows, err := RunTable1Ctx(context.Background(), tech.NMOS25(), 1, testCompile)
+	rows, err := RunTable1(tech.NMOS25(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +51,7 @@ func TestTable1Golden(t *testing.T) {
 }
 
 func TestTable2Golden(t *testing.T) {
-	rows, err := RunTable2Ctx(context.Background(), tech.NMOS25(), 1, testCompile)
+	rows, err := RunTable2(tech.NMOS25(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package floorplan
+package report
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 
 	"maest/internal/baseline"
 	"maest/internal/engine"
+	"maest/internal/floorplan"
 	"maest/internal/gen"
 	"maest/internal/layout"
 	"maest/internal/netlist"
@@ -23,13 +24,13 @@ import (
 
 // ShapeSource produces candidate shapes for a module — the knob the
 // experiment varies (estimator vs. naive guess).
-type ShapeSource func(c *netlist.Circuit, p *tech.Process) ([]Shape, error)
+type ShapeSource func(c *netlist.Circuit, p *tech.Process) ([]floorplan.Shape, error)
 
 // EstimatorShapes is the paper's estimator in its §7-extended
 // configuration (track sharing on, so the shapes track what a real
 // sharing router produces): standard-cell shape candidates across row
 // counts.
-func EstimatorShapes(c *netlist.Circuit, p *tech.Process) ([]Shape, error) {
+func EstimatorShapes(c *netlist.Circuit, p *tech.Process) ([]floorplan.Shape, error) {
 	pl, err := engine.Compile(c, p)
 	if err != nil {
 		return nil, err
@@ -38,9 +39,9 @@ func EstimatorShapes(c *netlist.Circuit, p *tech.Process) ([]Shape, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Shape
+	var out []floorplan.Shape
 	for _, sc := range res.SCCandidates {
-		out = append(out, Shape{W: sc.Width, H: sc.Height, Rows: sc.Rows})
+		out = append(out, floorplan.Shape{W: sc.Width, H: sc.Height, Rows: sc.Rows})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("floorplan: module %q produced no shapes", c.Name)
@@ -51,7 +52,7 @@ func EstimatorShapes(c *netlist.Circuit, p *tech.Process) ([]Shape, error) {
 // NaiveShapes is the designer rule of thumb the estimator replaces: a
 // single square of active area × factor.
 func NaiveShapes(factor float64) ShapeSource {
-	return func(c *netlist.Circuit, p *tech.Process) ([]Shape, error) {
+	return func(c *netlist.Circuit, p *tech.Process) ([]floorplan.Shape, error) {
 		s, err := netlist.Gather(c, p)
 		if err != nil {
 			return nil, err
@@ -61,7 +62,7 @@ func NaiveShapes(factor float64) ShapeSource {
 			return nil, err
 		}
 		side := math.Sqrt(a)
-		return []Shape{{W: side, H: side}}, nil
+		return []floorplan.Shape{{W: side, H: side}}, nil
 	}
 }
 
@@ -73,7 +74,7 @@ type ExperimentResult struct {
 	Iterations int
 	Converged  bool
 	// FinalPlan is the accepted (or last) plan.
-	FinalPlan *Plan
+	FinalPlan *floorplan.Plan
 	// Misfits[i] is the number of modules that failed the fit check
 	// after plan i.
 	Misfits []int
@@ -104,7 +105,7 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 	}
 
 	// Current shape belief per module.
-	shapes := make(map[string][]Shape, len(chip.Modules))
+	shapes := make(map[string][]floorplan.Shape, len(chip.Modules))
 	circuits := make(map[string]*netlist.Circuit, len(chip.Modules))
 	for _, c := range chip.Modules {
 		ss, err := src(c, p)
@@ -133,25 +134,25 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 		return m, nil
 	}
 
-	nets := make([]Net, len(chip.GlobalNets))
+	nets := make([]floorplan.Net, len(chip.GlobalNets))
 	for i, gn := range chip.GlobalNets {
-		pins := make([]NetPin, len(gn.Pins))
+		pins := make([]floorplan.NetPin, len(gn.Pins))
 		for j, pin := range gn.Pins {
-			pins[j] = NetPin{Module: pin.Module, Port: pin.Port}
+			pins[j] = floorplan.NetPin{Module: pin.Module, Port: pin.Port}
 		}
-		nets[i] = Net{Name: gn.Name, Pins: pins}
+		nets[i] = floorplan.Net{Name: gn.Name, Pins: pins}
 	}
 
 	res := &ExperimentResult{}
-	mods := make([]PlanModule, len(chip.Modules))
+	mods := make([]floorplan.PlanModule, len(chip.Modules))
 	for iter := 1; iter <= maxIters; iter++ {
 		res.Iterations = iter
 		for i, c := range chip.Modules {
-			mods[i] = PlanModule{Name: c.Name, Shapes: shapes[c.Name]}
+			mods[i] = floorplan.PlanModule{Name: c.Name, Shapes: shapes[c.Name]}
 		}
 		// The deterministic greedy pass: each iteration re-plans from
 		// the corrected shapes alone.
-		plan, err := PlanModules(context.Background(), chip.Name, mods, nets, WithBudget(0))
+		plan, err := floorplan.PlanModules(context.Background(), chip.Name, mods, nets, floorplan.WithBudget(0))
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +175,7 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 			misfits++
 			// Correct the belief: the measured shape at this and
 			// neighbouring row counts.
-			var corrected []Shape
+			var corrected []floorplan.Shape
 			for _, r := range []int{rows - 1, rows, rows + 1} {
 				if r < 1 {
 					continue
@@ -183,7 +184,7 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 				if err != nil {
 					return nil, err
 				}
-				corrected = append(corrected, Shape{W: float64(m.Width), H: float64(m.Height), Rows: r})
+				corrected = append(corrected, floorplan.Shape{W: float64(m.Width), H: float64(m.Height), Rows: r})
 			}
 			shapes[b.Name] = corrected
 		}
@@ -199,7 +200,7 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 
 // fits accepts a slot when the real layout neither overflows it nor
 // leaves more than the tolerated dead space.
-func fits(b Placed, real *layout.Module, tol float64) bool {
+func fits(b floorplan.Placed, real *layout.Module, tol float64) bool {
 	rw, rh := float64(real.Width), float64(real.Height)
 	if rw > b.W*(1+tol) || rh > b.H*(1+tol) {
 		return false

@@ -1,8 +1,9 @@
-package floorplan
+package report
 
 import (
 	"testing"
 
+	"maest/internal/floorplan"
 	"maest/internal/gen"
 	"maest/internal/geom"
 	"maest/internal/layout"
@@ -100,7 +101,7 @@ func TestEstimatorBeatsNaiveOnIterations(t *testing.T) {
 }
 
 func TestFitsTolerance(t *testing.T) {
-	slot := Placed{W: 100, H: 100}
+	slot := floorplan.Placed{W: 100, H: 100}
 	mk := func(w, h geom.Lambda) *layout.Module { return &layout.Module{Width: w, Height: h} }
 	cases := []struct {
 		name string

@@ -1,7 +1,9 @@
 // Package report renders the evaluation artifacts: a plain-text table
 // writer in the style of the paper's Tables 1 and 2, and the drivers
 // that regenerate those tables by running the estimator against the
-// ground-truth layout engine on the reconstructed benchmark suites.
+// ground-truth layout engine on the reconstructed benchmark suites,
+// plus the other experiments that need that engine: the congestion
+// route validation and the §7 floor-planning iteration experiment.
 package report
 
 import (

@@ -58,14 +58,6 @@ func CacheKey(c *netlist.Circuit, processName string, opts core.SCOptions) Key {
 	return resultKey(canonMidstate(c), processName, opts.Rows, opts.TrackSharing)
 }
 
-// CongestKey computes the content address of a congestion analysis:
-// the same canonical rendering as CacheKey plus every knob the map
-// depends on (process, row count, grid variant, demand model, capacity
-// and feed budget).
-func CongestKey(c *netlist.Circuit, processName string, rows int, gridded bool, opts congest.Options) Key {
-	return congestKey(canonMidstate(c), processName, rows, gridded, opts)
-}
-
 // midstate is the SHA-256 state after hashing a circuit's canonical
 // rendering (crypto/sha256's MarshalBinary form): the shared prefix of
 // every answer key about that circuit, so a resident plan can finish
@@ -102,7 +94,10 @@ func resultKey(mid midstate, processName string, rows int, sharing bool) Key {
 	return keyOf(mid, "process %s\nrows %d\nsharing %t\n", processName, rows, sharing)
 }
 
-// congestKey is CongestKey finished from a rendering's midstate.
+// congestKey is the content address of a congestion analysis, finished
+// from a rendering's midstate: the same canonical rendering as CacheKey
+// plus every knob the map depends on (process, row count, grid variant,
+// demand model, capacity and feed budget).
 func congestKey(mid midstate, processName string, rows int, gridded bool, opts congest.Options) Key {
 	return keyOf(mid, "congest %s\nrows %d\ngridded %t\nmodel %s\ncapacity %d\nfeedbudget %d\n",
 		processName, rows, gridded, opts.Model, opts.Capacity, opts.FeedBudget)

@@ -251,7 +251,7 @@ type FloorplanRequest struct {
 	// planner's default); plans are byte-stable in (request, seed).
 	Seed int64 `json:"seed,omitempty"`
 	// Budget is the annealing move budget (0 selects the planner's
-	// default; negative disables annealing).
+	// default; negative disables annealing; above 1,000,000 is a 400).
 	Budget int `json:"budget,omitempty"`
 	// Candidates is the shape-candidate count per module (0 selects
 	// the planner's default).
@@ -356,12 +356,10 @@ type ErrorResponse struct {
 	TraceID   string `json:"trace_id,omitempty"`
 }
 
-// HealthResponse is the GET /healthz body.  Status is "ok" or
-// "degraded"; the watchdog block appears when the accuracy watchdog is
-// running.
+// HealthResponse is the GET /healthz body.  Status is always "ok": a
+// process that answers is healthy.
 type HealthResponse struct {
-	Status   string          `json:"status"`
-	Watchdog *WatchdogHealth `json:"watchdog,omitempty"`
+	Status string `json:"status"`
 	// Store appears when the persistent store is mounted.
 	Store *StoreHealth `json:"store,omitempty"`
 }
@@ -377,16 +375,6 @@ type StoreHealth struct {
 	Records  int64  `json:"records"`
 	Hits     int64  `json:"hits"`
 	Misses   int64  `json:"misses"`
-}
-
-// WatchdogHealth is the accuracy watchdog's view in /healthz.
-type WatchdogHealth struct {
-	Degraded    bool    `json:"degraded"`
-	Probes      int64   `json:"probes"`
-	ProbeErrors int64   `json:"probe_errors"`
-	MaxDriftPP  float64 `json:"max_drift_pp"`
-	Regressions int     `json:"regressions"`
-	LastError   string  `json:"last_error,omitempty"`
 }
 
 // errBadRequest marks client-side failures that map to HTTP 4xx; its

@@ -39,6 +39,12 @@ var (
 	mJobSec        = obs.DefHistogram("maest_serve_job_seconds", "floorplan job wall time", obs.DefBuckets)
 )
 
+// maxJobBudget caps a job's annealing move budget at 500× the
+// default: an 8-module chip anneals about a minute at the cap, where an
+// unbounded budget could hold a job worker for days.  A larger budget
+// answers 400.
+const maxJobBudget = 500 * floorplan.DefaultBudget
+
 // jobConfig is the resolved annealer knob set of one job.
 type jobConfig struct {
 	congestWeight float64
@@ -460,6 +466,10 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 	info.mark("decode")
 	if len(req.Modules) == 0 {
 		s.fail(w, info, reqErr("floorplan has no modules"))
+		return
+	}
+	if req.Budget > maxJobBudget {
+		s.fail(w, info, reqErr("budget %d exceeds the maximum of %d moves", req.Budget, maxJobBudget))
 		return
 	}
 	proc, procName, err := lookupProcess(req.Process, s.opts.Process)

@@ -34,6 +34,15 @@ func fpRequest(n int) FloorplanRequest {
 	return req
 }
 
+// blockingRequest is a job that holds its worker until cancelled:
+// eight modules anneal for tens of seconds at the maximum budget.
+func blockingRequest(seed int64) FloorplanRequest {
+	req := fpRequest(8)
+	req.Budget = maxJobBudget
+	req.Seed = seed
+	return req
+}
+
 func decodeJob(t *testing.T, w *httptest.ResponseRecorder) JobResponse {
 	t.Helper()
 	var resp JobResponse
@@ -160,9 +169,7 @@ func TestJobReleasesInputs(t *testing.T) {
 		t.Fatalf("job failed for another reason: %q", resp.Error)
 	}
 
-	cancelled := fpRequest(3)
-	cancelled.Budget = 50_000_000 // will not finish on its own
-	idCancelled := submit(cancelled)
+	idCancelled := submit(blockingRequest(0))
 	pollJob(t, s, idCancelled, JobAnnealing)
 	if resp := decodeJob(t, do(s, "DELETE", "/v1/jobs/"+idCancelled, "")); resp.State != JobCancelled {
 		t.Fatalf("cancel answered state %q", resp.State)
@@ -202,9 +209,7 @@ func TestJobUnknownAndMalformedID(t *testing.T) {
 func TestJobDoubleCancelIdempotent(t *testing.T) {
 	s := New(Options{})
 	t.Cleanup(s.FlushStore)
-	req := fpRequest(3)
-	req.Budget = 50_000_000 // will not finish on its own
-	w := do(s, "POST", "/v1/floorplan", marshal(t, req))
+	w := do(s, "POST", "/v1/floorplan", marshal(t, blockingRequest(0)))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", w.Code, w.Body.String())
 	}
@@ -283,10 +288,7 @@ func TestJobQueueFull429(t *testing.T) {
 	s := New(Options{JobWorkers: 1, JobQueue: 1})
 	t.Cleanup(s.FlushStore)
 	submit := func(seed int64) *httptest.ResponseRecorder {
-		req := fpRequest(3)
-		req.Budget = 50_000_000
-		req.Seed = seed
-		return do(s, "POST", "/v1/floorplan", marshal(t, req))
+		return do(s, "POST", "/v1/floorplan", marshal(t, blockingRequest(seed)))
 	}
 	wA := submit(101)
 	if wA.Code != http.StatusAccepted {
@@ -441,6 +443,50 @@ func TestFloorplanRequestValidation(t *testing.T) {
 	}
 }
 
+// TestFloorplanBudgetBound pins the job budget's upper bound: the
+// maximum is accepted under the job id it always had, one move more is
+// a 400 that registers no job.
+func TestFloorplanBudgetBound(t *testing.T) {
+	s := New(Options{})
+	t.Cleanup(s.FlushStore)
+	for _, tc := range []struct {
+		budget int
+		status int
+		id     string // for 202
+		err    string // for 400
+	}{
+		{maxJobBudget, http.StatusAccepted, "e42f42a1fb6fce866912d6d8ce2d3202ecc56f241115b2decb4fb5716ba4774c", ""},
+		{maxJobBudget + 1, http.StatusBadRequest, "", "serve: bad request: budget 1000001 exceeds the maximum of 1000000 moves"},
+	} {
+		req := fpRequest(2)
+		req.Budget = tc.budget
+		w := do(s, "POST", "/v1/floorplan", marshal(t, req))
+		if w.Code != tc.status {
+			t.Fatalf("budget %d: status %d, want %d: %s", tc.budget, w.Code, tc.status, w.Body.String())
+		}
+		if tc.status == http.StatusAccepted {
+			if id := decodeJob(t, w).ID; id != tc.id {
+				t.Fatalf("budget %d: job id %s, want %s", tc.budget, id, tc.id)
+			}
+			do(s, "DELETE", "/v1/jobs/"+tc.id, "")
+			continue
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.Error != tc.err {
+			t.Fatalf("budget %d: error %q, want %q", tc.budget, er.Error, tc.err)
+		}
+	}
+	s.jobs.mu.Lock()
+	n := len(s.jobs.jobs)
+	s.jobs.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d jobs registered, want 1 (the rejected submit must register none)", n)
+	}
+}
+
 // TestJobSubmitAfterDrain pins the shutdown contract at the handler
 // level: once FlushStore has drained the pool, submits shed with 429
 // and a queued job left behind was cancelled and persisted.
@@ -450,17 +496,12 @@ func TestJobSubmitAfterDrain(t *testing.T) {
 	defer st.Close()
 	s := New(Options{Store: st, JobWorkers: 1, JobQueue: 4})
 	// Occupy the worker, then park one job in the queue.
-	blocker := fpRequest(3)
-	blocker.Budget = 50_000_000
-	w := do(s, "POST", "/v1/floorplan", marshal(t, blocker))
+	w := do(s, "POST", "/v1/floorplan", marshal(t, blockingRequest(0)))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("blocker status %d", w.Code)
 	}
 	pollJob(t, s, decodeJob(t, w).ID, JobAnnealing)
-	queued := fpRequest(3)
-	queued.Budget = 50_000_000
-	queued.Seed = 7
-	w = do(s, "POST", "/v1/floorplan", marshal(t, queued))
+	w = do(s, "POST", "/v1/floorplan", marshal(t, blockingRequest(7)))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("queued status %d", w.Code)
 	}

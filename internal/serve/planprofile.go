@@ -35,7 +35,6 @@ type planProfile struct {
 	estimateCount int64
 	lat           *obs.Histogram
 	lastSeen      time.Time
-	lastDriftPP   float64
 }
 
 // planProfiles is the bounded profile map, an LRU in observation order.
@@ -57,7 +56,7 @@ func newPlanProfiles(capacity int) *planProfiles {
 
 // observe folds one finished request into its plan's profile, evicting
 // the least recently observed profile when a new plan overflows the map.
-func (p *planProfiles) observe(plan string, latSecs float64, failed, cacheHit, storeHit bool, stages []obs.FlightStage, driftPP float64) {
+func (p *planProfiles) observe(plan string, latSecs float64, failed, cacheHit, storeHit bool, stages []obs.FlightStage) {
 	if p == nil || plan == "" {
 		return
 	}
@@ -92,7 +91,6 @@ func (p *planProfiles) observe(plan string, latSecs float64, failed, cacheHit, s
 	}
 	pr.lat.Observe(latSecs)
 	pr.lastSeen = time.Now()
-	pr.lastDriftPP = driftPP
 }
 
 // PlanProfile is one plan's profile as GET /debug/plans renders it.
@@ -111,11 +109,7 @@ type PlanProfile struct {
 	// MeanEstimateMicros averages the estimate/delta/analyze stage over
 	// the requests that ran one (cache hits skip it).
 	MeanEstimateMicros float64 `json:"mean_estimate_us"`
-	// LastDriftPP is the accuracy watchdog's max drift (percentage
-	// points) as of this plan's most recent request — the "was the
-	// service in tolerance when this plan was served" stamp.
-	LastDriftPP  float64 `json:"last_drift_pp"`
-	LastSeenUnix int64   `json:"last_seen_unix"`
+	LastSeenUnix       int64   `json:"last_seen_unix"`
 }
 
 // snapshot renders the profiles sorted by request count descending,
@@ -136,7 +130,6 @@ func (p *planProfiles) snapshot() []PlanProfile {
 			StoreHits:    pr.storeHits,
 			P50Seconds:   pr.lat.Quantile(0.50),
 			P99Seconds:   pr.lat.Quantile(0.99),
-			LastDriftPP:  pr.lastDriftPP,
 			LastSeenUnix: pr.lastSeen.Unix(),
 		}
 		if pr.requests > 0 {

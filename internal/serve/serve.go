@@ -77,9 +77,6 @@ type Options struct {
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request (method, path, status, duration, request ID, cache hit).
 	AccessLog io.Writer
-	// Watchdog configures the accuracy watchdog; the zero value (or an
-	// Interval of 0) disables it.
-	Watchdog WatchdogOptions
 	// Store, when non-nil, is the persistent plan store mounted as a
 	// write-behind tier under the plan cache: a plan-memo miss probes
 	// the store before paying for the execute (a hit is installed into
@@ -149,7 +146,6 @@ type Server struct {
 	mux      *http.ServeMux
 	flight   *obs.Flight   // nil when the recorder is disabled
 	access   *accessLogger // nil when access logging is disabled
-	watchdog *Watchdog     // nil when the accuracy watchdog is disabled
 	stier    *storeTier    // nil when the persistent store is disabled
 	ttier    *traceTier    // nil when the trace store is disabled
 	sampler  *obs.TailSampler
@@ -195,14 +191,8 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobCancel))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if opts.Watchdog.Interval > 0 {
-		s.watchdog = newWatchdog(s, opts.Watchdog)
-	}
 	return s
 }
-
-// Watchdog returns the server's accuracy watchdog (nil when disabled).
-func (s *Server) Watchdog() *Watchdog { return s.watchdog }
 
 // ServeHTTP dispatches to the service routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -688,7 +678,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 // handleCongestion answers POST /v1/congestion: decode → plan → memo →
 // store → analyze → encode.  The congestion map is deterministic in
 // the request content, so answers are persisted under the same
-// content-addressed key scheme as estimates (CongestKey folds in the
+// content-addressed key scheme as estimates (congestKey folds in the
 // analysis knobs the estimate key does not have).
 func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *reqInfo) {
 	if !s.acquire() {
@@ -776,18 +766,6 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{Status: "ok"}
-	status := http.StatusOK
-	if wd := s.watchdog; wd != nil {
-		h := wd.Health()
-		resp.Watchdog = &h
-		if h.Degraded {
-			// Degraded accuracy is a health failure: a load balancer
-			// should stop routing floorplanner traffic to an instance whose
-			// estimates have drifted off the golden set.
-			resp.Status = "degraded"
-			status = http.StatusServiceUnavailable
-		}
-	}
 	if st, ok := s.StoreStats(); ok {
 		// A degraded store (corrupt records detected and skipped) does
 		// NOT fail health: answers stay correct — bad records degrade
@@ -795,7 +773,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// store block tells operators the disk lied.
 		resp.Store = storeHealth(st)
 	}
-	writeJSON(w, status, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -363,8 +363,7 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 					s.ttier.enqueue(rec)
 				}
 			}
-			s.profiles.observe(info.plan, lat, failed, info.cacheHit, info.storeHit,
-				info.stages, s.watchdog.Health().MaxDriftPP)
+			s.profiles.observe(info.plan, lat, failed, info.cacheHit, info.storeHit, info.stages)
 		}
 		if s.access != nil {
 			s.access.log(accessEntry{

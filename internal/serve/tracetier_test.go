@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -272,18 +271,18 @@ func TestTraceIndexEvictsOldest(t *testing.T) {
 
 func TestPlanProfilesAggregation(t *testing.T) {
 	var nilP *planProfiles
-	nilP.observe("p", 0.1, false, false, false, nil, 0)
+	nilP.observe("p", 0.1, false, false, false, nil)
 	if got := nilP.snapshot(); got != nil {
 		t.Fatalf("nil profiles snapshot: %v", got)
 	}
 
 	p := newPlanProfiles(8)
 	stages := []obs.FlightStage{{Name: "decode", Micros: 5}, {Name: "estimate", Micros: 100}}
-	p.observe("plan-a", 0.010, false, false, false, stages, 0.04)
-	p.observe("plan-a", 0.001, false, true, true, nil, 0.05)
-	p.observe("plan-a", 0.020, true, false, false, stages, 0.05)
-	p.observe("plan-b", 0.002, false, false, false, nil, 0.05)
-	p.observe("", 0.002, false, false, false, nil, 0) // no plan: ignored
+	p.observe("plan-a", 0.010, false, false, false, stages)
+	p.observe("plan-a", 0.001, false, true, true, nil)
+	p.observe("plan-a", 0.020, true, false, false, stages)
+	p.observe("plan-b", 0.002, false, false, false, nil)
+	p.observe("", 0.002, false, false, false, nil) // no plan: ignored
 
 	snap := p.snapshot()
 	if len(snap) != 2 || snap[0].Plan != "plan-a" || snap[1].Plan != "plan-b" {
@@ -299,8 +298,8 @@ func TestPlanProfilesAggregation(t *testing.T) {
 	if a.MeanEstimateMicros != 100 {
 		t.Fatalf("plan-a mean estimate %fus, want 100 (decode stage must not count)", a.MeanEstimateMicros)
 	}
-	if a.LastDriftPP != 0.05 || a.LastSeenUnix == 0 {
-		t.Fatalf("plan-a drift stamp: %+v", a)
+	if a.LastSeenUnix == 0 {
+		t.Fatalf("plan-a last-seen stamp: %+v", a)
 	}
 	if a.P50Seconds <= 0 || a.P99Seconds < a.P50Seconds {
 		t.Fatalf("plan-a quantiles: p50=%f p99=%f", a.P50Seconds, a.P99Seconds)
@@ -315,10 +314,10 @@ func TestPlanProfilesEvictLeastRecentlySeen(t *testing.T) {
 	const capacity = 4
 	p := newPlanProfiles(capacity)
 	for i := 0; i < capacity; i++ {
-		p.observe(fmt.Sprintf("p%d", i), 0.001, false, false, false, nil, 0)
+		p.observe(fmt.Sprintf("p%d", i), 0.001, false, false, false, nil)
 	}
-	p.observe("p0", 0.001, false, false, false, nil, 0) // p1 is now the oldest
-	p.observe("p4", 0.001, false, false, false, nil, 0)
+	p.observe("p0", 0.001, false, false, false, nil) // p1 is now the oldest
+	p.observe("p4", 0.001, false, false, false, nil)
 	got := map[string]int64{}
 	for _, pp := range p.snapshot() {
 		got[pp.Plan] = pp.Requests
@@ -483,13 +482,11 @@ func TestDefaultSamplePolicy(t *testing.T) {
 	}
 }
 
-// TestWatchdogRecoveryWithDegradedStore is the health interplay
-// satellite: an accuracy regression flips /healthz to 503 even while
-// the persistent store is degraded; when the accuracy recovers, the
-// endpoint returns to 200 with the store block still reporting its
-// corruption.  Store health and accuracy health are independent
-// signals and must not mask each other.
-func TestWatchdogRecoveryWithDegradedStore(t *testing.T) {
+// TestHealthzDegradedStore pins /healthz over a store opened
+// degraded: corrupt records are skipped, never served, so the process
+// stays healthy (200, status "ok") while the store block reports the
+// corruption.
+func TestHealthzDegradedStore(t *testing.T) {
 	// A store with one corrupt sealed record: degraded from open.
 	sdir := t.TempDir()
 	seed, err := store.Open(store.Options{Dir: sdir, SegmentBytes: 1 << 10})
@@ -516,51 +513,12 @@ func TestWatchdogRecoveryWithDegradedStore(t *testing.T) {
 		t.Fatal("test setup: store not degraded")
 	}
 
-	// Goldens in a scratch dir so the test can doctor and restore them.
-	gdir := t.TempDir()
-	copyGolden(t, gdir)
-	doctorGolden(t, gdir)
-
-	opts := wdOptions()
-	opts.GoldenDir = gdir
-	s := New(Options{Store: st, Watchdog: opts})
+	s := New(Options{Store: st})
 	defer s.FlushStore()
-	wd := s.Watchdog()
-
-	if regs := wd.Probe(context.Background()); len(regs) == 0 {
-		t.Fatal("doctored golden not detected")
-	}
 	w := do(s, "GET", "/healthz", "")
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("degraded accuracy: healthz %d, want 503", w.Code)
-	}
-	var hr HealthResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &hr); err != nil {
-		t.Fatal(err)
-	}
-	if hr.Store == nil || hr.Store.Status != "degraded" {
-		t.Fatalf("store block while accuracy-degraded: %+v", hr.Store)
-	}
-
-	// Accuracy recovers: restore the real goldens and probe again.
-	copyGolden(t, gdir)
-	if regs := wd.Probe(context.Background()); len(regs) != 0 {
-		t.Fatalf("clean probe still regressing: %v", regs)
-	}
-	w = do(s, "GET", "/healthz", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("recovered accuracy: healthz %d, want 200 (%s)", w.Code, w.Body.String())
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &hr); err != nil {
-		t.Fatal(err)
-	}
-	if hr.Status != "ok" || hr.Watchdog == nil || hr.Watchdog.Degraded {
-		t.Fatalf("recovered health body: %+v", hr)
-	}
-	// The store is still degraded — recovery of one signal must not
-	// paper over the other.
-	if hr.Store == nil || hr.Store.Status != "degraded" {
-		t.Fatalf("store block after accuracy recovery: %+v", hr.Store)
+	const want = `{"status":"ok","store":{"status":"degraded","segments":6,"bytes":5780,"records":54,"hits":0,"misses":0}}` + "\n"
+	if w.Code != http.StatusOK || w.Body.String() != want {
+		t.Fatalf("healthz over a degraded store: %d %q, want 200 %q", w.Code, w.Body.String(), want)
 	}
 }
 
@@ -578,38 +536,6 @@ func corruptOneSegment(t *testing.T, dir string) {
 	}
 	b[len(b)/2] ^= 0xFF
 	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// copyGolden copies the checked-in golden tables into dir.
-func copyGolden(t *testing.T, dir string) {
-	t.Helper()
-	for _, name := range []string{"table1.txt", "table2.txt"} {
-		b, err := os.ReadFile(filepath.Join(wdGoldenDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// doctorGolden shifts one golden error column so the live estimator
-// appears to have drifted past tolerance.
-func doctorGolden(t *testing.T, dir string) {
-	t.Helper()
-	path := filepath.Join(dir, "table1.txt")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doctored := strings.Replace(string(b), "-25.9", "-15.9", 1)
-	if doctored == string(b) {
-		t.Fatal("golden perturbation found nothing to replace; update the test")
-	}
-	if err := os.WriteFile(path, []byte(doctored), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

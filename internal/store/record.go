@@ -59,7 +59,8 @@ type Namespace byte
 const (
 	// NSResult holds serialized estimate results (serve.CacheKey keyed).
 	NSResult Namespace = 1
-	// NSCongest holds serialized congestion maps (serve.CongestKey keyed).
+	// NSCongest holds serialized congestion maps, keyed by serve's
+	// congestion key.
 	NSCongest Namespace = 2
 	// Namespace 3 held compiled-plan metadata.  It is retired and must
 	// not be reused: old records still decode, and nothing reads them.

@@ -16,9 +16,23 @@ go build ./...
 # The examples tree is built explicitly: example programs have no
 # tests, so only a build catches API drift there.
 go build ./examples/...
-# Layering: the estimator kernels sit below the engine, so none of
-# them may depend on any internal/engine package.
-if go list -deps ./internal/core ./internal/congest ./internal/prob | grep '^maest/internal/engine'; then echo "layering: a kernel depends on internal/engine" >&2; exit 1; fi
+# Layering table: one row per rule, "packages forbidden".  None of the
+# comma-separated packages may depend, directly or not, on an
+# internal package the forbidden alternation names.  The estimator
+# kernels sit below the engine; the engine, the server and its binary
+# link only what maest-serve serves, so the layout ground truth and
+# the experiment harness stay out of them.
+while read -r pkgs forbidden; do
+    bad=$(go list -deps $(echo "$pkgs" | tr , ' ') | grep -E "^maest/internal/($forbidden)(/|\$)" || true)
+    if [ -n "$bad" ]; then
+        echo "layering: $pkgs must not depend on:" >&2
+        echo "$bad" >&2
+        exit 1
+    fi
+done <<'TABLE'
+./internal/core,./internal/congest,./internal/prob engine
+./internal/engine/...,./internal/serve,./cmd/maest-serve place|route|layout|baseline|gen|report
+TABLE
 # The load benchmark is its own module linking the serve and engine
 # packages, so neither ./... run above reaches it; vet and short-test
 # it so API drift there fails here rather than in a benchmark run.
