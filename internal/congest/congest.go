@@ -33,6 +33,7 @@ package congest
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -118,8 +119,6 @@ type Channel struct {
 	// Index matches route.Result.ChannelTracks: channel Index runs
 	// above row Index; the last channel lies below the bottom row.
 	Index int
-	// Demand is the track-demand distribution: Demand[t] = P(T = t).
-	Demand []float64
 	// Expected is E[T], the expected track demand.
 	Expected float64
 	// Capacity is the track capacity utilization is scored against.
@@ -136,8 +135,6 @@ type Channel struct {
 // only the central row's.
 type RowFeeds struct {
 	Index int
-	// Dist[m] = P(exactly m nets need a feed-through in this row).
-	Dist []float64
 	// Expected is E[M] for this row (Eq. 11 generalized off-center).
 	Expected float64
 	// Budget is the feed-through budget the overflow is scored
@@ -160,7 +157,9 @@ type Hotspot struct {
 	Expected float64
 }
 
-// Map is the congestion map of one module at a fixed row count.
+// Map is the congestion map of one module at a fixed row count.  It
+// keeps the scores of its distributions, not the distributions: only
+// the scoring step reads those.
 type Map struct {
 	Module string
 	// Rows is the row count n the analysis is for; Gridded marks the
@@ -221,8 +220,7 @@ func AnalyzeCtx(ctx context.Context, s *netlist.Stats, rows int, opts Options) (
 // analyze is the shared engine behind the standard-cell and gridded
 // full-custom entry points: compute the distributions, then score
 // them.  The two halves are exported separately (ComputeDistributions
-// / AnalyzeDistributionsCtx) so a compiled engine Plan can memoize the
-// expensive convolution work and re-score it under different knobs.
+// / AnalyzeDistributionsCtx) for the engine's Plan.Congestion.
 func analyze(s *netlist.Stats, rows int, gridded bool, opts Options) (*Map, error) {
 	if opts.Capacity < 0 {
 		return nil, anaErr("module %q: negative channel capacity %d", s.CircuitName, opts.Capacity)
@@ -241,10 +239,10 @@ func analyze(s *netlist.Stats, rows int, gridded bool, opts Options) (*Map, erro
 // congestion analysis: the per-channel Poisson-binomial track-demand
 // distributions and the per-row feed-through count distributions of
 // one module at one row count under one demand model.  It depends
-// only on the net-degree histogram, so it can be computed once per
-// (rows, gridded, model) and re-scored under any capacity/budget
-// knobs.  A Distributions is immutable after ComputeDistributions
-// returns; the scoring step shares (never copies) the slices.
+// only on the net-degree histogram; scoring reads it under any
+// capacity/budget knobs and keeps none of it.  A Distributions is
+// immutable after ComputeDistributions returns, and channels and rows
+// with equal chains share one slice.
 type Distributions struct {
 	// Module is the module name the statistics came from.
 	Module string
@@ -267,33 +265,34 @@ type Distributions struct {
 
 // ComputeDistributions convolves the module's degree classes into the
 // per-channel demand distributions (and, for standard-cell rows, the
-// per-row feed-through distributions) without scoring them.  It
-// memoizes nothing: an engine Plan keeps the result per (rows,
-// gridded, model), which is the one cache of these distributions.
+// per-row feed-through distributions) without scoring them.  Each
+// distinct chain is computed once per call (see chains); nothing is
+// memoized across calls.
 func ComputeDistributions(s *netlist.Stats, rows int, gridded bool, model Model) (*Distributions, error) {
 	if rows < 1 {
 		return nil, anaErr("module %q: row count %d < 1", s.CircuitName, rows)
 	}
-	classes := demandClasses(s, gridded)
+	ch := chains{classes: demandClasses(s, gridded), memo: map[string][]float64{}}
 	d := &Distributions{
 		Module:  s.CircuitName,
 		Rows:    rows,
 		Gridded: gridded,
 		Model:   model,
-		Nets:    classCount(classes),
+		Nets:    classCount(ch.classes),
 	}
 	d.Channels = make([][]float64, rows+1)
 	for c := range d.Channels {
-		dist, err := channelDemandDist(classes, rows, c, model)
+		dist, err := ch.dist(func(D int) (float64, error) { return channelProb(model, rows, D, c) })
 		if err != nil {
 			return nil, anaErr("module %q: channel %d: %v", s.CircuitName, c, err)
 		}
 		d.Channels[c] = dist
 	}
 	if !gridded {
+		// Row r takes Eq. 5 at row r+1: rows are 1-based in the paper.
 		d.Feeds = make([][]float64, rows)
-		for r := 0; r < rows; r++ {
-			dist, err := rowFeedDist(classes, rows, r)
+		for r := range d.Feeds {
+			dist, err := ch.dist(func(D int) (float64, error) { return prob.FeedThroughProb(rows, D, r+1) })
 			if err != nil {
 				return nil, anaErr("module %q: row %d: %v", s.CircuitName, r, err)
 			}
@@ -336,8 +335,8 @@ func AnalyzeDistributionsCtx(ctx context.Context, d *Distributions, opts Options
 	return scoreDistributions(d, opts)
 }
 
-// scoreDistributions builds the Map view over shared distribution
-// slices and scores it.
+// scoreDistributions scores the distributions into a Map, which keeps
+// the scores and none of the distributions.
 func scoreDistributions(d *Distributions, opts Options) (*Map, error) {
 	if opts.Model != d.Model {
 		return nil, anaErr("module %q: scoring model %s against %s distributions", d.Module, opts.Model, d.Model)
@@ -351,23 +350,23 @@ func scoreDistributions(d *Distributions, opts Options) (*Map, error) {
 	}
 	m.Channels = make([]Channel, len(d.Channels))
 	for c, dist := range d.Channels {
-		m.Channels[c] = Channel{Index: c, Demand: dist, Expected: prob.DistMean(dist)}
+		m.Channels[c] = Channel{Index: c, Expected: prob.DistMean(dist)}
 		m.TotalExpectedTracks += m.Channels[c].Expected
 	}
 	if d.Feeds != nil {
 		m.Feeds = make([]RowFeeds, len(d.Feeds))
 		for r, dist := range d.Feeds {
-			m.Feeds[r] = RowFeeds{Index: r, Dist: dist, Expected: prob.DistMean(dist)}
+			m.Feeds[r] = RowFeeds{Index: r, Expected: prob.DistMean(dist)}
 			m.TotalExpectedFeeds += m.Feeds[r].Expected
 		}
 	}
-	m.score(opts)
+	m.score(d, opts)
 	return m, nil
 }
 
 // score fills in capacities, utilizations, overflow probabilities and
-// the hotspot ranking.
-func (m *Map) score(opts Options) {
+// the hotspot ranking from the distributions m was built from.
+func (m *Map) score(d *Distributions, opts Options) {
 	capTracks := opts.Capacity
 	if capTracks == 0 {
 		// Balanced default: the estimator's own expected track total
@@ -383,7 +382,7 @@ func (m *Map) score(opts Options) {
 		ch := &m.Channels[c]
 		ch.Capacity = capTracks
 		ch.Utilization = ch.Expected / float64(capTracks)
-		ch.POverflow = prob.TailProb(ch.Demand, capTracks)
+		ch.POverflow = prob.TailProb(d.Channels[c], capTracks)
 		mChanUtil.Observe(ch.Utilization)
 		if ch.POverflow > 0.5 {
 			mOverflowChan.Inc()
@@ -403,7 +402,7 @@ func (m *Map) score(opts Options) {
 	for r := range m.Feeds {
 		rf := &m.Feeds[r]
 		rf.Budget = feedBudget
-		rf.POverBudget = prob.TailProb(rf.Dist, feedBudget)
+		rf.POverBudget = prob.TailProb(d.Feeds[r], feedBudget)
 	}
 
 	m.Hotspots = m.Hotspots[:0]
@@ -498,46 +497,51 @@ func channelProb(model Model, rows, D, c int) (float64, error) {
 	return 0, fmt.Errorf("unknown demand model %d", int(model))
 }
 
-// channelDemandDist convolves one binomial per degree class into the
-// Poisson-binomial track-demand distribution of channel c.
-func channelDemandDist(classes []class, rows, c int, model Model) ([]float64, error) {
-	dist := []float64{1} // point mass at zero demand
-	for _, cl := range classes {
-		p, err := channelProb(model, rows, cl.degree, c)
-		if err != nil {
-			return nil, err
-		}
-		if p == 0 {
-			continue
-		}
-		b, err := prob.FeedThroughCountDist(cl.count, p)
-		if err != nil {
-			return nil, err
-		}
-		dist = prob.Convolve(dist, b)
-	}
-	return dist, nil
+// chains computes the Poisson-binomial chains of one
+// ComputeDistributions call.  A chain convolves one binomial per degree
+// class, so it depends only on its vector of per-class probabilities;
+// chains are keyed by that vector's exact float64 bits, and equal keys
+// give equal chains by construction.  Under the occupancy model every
+// channel above a row has the same vector, so its rows channel chains
+// are one.  Mirror rows are not assumed equal: 1 − a − b and 1 − b − a
+// can differ in the last bit.
+type chains struct {
+	classes []class
+	ps      []float64
+	key     []byte
+	memo    map[string][]float64
 }
 
-// rowFeedDist convolves the Eq. 10 binomials of every degree class at
-// row r's Eq. 5 probability (rows are 0-based here, 1-based in the
-// paper's formulas).
-func rowFeedDist(classes []class, rows, r int) ([]float64, error) {
-	dist := []float64{1}
-	for _, cl := range classes {
-		p, err := prob.FeedThroughProb(rows, cl.degree, r+1)
+// dist returns the chain of the probabilities probOf gives the classes.
+// It reads every probability before the first binomial.  That keeps
+// the error a chain computed class by class would give, because a
+// probability's error never depends on the class: it fails at the
+// first one.
+func (ch *chains) dist(probOf func(D int) (float64, error)) ([]float64, error) {
+	ch.ps, ch.key = ch.ps[:0], ch.key[:0]
+	for _, cl := range ch.classes {
+		p, err := probOf(cl.degree)
 		if err != nil {
 			return nil, err
 		}
-		if p == 0 {
+		ch.ps = append(ch.ps, p)
+		ch.key = binary.LittleEndian.AppendUint64(ch.key, math.Float64bits(p))
+	}
+	if dist, ok := ch.memo[string(ch.key)]; ok {
+		return dist, nil
+	}
+	dist := []float64{1} // point mass at zero demand
+	for i, cl := range ch.classes {
+		if ch.ps[i] == 0 {
 			continue
 		}
-		b, err := prob.FeedThroughCountDist(cl.count, p)
+		b, err := prob.FeedThroughCountDist(cl.count, ch.ps[i])
 		if err != nil {
 			return nil, err
 		}
 		dist = prob.Convolve(dist, b)
 	}
+	ch.memo[string(ch.key)] = dist
 	return dist, nil
 }
 

@@ -58,12 +58,16 @@ func TestZeroNetsZeroDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		d, err := ComputeDistributions(stats("empty", nil), 4, false, model)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if m.TotalExpectedTracks != 0 || m.TotalExpectedFeeds != 0 {
 			t.Fatalf("%v: empty module has demand %g/%g", model, m.TotalExpectedTracks, m.TotalExpectedFeeds)
 		}
 		for _, ch := range m.Channels {
-			if len(ch.Demand) != 1 || ch.Demand[0] != 1 {
-				t.Fatalf("%v: channel %d demand dist %v, want point mass at 0", model, ch.Index, ch.Demand)
+			if dist := d.Channels[ch.Index]; len(dist) != 1 || dist[0] != 1 {
+				t.Fatalf("%v: channel %d demand dist %v, want point mass at 0", model, ch.Index, dist)
 			}
 			if ch.Utilization != 0 || ch.POverflow != 0 || math.IsNaN(ch.Utilization) {
 				t.Fatalf("%v: channel %d util %g overflow %g", model, ch.Index, ch.Utilization, ch.POverflow)
@@ -117,9 +121,13 @@ func TestHugeDegreeStaysFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		d, err := ComputeDistributions(s, 3, false, model)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, ch := range m.Channels {
 			sum := 0.0
-			for i, p := range ch.Demand {
+			for i, p := range d.Channels[ch.Index] {
 				if math.IsNaN(p) || p < 0 || p > 1+1e-9 {
 					t.Fatalf("%v: channel %d P(%d) = %g", model, ch.Index, i, p)
 				}

@@ -37,12 +37,16 @@ func TestPropertyOverflowIsProbability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		d, err := ComputeDistributions(s, rows, false, model)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		for _, ch := range m.Channels {
 			if ch.POverflow < 0 || ch.POverflow > 1 || math.IsNaN(ch.POverflow) {
 				t.Fatalf("trial %d: channel %d P(overflow) = %g", trial, ch.Index, ch.POverflow)
 			}
 			sum := 0.0
-			for _, p := range ch.Demand {
+			for _, p := range d.Channels[ch.Index] {
 				if p < -1e-15 || p > 1+1e-9 || math.IsNaN(p) {
 					t.Fatalf("trial %d: channel %d carries probability %g", trial, ch.Index, p)
 				}

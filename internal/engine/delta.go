@@ -35,7 +35,7 @@ var (
 // net edits re-bucket only the touched nets' degree classes.  The
 // Eq. 2–3 and Eq. 11 values come from the process-wide distmemo, and
 // an edit that keeps the degree histogram also keeps the parent's
-// congestion distributions, so it re-estimates on memo hits alone.
+// congestion maps, so it re-estimates on memo hits alone.
 //
 // SwapProcess is outside the incremental algebra and falls back to a
 // full recompile (counted by maest_delta_fallback_total).  An empty
@@ -155,7 +155,7 @@ func (pl *Plan) DeltaCtx(ctx context.Context, edits ...Edit) (np *Plan, err erro
 
 // childWithRows is the rows-only delta: same circuit, process,
 // statistics, and hash — only the default row count differs.  The
-// memo tables start empty apart from the inherited distributions.
+// memo tables start empty apart from the inherited congestion maps.
 func (pl *Plan) childWithRows(rows int) *Plan {
 	np := &Plan{
 		circ:         pl.circ,

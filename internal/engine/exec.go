@@ -263,13 +263,13 @@ func (pl *Plan) Profiled(ctx context.Context, opts ...Option) (*core.SCEstimate,
 	return est, nil
 }
 
-// Distributions returns the memoized congestion distributions for the
-// resolved row count under WithRows/WithGridded/WithCongestModel —
-// the expensive Poisson-binomial convolutions every congestion map at
-// those knobs shares.
+// Distributions computes the congestion distributions for the
+// resolved row count under WithRows/WithGridded/WithCongestModel: the
+// Poisson-binomial convolutions a congestion map at those knobs is
+// scored from.  Nothing keeps them, so each call computes them afresh.
 func (pl *Plan) Distributions(ctx context.Context, opts ...Option) (*congest.Distributions, error) {
 	o := build(opts)
-	return pl.distributions(pl.congestRows(o), o.Gridded, o.CongestModel)
+	return congest.ComputeDistributions(pl.stats, pl.congestRows(o), o.Gridded, o.CongestModel)
 }
 
 // congestRows resolves the analyzed row count: explicit rows win,
@@ -288,28 +288,11 @@ func (pl *Plan) congestRows(o Options) int {
 	return pl.initialRows
 }
 
-func (pl *Plan) distributions(rows int, gridded bool, model congest.Model) (*congest.Distributions, error) {
-	k := distKey{rows: rows, gridded: gridded, model: model}
-	pl.mu.Lock()
-	d, ok := pl.dists[k]
-	pl.mu.Unlock()
-	if ok {
-		return d, nil
-	}
-	d, err := congest.ComputeDistributions(pl.stats, rows, gridded, model)
-	if err != nil {
-		return nil, err
-	}
-	pl.mu.Lock()
-	pl.dists[k] = d
-	pl.mu.Unlock()
-	return d, nil
-}
-
 // Congestion builds (or returns the memoized) congestion map under
 // WithRows, WithGridded, WithCongestModel, WithCapacity, and
-// WithFeedBudget.  The demand distributions behind the map are shared
-// across capacity/budget knob changes — only the scoring reruns.
+// WithFeedBudget.  The memo keeps the scored map only; the demand
+// distributions behind it are dropped once scored, so a capacity or
+// budget change recomputes them.
 func (pl *Plan) Congestion(ctx context.Context, opts ...Option) (*congest.Map, error) {
 	o := build(opts)
 	k := pl.congKey(o)
@@ -319,7 +302,7 @@ func (pl *Plan) Congestion(ctx context.Context, opts ...Option) (*congest.Map, e
 	if ok {
 		return m, nil
 	}
-	d, err := pl.distributions(k.rows, o.Gridded, o.CongestModel)
+	d, err := congest.ComputeDistributions(pl.stats, k.rows, k.gridded, k.model)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +340,9 @@ func (pl *Plan) InstallCongestion(m *congest.Map, opts ...Option) {
 // count plus every analysis knob.
 func (pl *Plan) congKey(o Options) congKey {
 	return congKey{
-		distKey:    distKey{rows: pl.congestRows(o), gridded: o.Gridded, model: o.CongestModel},
+		rows:       pl.congestRows(o),
+		gridded:    o.Gridded,
+		model:      o.CongestModel,
 		capacity:   o.Capacity,
 		feedBudget: o.FeedBudget,
 	}

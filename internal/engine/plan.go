@@ -162,13 +162,10 @@ type (
 		rows    int
 		sharing bool
 	}
-	distKey struct {
-		rows    int
-		gridded bool
-		model   congest.Model
-	}
 	congKey struct {
-		distKey
+		rows                 int
+		gridded              bool
+		model                congest.Model
 		capacity, feedBudget int
 	}
 	sweepKey struct {
@@ -211,7 +208,6 @@ type Plan struct {
 	sweeps map[sweepKey][]*core.SCEstimate
 	fc     [2]*core.FCEstimate // by core.FCMode
 	bundle map[scKey]*core.Result
-	dists  map[distKey]*congest.Distributions
 	maps   map[congKey]*congest.Map
 }
 
@@ -295,18 +291,18 @@ func CompileCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process) (pl *P
 }
 
 // initMemos allocates the execute-result memo tables for Compile and
-// Delta.  A Delta child starts with its parent's congestion
-// distributions when the degree histogram, all they depend on, is equal.
+// Delta.  A Delta child starts with its parent's congestion maps when
+// the module name and degree histogram, all a map reads beyond its memo
+// key, are equal.
 func (pl *Plan) initMemos(parent *Plan) {
 	pl.sc = make(map[scKey]*core.SCEstimate)
 	pl.prof = make(map[scKey]*core.SCEstimate)
 	pl.sweeps = make(map[sweepKey][]*core.SCEstimate)
 	pl.bundle = make(map[scKey]*core.Result)
-	pl.dists = make(map[distKey]*congest.Distributions)
 	pl.maps = make(map[congKey]*congest.Map)
-	if parent != nil && maps.Equal(pl.stats.DegreeCount, parent.stats.DegreeCount) {
+	if parent != nil && pl.circ.Name == parent.circ.Name && maps.Equal(pl.stats.DegreeCount, parent.stats.DegreeCount) {
 		parent.mu.Lock()
-		maps.Copy(pl.dists, parent.dists)
+		maps.Copy(pl.maps, parent.maps)
 		parent.mu.Unlock()
 	}
 }

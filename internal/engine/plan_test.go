@@ -259,8 +259,9 @@ func TestPlanMemoization(t *testing.T) {
 	if m1 != m2 {
 		t.Fatal("repeat Congestion did not hit the map memo")
 	}
-	// Changing only the scoring knobs reruns scoring but shares the
-	// distributions underneath.
+	// Changing only the scoring knobs scores a new map.  The plan keeps
+	// no distributions: each Distributions call computes equal ones
+	// afresh.
 	d, err := pl.Distributions(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -276,8 +277,8 @@ func TestPlanMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != d2 {
-		t.Fatal("distributions were recomputed across scoring variants")
+	if d == d2 || !reflect.DeepEqual(d, d2) {
+		t.Fatal("Distributions returned a kept or unequal copy")
 	}
 
 	// The memo accessors see exactly what the execute methods memoized;

@@ -203,23 +203,24 @@ func FeedThroughCountDist(H int, p float64) ([]float64, error) {
 		return nil, fmt.Errorf("prob: feed-through probability %g outside [0,1]", p)
 	}
 	dist := make([]float64, H+1)
-	// Iterate in log space to stay finite for large H.
-	lp, lq := math.Log(p), math.Log(1-p)
-	for m := 0; m <= H; m++ {
-		switch {
-		case p == 0:
-			if m == 0 {
-				dist[m] = 1
-			}
-		case p == 1:
-			if m == H {
-				dist[m] = 1
-			}
-		default:
-			lg1, _ := math.Lgamma(float64(H + 1))
-			lg2, _ := math.Lgamma(float64(m + 1))
-			lg3, _ := math.Lgamma(float64(H - m + 1))
-			dist[m] = math.Exp(lg1 - lg2 - lg3 + float64(m)*lp + float64(H-m)*lq)
+	switch {
+	case p == 0:
+		dist[0] = 1
+	case p == 1:
+		dist[H] = 1
+	default:
+		// Iterate in log space to stay finite for large H.  dist first
+		// holds the table ln k! = lgamma(k+1), k = 0..H; each pass then
+		// reads the two entries it overwrites, m and H−m.
+		for k := range dist {
+			dist[k], _ = math.Lgamma(float64(k + 1))
+		}
+		lgH := dist[H]
+		lp, lq := math.Log(p), math.Log(1-p)
+		for m := 0; m <= H-m; m++ {
+			lgm, lgr := dist[m], dist[H-m]
+			dist[m] = math.Exp(lgH - lgm - lgr + float64(m)*lp + float64(H-m)*lq)
+			dist[H-m] = math.Exp(lgH - lgr - lgm + float64(H-m)*lp + float64(m)*lq)
 		}
 	}
 	return dist, nil

@@ -20,6 +20,16 @@ type aliasReq struct {
 	req  any
 }
 
+// wireText is a netlist's JSON string bytes as encoding/json writes
+// them into a body, between the quotes: what the alias hashes.
+func wireText(netlist string) []byte {
+	b, err := json.Marshal(netlist)
+	if err != nil {
+		panic(err)
+	}
+	return b[1 : len(b)-1]
+}
+
 // sources lists the alias keys a request's circuit sources resolve to.
 func (r aliasReq) sources() []Key {
 	proc := func(p string) string {
@@ -30,13 +40,13 @@ func (r aliasReq) sources() []Key {
 	}
 	switch q := r.req.(type) {
 	case EstimateRequest:
-		return []Key{sourceAlias(proc(q.Process), q.Format, q.Name, q.Netlist)}
+		return []Key{sourceAlias(proc(q.Process), q.Format, q.Name, wireText(q.Netlist))}
 	case CongestionRequest:
-		return []Key{sourceAlias(proc(q.Process), q.Format, q.Name, q.Netlist)}
+		return []Key{sourceAlias(proc(q.Process), q.Format, q.Name, wireText(q.Netlist))}
 	case BatchRequest:
 		var ks []Key
 		for _, m := range q.Modules {
-			ks = append(ks, sourceAlias(proc(q.Process), m.Format, m.Name, m.Netlist))
+			ks = append(ks, sourceAlias(proc(q.Process), m.Format, m.Name, wireText(m.Netlist)))
 		}
 		return ks
 	}
@@ -387,6 +397,42 @@ func TestAliasDisabledCache(t *testing.T) {
 		}
 		if route := lastRoute(t, s); route != "parse" {
 			t.Fatalf("disabled cache took the %q route", route)
+		}
+	}
+}
+
+// TestAliasDeclinedBodyParses pins the one alias derivation: a body the
+// fast path declines (here a case-variant key encoding/json accepts)
+// takes the canonical route on every repeat, looking up and registering
+// no alias, and answers what the fast-path body answers.
+func TestAliasDeclinedBodyParses(t *testing.T) {
+	s := New(Options{FlightSize: 16})
+	demo := testdata(t, "demo.mnet")
+	declined := `{"Netlist":` + marshal(t, demo) + `}`
+	var first string
+	for i := 0; i < 3; i++ {
+		w := do(s, "POST", "/v1/estimate", declined)
+		if w.Code != http.StatusOK {
+			t.Fatalf("declined body #%d: %d %s", i, w.Code, w.Body.String())
+		}
+		if route := lastRoute(t, s); route != "parse" {
+			t.Fatalf("declined body #%d took the %q route", i, route)
+		}
+		if n := checkAliases(t, s.plans); n != 0 {
+			t.Fatalf("declined body #%d registered %d aliases", i, n)
+		}
+		if i == 0 {
+			first = w.Body.String()
+		}
+	}
+	fast := aliasReq{"/v1/estimate", EstimateRequest{Netlist: demo}}
+	for i, want := range []string{"parse", "alias"} {
+		got := send(t, s, fast)
+		if route := lastRoute(t, s); route != want {
+			t.Fatalf("fast-path body #%d took the %q route, want %q", i, route, want)
+		}
+		if withoutCacheHit(t, got) != withoutCacheHit(t, first) {
+			t.Fatalf("fast-path body answered\n%s\ndeclined body answered\n%s", got, first)
 		}
 	}
 }

@@ -117,17 +117,24 @@ func keyOf(mid midstate, knobs string, args ...any) Key {
 }
 
 // sourceAlias is the alias key of one circuit source: SHA-256 over the
-// resolved process name, format, module name and raw netlist text —
-// everything the parse route reads.  Each field is length-prefixed so
-// no two distinct tuples frame the same bytes.
-func sourceAlias(procName, format, name, source string) Key {
+// resolved process name, format, module name and the netlist's JSON
+// string bytes as the body carries them (escapes intact) — everything
+// the parse route reads.  Each field is length-prefixed so no two
+// distinct tuples frame the same bytes.  The netlist is hashed where it
+// lies, not copied; only the short fields are framed in a pooled buffer.
+func sourceAlias(procName, format, name string, netlist []byte) Key {
 	buf := canonPool.Get().(*[]byte)
 	b := (*buf)[:0]
-	for _, f := range [...]string{procName, format, name, source} {
+	for _, f := range [...]string{procName, format, name} {
 		b = binary.AppendUvarint(b, uint64(len(f)))
 		b = append(b, f...)
 	}
-	k := Key(sha256.Sum256(b))
+	b = binary.AppendUvarint(b, uint64(len(netlist)))
+	h := sha256.New()
+	h.Write(b)
+	h.Write(netlist)
+	var k Key
+	h.Sum(k[:0])
 	*buf = b
 	canonPool.Put(buf)
 	return k

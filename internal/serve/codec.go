@@ -43,6 +43,10 @@ type EstimateRequest struct {
 	Rows int `json:"rows,omitempty"`
 	// TrackSharing enables the §7 routing-track-sharing extension.
 	TrackSharing bool `json:"track_sharing,omitempty"`
+
+	// rawNetlist is the netlist still in the body when decodeFast took
+	// it; Netlist is then empty.
+	rawNetlist jsonText
 }
 
 // DeltaRequest is the POST /v1/estimate/delta payload: an ECO-style
@@ -104,6 +108,8 @@ type ModuleInput struct {
 	Format  string `json:"format,omitempty"`
 	Name    string `json:"name,omitempty"`
 	Netlist string `json:"netlist"`
+
+	rawNetlist jsonText // as in EstimateRequest
 }
 
 // SCBody is the standard-cell half of an estimate answer (Eq. 12/14).
@@ -181,6 +187,8 @@ type CongestionRequest struct {
 	// FeedBudget overrides the per-row feed-through budget (0 =
 	// derived).
 	FeedBudget int `json:"feed_budget,omitempty"`
+
+	rawNetlist jsonText // as in EstimateRequest
 }
 
 // ChannelBody is one channel of a congestion answer.
@@ -434,10 +442,10 @@ func isJSONSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
-// bodyPool recycles the buffers request bodies are read into; every
-// decoded string is copied out before its buffer goes back.  Buffers
-// grown past maxPooledBody are dropped, so one large body does not stay
-// resident.
+// bodyPool recycles the buffers request bodies are read into.  A buffer
+// goes back only when its handler returns (releaseBody), because a
+// fast-path netlist is read in place until then.  Buffers grown past
+// maxPooledBody are dropped, so one large body does not stay resident.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
@@ -448,24 +456,28 @@ const maxPooledBody = 1 << 20
 // pass declines, any other request type, and any body whose read failed
 // go to decodeJSON over the same bytes, with the read error replayed
 // after them.  So every accepted value and every error text is
-// encoding/json's.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+// encoding/json's.  It returns the buffer the body was read into, error
+// or not; the handler passes it to releaseBody when it returns.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodyPool.Put(buf)
-		}
-	}()
 	buf.Reset()
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil && decodeFast(buf.Bytes(), v) {
-		return nil
+		return buf, nil
 	}
 	var src io.Reader = bytes.NewReader(buf.Bytes())
 	if err != nil {
 		src = io.MultiReader(src, errReader{err})
 	}
-	return decodeJSON(src, v)
+	return buf, decodeJSON(src, v)
+}
+
+// releaseBody returns a body buffer to bodyPool.  Nothing may read a
+// netlist decodeFast left in it afterwards.
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
 }
 
 // errReader replays a body's read error after its bytes.
@@ -474,11 +486,13 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // decodeFast decodes an EstimateRequest, CongestionRequest or
-// BatchRequest in one pass over body.  It accepts only what it can
-// decode exactly as encoding/json would: one object of exact lowercase
-// field names, each at most once, holding strings, integers that fit an
-// int, booleans and, for a batch, an array of module objects, with
-// nothing but whitespace around it.  Strings must be valid UTF-8 whose
+// BatchRequest in one pass over body.  A netlist is validated but left
+// in body as a jsonText (rawNetlist), so a repeated request is hashed
+// without a copy.  It accepts only what it can decode exactly as
+// encoding/json would: one object of exact lowercase field names, each
+// at most once, holding strings, integers that fit an int, booleans
+// and, for a batch, an array of module objects, with nothing but
+// whitespace around it.  Strings must be valid UTF-8 whose
 // \u escapes are not surrogates.  For anything else, including null,
 // unknown or case-variant keys and numbers with a fraction or exponent,
 // it reports false and leaves v untouched.
@@ -494,7 +508,7 @@ func decodeFast(body []byte, v any) bool {
 			case "name":
 				return d.str(&req.Name)
 			case "netlist":
-				return d.str(&req.Netlist)
+				return d.text(&req.rawNetlist)
 			case "process":
 				return d.str(&req.Process)
 			case "rows":
@@ -516,7 +530,7 @@ func decodeFast(body []byte, v any) bool {
 			case "name":
 				return d.str(&req.Name)
 			case "netlist":
-				return d.str(&req.Netlist)
+				return d.text(&req.rawNetlist)
 			case "process":
 				return d.str(&req.Process)
 			case "rows":
@@ -657,7 +671,7 @@ func (d *fastDecoder) modules(dst *[]ModuleInput) bool {
 				case "name":
 					return d.str(&m.Name)
 				case "netlist":
-					return d.str(&m.Netlist)
+					return d.text(&m.rawNetlist)
 				}
 				return false
 			}) {
@@ -705,11 +719,59 @@ func plainRun(b []byte, i int) int {
 	return i
 }
 
-// str decodes a string value.  A first pass finds the closing quote,
-// checks every escape and sizes the result; a string without escapes is
-// then one copy, and any other is built in one exact-size allocation by
-// copying the runs between its escapes.
+// jsonText is a JSON string value decodeFast validated and left in the
+// body: the bytes between its quotes, escapes intact, and how many bytes
+// unescaping drops.  ok is false when encoding/json decoded the body
+// instead.  The bytes are the body buffer's, so they are read only
+// before the handler releases it.
+type jsonText struct {
+	raw    []byte
+	shrink int
+	ok     bool
+}
+
+// String unescapes the text into a new string: one copy when it has no
+// escapes, and otherwise one exact-size allocation built by copying the
+// runs between its escapes.
+func (t jsonText) String() string {
+	raw := t.raw
+	if t.shrink == 0 {
+		return string(raw)
+	}
+	var sb strings.Builder
+	sb.Grow(len(raw) - t.shrink)
+	for {
+		j := bytes.IndexByte(raw, '\\')
+		if j < 0 {
+			sb.Write(raw)
+			break
+		}
+		sb.Write(raw[:j])
+		if raw[j+1] == 'u' {
+			sb.WriteRune(hex4(raw[j+2 : j+6]))
+			raw = raw[j+6:]
+		} else {
+			sb.WriteByte(escapedByte[raw[j+1]])
+			raw = raw[j+2:]
+		}
+	}
+	return sb.String()
+}
+
+// str decodes a string value.
 func (d *fastDecoder) str(dst *string) bool {
+	var t jsonText
+	if !d.text(&t) {
+		return false
+	}
+	*dst = t.String()
+	return true
+}
+
+// text validates a string value and records it in place.  It finds the
+// closing quote, checks every escape and measures what unescaping
+// drops.
+func (d *fastDecoder) text(dst *jsonText) bool {
 	if !d.consume('"') {
 		return false
 	}
@@ -744,28 +806,7 @@ func (d *fastDecoder) str(dst *string) bool {
 	if high && !utf8.Valid(raw) {
 		return false
 	}
-	if shrink == 0 {
-		*dst = string(raw)
-		return true
-	}
-	var sb strings.Builder
-	sb.Grow(len(raw) - shrink)
-	for {
-		j := bytes.IndexByte(raw, '\\')
-		if j < 0 {
-			sb.Write(raw)
-			break
-		}
-		sb.Write(raw[:j])
-		if raw[j+1] == 'u' {
-			sb.WriteRune(hex4(raw[j+2 : j+6]))
-			raw = raw[j+6:]
-		} else {
-			sb.WriteByte(escapedByte[raw[j+1]])
-			raw = raw[j+2:]
-		}
-	}
-	*dst = sb.String()
+	*dst = jsonText{raw: raw, shrink: shrink, ok: true}
 	return true
 }
 

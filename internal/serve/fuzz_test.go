@@ -191,13 +191,16 @@ func decodeStatus(err error) int {
 // checkDecodeBody decodes body, cut off at limit bytes, into each
 // fast-path type twice: through decodeBody, and through decodeJSON
 // streaming from the MaxBytesReader as the handlers did before
-// decodeBody.  Value, error text and status must agree.
+// decodeBody.  Value (its netlists materialized while the body is
+// held), error text and status must agree.
 func checkDecodeBody(t *testing.T, body string, limit int64) {
 	t.Helper()
 	for _, fresh := range fastPathTypes {
 		got, want := fresh(), fresh()
 		req := httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(body))
-		gotErr := decodeBody(httptest.NewRecorder(), req, limit, got)
+		buf, gotErr := decodeBody(httptest.NewRecorder(), req, limit, got)
+		materialize(got)
+		releaseBody(buf)
 		wantErr := decodeJSON(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), limit), want)
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%T from %q (limit %d): error %v, reference %v", got, body, limit, gotErr, wantErr)

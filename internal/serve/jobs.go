@@ -459,7 +459,9 @@ func encodeFloorplan(p *floorplan.Plan, procName string, cfg jobConfig) *Floorpl
 // duplicate of a known job answers 200 with its current snapshot.
 func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *reqInfo) {
 	var req FloorplanRequest
-	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
+	body, err := decodeBody(w, r, s.opts.MaxRequestBytes, &req)
+	defer releaseBody(body)
+	if err != nil {
 		s.fail(w, info, err)
 		return
 	}

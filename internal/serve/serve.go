@@ -225,23 +225,30 @@ func render(dst []byte, circ *netlist.Circuit, proc *tech.Process) ([]byte, Key)
 
 // resolve routes one circuit source to its compiled plan, returning the
 // plan, its content address and the midstate its answer keys finish
-// from.  A source the plan cache has seen under this process takes the
-// alias: no parse, render or hash.  Any other source takes the
-// canonical route — parse, render, plan hash, plan (compile on a miss)
-// — and then registers its alias, so the next repeat takes the alias.
-// Errors register nothing.  info (nil in batch) gets the route's
-// stages: "alias", or "parse" and "compile".
-func (s *Server) resolve(ctx context.Context, info *reqInfo, format, name, source string, proc *tech.Process, procName string) (*engine.Plan, Key, midstate, error) {
+// from.  The source is raw, a netlist decodeFast left in the body, or
+// else the decoded text.  A raw source the plan cache has seen under
+// this process takes the alias: no unescape, parse, render or hash of
+// the text.  Any other source takes the canonical route — parse,
+// render, plan hash, plan (compile on a miss) — and a raw one then
+// registers its alias, so the next repeat takes the alias.  A body the
+// fast path declined never looks up or registers an alias, so there is
+// one alias derivation.  Errors register nothing.  info (nil in batch)
+// gets the route's stages: "alias", or "parse" and "compile".
+func (s *Server) resolve(ctx context.Context, info *reqInfo, format, name, text string, raw jsonText, proc *tech.Process, procName string) (*engine.Plan, Key, midstate, error) {
+	aliased := raw.ok && s.plans != nil
 	var alias Key
-	if s.plans != nil {
-		alias = sourceAlias(procName, format, name, source)
+	if aliased {
+		alias = sourceAlias(procName, format, name, raw.raw)
 		if pl, planKey, mid, ok := s.plans.lookupAlias(alias); ok {
 			info.setPlan(planKey)
 			info.mark("alias")
 			return pl, planKey, mid, nil
 		}
 	}
-	circ, err := parseCircuit(format, name, source, proc)
+	if raw.ok {
+		text = raw.String()
+	}
+	circ, err := parseCircuit(format, name, text, proc)
 	if err != nil {
 		return nil, Key{}, nil, err
 	}
@@ -257,8 +264,20 @@ func (s *Server) resolve(ctx context.Context, info *reqInfo, format, name, sourc
 		return nil, Key{}, nil, err
 	}
 	info.mark("compile")
-	s.plans.setAlias(alias, planKey, mid)
+	if aliased {
+		s.plans.setAlias(alias, planKey, mid)
+	}
 	return pl, planKey, mid, nil
+}
+
+// checkRows rejects a row count above the module's N devices, with the
+// one 400 text every endpoint answers: feasible rows are 1..N, one
+// device per row at most, and the analyses allocate per row.
+func checkRows(rows int, pl *engine.Plan) error {
+	if n := pl.Stats().N; rows > n {
+		return reqErr("rows %d exceeds the module's %d devices", rows, n)
+	}
+	return nil
 }
 
 // estimateOpts is the engine knob list of one estimate question.
@@ -442,7 +461,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 	defer cancel()
 
 	var req EstimateRequest
-	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
+	body, err := decodeBody(w, r, s.opts.MaxRequestBytes, &req)
+	defer releaseBody(body)
+	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
@@ -456,7 +477,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 	// answer's plan key stays chainable: a warm restart serves results
 	// this process never computed, and an ECO delta against them must
 	// find the parent plan, not a 404.
-	pl, planKey, mid, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, proc, procName)
+	pl, planKey, mid, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, req.rawNetlist, proc, procName)
+	if err == nil {
+		err = checkRows(req.Rows, pl)
+	}
 	if err != nil {
 		s.fail(w, info, err)
 		return
@@ -494,7 +518,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 	defer cancel()
 
 	var req DeltaRequest
-	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
+	body, err := decodeBody(w, r, s.opts.MaxRequestBytes, &req)
+	defer releaseBody(body)
+	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
@@ -535,6 +561,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 	rows := req.Rows
 	if rows == 0 {
 		rows = scriptRows
+	}
+	if err := checkRows(rows, child); err != nil {
+		s.fail(w, info, err)
+		return
 	}
 	key := resultKey(canonMidstate(child.Circuit()), procName, rows, req.TrackSharing)
 	info.setDigest(key)
@@ -598,7 +628,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 	defer cancel()
 
 	var req BatchRequest
-	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
+	body, err := decodeBody(w, r, s.opts.MaxRequestBytes, &req)
+	defer releaseBody(body)
+	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
@@ -622,7 +654,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 	var missPlans []*engine.Plan
 	var missIdx []int
 	for i, m := range req.Modules {
-		pl, _, mid, err := s.resolve(ctx, nil, m.Format, m.Name, m.Netlist, proc, procName)
+		pl, _, mid, err := s.resolve(ctx, nil, m.Format, m.Name, m.Netlist, m.rawNetlist, proc, procName)
+		if err == nil {
+			err = checkRows(req.Rows, pl)
+		}
 		if errors.Is(err, errBadRequest) {
 			s.fail(w, info, reqErr("module %d: %v", i, err))
 			return
@@ -694,7 +729,9 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 	defer cancel()
 
 	var req CongestionRequest
-	if err := decodeBody(w, r, s.opts.MaxRequestBytes, &req); err != nil {
+	body, err := decodeBody(w, r, s.opts.MaxRequestBytes, &req)
+	defer releaseBody(body)
+	if err != nil {
 		s.fail(w, info, err)
 		return
 	}
@@ -717,15 +754,12 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 	// any earlier /v1/estimate on the same body via the plan cache)
 	// and the resolved row count the content address names: §5
 	// automatic rows for standard cells, the ⌈√N⌉ grid for full custom.
-	pl, _, mid, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, proc, procName)
+	pl, _, mid, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, req.rawNetlist, proc, procName)
+	if err == nil {
+		err = checkRows(req.Rows, pl)
+	}
 	if err != nil {
 		s.fail(w, info, err)
-		return
-	}
-	// Feasible rows are 1..N, one device per row at most; the analysis
-	// allocates per channel, so an unbounded count must not reach it.
-	if n := pl.Stats().N; req.Rows > n {
-		s.fail(w, info, reqErr("rows %d exceeds the module's %d devices", req.Rows, n))
 		return
 	}
 	rows := req.Rows

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -334,5 +337,52 @@ func TestStoreColdEstimateWritesOneRecord(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("the one record is not the answer: %d NSResult records", n)
+	}
+}
+
+// TestOpensParentCongestRecords reopens a store whose NSCongest records
+// were written before congestion maps dropped their distributions:
+// each record still carries every channel's Demand and every row's
+// Dist.  The records must still load (encoding/json skips the fields
+// the map no longer has), and the answers must be the wire bytes that
+// release served from them (testdata/parent-congest/answers.jsonl).
+func TestOpensParentCongestRecords(t *testing.T) {
+	src := filepath.Join("testdata", "parent-congest")
+	wal, err := os.ReadFile(filepath.Join(src, "active.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(wal, []byte(`"Demand":[`)) || !bytes.Contains(wal, []byte(`"Dist":[`)) {
+		t.Fatal("fixture records carry no distributions")
+	}
+	answers, err := os.ReadFile(filepath.Join(src, "answers.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "active.wal"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, dir)
+	defer st.Close()
+	s := New(Options{Store: st})
+	defer s.FlushStore()
+	demo := testdata(t, "demo.mnet")
+	reqs := []CongestionRequest{
+		{Netlist: demo, Rows: 3},
+		{Netlist: demo, Rows: 2, Model: "crossing", Capacity: 2},
+	}
+	want := strings.SplitAfter(string(answers), "\n")
+	for i, r := range reqs {
+		got := do(s, "POST", "/v1/congestion", marshal(t, r)).Body.String()
+		if got != want[i] {
+			t.Fatalf("request %d answered\n%s\nthe parent's store answered\n%s", i, got, want[i])
+		}
+		if fresh := do(New(Options{}), "POST", "/v1/congestion", marshal(t, r)).Body.String(); withoutCacheHit(t, fresh) != withoutCacheHit(t, got) {
+			t.Fatalf("request %d: stored answer\n%s\nfresh answer\n%s", i, got, fresh)
+		}
+	}
+	if n := st.Stats().Hits; n != int64(len(reqs)) {
+		t.Fatalf("%d store hits, want %d", n, len(reqs))
 	}
 }

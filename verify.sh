@@ -94,7 +94,8 @@ go test -race -run 'TestTwoProcessTraceStitch|TestTraceStoreRestartEndToEnd' ./c
 # The exact allocation ceilings ride along: BenchmarkParseMnet,
 # BenchmarkDecodeBody, BenchmarkEstimateCacheHit and
 # BenchmarkEstimateCacheMiss fail when testing.AllocsPerRun exceeds
-# their budgets.
+# their budgets, and BenchmarkEstimateAliasHit when a repeated
+# 250-gate /v1/estimate allocates as many bytes as its body.
 go test -run=NONE -bench=. -benchtime=1x ./...
 # ECO gate: the incremental route (Plan.Delta + re-estimate, warm
 # memo) must stay at least 5x faster per edit than the from-scratch
