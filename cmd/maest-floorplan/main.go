@@ -166,10 +166,11 @@ func runAnneal(ctx context.Context, p *tech.Process, o options) error {
 	plans := serve.NewPlanCache(1024)
 	mods := make([]floorplan.PlanModule, len(chip.Modules))
 	for i, c := range chip.Modules {
-		key := serve.Key(engine.PlanHash(c, p))
+		k, _ := engine.Canonicalize(nil, c, p)
+		key := serve.Key(k.Hash())
 		pl, ok := plans.Get(key)
 		if !ok {
-			pl, err = engine.CompileCtx(ctx, c, p)
+			pl, err = engine.CompileCanon(ctx, &k)
 			if err != nil {
 				return err
 			}

@@ -130,7 +130,6 @@ func (pl *Plan) DeltaCtx(ctx context.Context, edits ...Edit) (np *Plan, err erro
 		proc:         pl.proc, // shared: the compiled process clone is immutable
 		procBlob:     pl.procBlob,
 		stats:        s,
-		hash:         hashOrdered(edited, pl.procBlob, canonPorts, canonDevs),
 		canonPorts:   canonPorts,
 		canonDevs:    canonDevs,
 		cellLevel:    nCells > 0,
@@ -147,6 +146,9 @@ func (pl *Plan) DeltaCtx(ctx context.Context, edits ...Edit) (np *Plan, err erro
 			AvgDeviceHeight:  s.AvgHeight(),
 		},
 	}
+	buf := renderPool.Get().(*[]byte)
+	*buf, np.hash = seal((*buf)[:0], &np.mid, edited, pl.procBlob, canonPorts, canonDevs)
+	renderPool.Put(buf)
 	np.initMemos(pl)
 	sp.SetInt("devices", int64(s.N))
 	sp.SetInt("nets", int64(s.H))
@@ -163,6 +165,7 @@ func (pl *Plan) childWithRows(rows int) *Plan {
 		procBlob:     pl.procBlob,
 		stats:        pl.stats,
 		hash:         pl.hash,
+		mid:          pl.mid,
 		canonPorts:   pl.canonPorts,
 		canonDevs:    pl.canonDevs,
 		cellLevel:    pl.cellLevel,

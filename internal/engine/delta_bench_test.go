@@ -12,10 +12,11 @@ import (
 
 // deltaAllocCeiling is the allocation budget for deriving one child
 // plan from a single pin-rewire edit on the 160-gate benchmark module.
-// The clone arenas, inherited canonical orders, and cached process
-// blob hold the measured figure around 45 objects; the ceiling leaves
-// headroom for normal churn while catching a regression back toward
-// the naive clone-and-recompile cost (several hundred objects).
+// The clone arenas, inherited canonical orders, cached process blob
+// and inline midstate hold the measured figure at 38 objects; the
+// ceiling leaves headroom for normal churn while catching a regression
+// back toward the naive clone-and-recompile cost (several hundred
+// objects).
 const deltaAllocCeiling = 96
 
 // benchEcoModule builds the module the delta benchmarks edit: a

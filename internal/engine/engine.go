@@ -5,7 +5,7 @@
 // netlist statistics (§3), the methodology classification, the
 // tech-scaled constants of Eq. 12–14, and the §5 initial row count —
 // and the Plan's execute methods (Estimate, EstimateStandardCell,
-// EstimateFullCustom, Candidates, Profiled, Congestion) run the
+// EstimateFullCustom, Candidates, Distributions, Congestion) run the
 // internal/core math kernels and internal/congest distribution
 // machinery against it, memoizing every intermediate they produce.
 //

@@ -240,29 +240,6 @@ func (pl *Plan) Candidates(ctx context.Context, opts ...Option) ([]*core.SCEstim
 	return out, nil
 }
 
-// Profiled runs the Standard-Cell estimator with the per-row
-// feed-through profile refinement (full Eq. 4/5 at every row instead
-// of the central-row two-component bound), memoized.
-func (pl *Plan) Profiled(ctx context.Context, opts ...Option) (*core.SCEstimate, error) {
-	o := build(opts)
-	o.Rows = pl.rowsFor(o.Rows)
-	k := scKey{rows: o.Rows, sharing: o.TrackSharing}
-	pl.mu.Lock()
-	est, ok := pl.prof[k]
-	pl.mu.Unlock()
-	if ok {
-		return est, nil
-	}
-	est, err := core.EstimateStandardCellProfiledCtx(ctx, pl.stats, pl.proc, o.SCOptions())
-	if err != nil {
-		return nil, err
-	}
-	pl.mu.Lock()
-	pl.prof[k] = est
-	pl.mu.Unlock()
-	return est, nil
-}
-
 // Distributions computes the congestion distributions for the
 // resolved row count under WithRows/WithGridded/WithCongestModel: the
 // Poisson-binomial convolutions a congestion map at those knobs is

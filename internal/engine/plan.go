@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"fmt"
+	"hash"
 	"maps"
 	"sort"
 	"sync"
@@ -26,57 +28,101 @@ type Hash [sha256.Size]byte
 // String returns the hash in hex, for logs and cache keys.
 func (h Hash) String() string { return fmt.Sprintf("%x", h[:]) }
 
+// Midstate is the SHA-256 state after a circuit's canonical rendering,
+// in crypto/sha256's binary form: the prefix the plan hash and every
+// answer key about the circuit finish from.  A Plan carries it inline.
+type Midstate [4 + 8*4 + sha256.BlockSize + 8]byte // magic, state words, pending block, length
+
+// Canon is a circuit's canonical derivation under one process, made by
+// one sort, one render and one SHA-256 pass: the canonical (name-
+// sorted) port and device orders, the rendering's midstate, and the
+// plan hash, which is that midstate resumed with the process bytes —
+// SHA-256(rendering ‖ tech.Append(process)).  CompileCanon builds the
+// Plan from it without deriving any of this again.
+type Canon struct {
+	circ        *netlist.Circuit
+	proc        *tech.Process
+	procBlob    []byte
+	ports, devs []int32
+	mid         Midstate
+	hash        Hash
+}
+
+// Canonicalize derives c's canonical form under p and appends the
+// rendering to dst.  The rendering sorts ports and devices by name, so
+// it and every hash of it are invariant under comments, whitespace and
+// declaration order; it is .mnet-like, but allows generated "$" names.
+// With p nil only the midstate is meaningful: such a Canon must not be
+// compiled.  Neither c nor p may change while the Canon is in use.
+func Canonicalize(dst []byte, c *netlist.Circuit, p *tech.Process) (Canon, []byte) {
+	k := Canon{circ: c, proc: p}
+	if p != nil {
+		k.procBlob = tech.Append(nil, p)
+	}
+	k.ports, k.devs = canonOrders(c)
+	dst, k.hash = seal(dst, &k.mid, c, k.procBlob, k.ports, k.devs)
+	return k, dst
+}
+
+// canonicalize is Canonicalize into a pooled rendering buffer, for
+// callers that need only the derived values.
+func canonicalize(c *netlist.Circuit, p *tech.Process) Canon {
+	buf := renderPool.Get().(*[]byte)
+	k, b := Canonicalize((*buf)[:0], c, p)
+	*buf = b
+	renderPool.Put(buf)
+	return k
+}
+
+// Hash returns the plan hash Compile assigns the circuit.
+func (k *Canon) Hash() Hash { return k.hash }
+
+// Midstate returns the state after the canonical rendering, shared
+// and read-only.
+func (k *Canon) Midstate() *Midstate { return &k.mid }
+
 // PlanHash computes the content address Compile would assign, without
 // compiling.  Caches probe with this before paying for compilation.
 func PlanHash(c *netlist.Circuit, p *tech.Process) Hash {
-	ports, devs := canonOrders(c)
-	return hashOrdered(c, tech.Append(nil, p), ports, devs)
+	k := canonicalize(c, p)
+	return k.hash
 }
 
-// HashCanonical is PlanHash over a circuit already rendered by
-// AppendCanonicalCircuit.  Callers that derive further content
-// addresses from the same rendering (the serving layer's result keys)
-// render once and hash here; the value equals PlanHash's.
-func HashCanonical(canon []byte, p *tech.Process) Hash {
-	h := sha256.New()
-	h.Write(canon)
-	h.Write(tech.Append(nil, p))
+// seal renders c in the given orders onto dst and hashes the rendering
+// once: it stores the state after it in mid and returns the plan hash,
+// that state continued over procBlob (which a Delta chain shares).
+func seal(dst []byte, mid *Midstate, c *netlist.Circuit, procBlob []byte, ports, devs []int32) ([]byte, Hash) {
+	from := len(dst)
+	dst = appendCanonicalOrdered(dst, c, ports, devs)
+	h := hasherPool.Get().(hash.Hash)
+	h.Reset()
+	h.Write(dst[from:])
+	// The state and the sum cross h's interface through dst's spare
+	// capacity, heap already, so neither mid nor out escapes.
+	var state []byte
+	var err error
+	if a, ok := h.(interface{ AppendBinary([]byte) ([]byte, error) }); ok {
+		state, err = a.AppendBinary(dst[len(dst):]) // from Go 1.24 on
+	} else {
+		state, err = h.(encoding.BinaryMarshaler).MarshalBinary()
+	}
+	if err != nil || len(state) != len(mid) {
+		panic("engine: unexpected SHA-256 state size")
+	}
+	copy(mid[:], state)
+	h.Write(procBlob)
 	var out Hash
-	h.Sum(out[:0])
-	return out
+	copy(out[:], h.Sum(dst[len(dst):]))
+	hasherPool.Put(h)
+	return dst, out
 }
 
-// hashOrdered is the innermost hash: canonical orders and process
-// bytes already known, one pooled rendering buffer, one SHA-256.  The
-// process is invariant across a whole Delta chain, so every child hash
-// reuses the parent's rendered process bytes instead of re-serializing
-// the device library per edit.
-func hashOrdered(c *netlist.Circuit, procBlob []byte, ports, devs []int32) Hash {
-	buf := hashBufPool.Get().(*[]byte)
-	b := appendCanonicalOrdered((*buf)[:0], c, ports, devs)
-	b = append(b, procBlob...)
-	out := Hash(sha256.Sum256(b))
-	*buf = b
-	hashBufPool.Put(buf)
-	return out
-}
-
-// hashBufPool recycles the rendering buffers behind hashOrdered:
-// the ECO loop hashes one circuit per edit, and growing a fresh
-// multi-KB buffer each time dominated the delta profile.
-var hashBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// AppendCanonicalCircuit appends a deterministic, order-normalized
-// rendering of the circuit to dst and returns the extended slice:
-// ports and devices sorted by name, so the rendering (and every hash
-// derived from it) is invariant under comments, whitespace, and
-// declaration order in the source netlist.  It is close to .mnet but
-// not identical: generated "$" names are allowed even though WriteMnet
-// refuses to emit them.
-func AppendCanonicalCircuit(dst []byte, c *netlist.Circuit) []byte {
-	ports, devs := canonOrders(c)
-	return appendCanonicalOrdered(dst, c, ports, devs)
-}
+// renderPool and hasherPool recycle seal's rendering buffers and
+// SHA-256 states: the ECO loop derives one circuit per edit.
+var (
+	renderPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+	hasherPool = sync.Pool{New: func() any { return sha256.New() }}
+)
 
 // canonOrders computes the canonical (name-sorted) visit order of a
 // circuit's ports and devices, as positions into the respective
@@ -99,8 +145,8 @@ func canonOrders(c *netlist.Circuit) (ports, devs []int32) {
 	return ports, devs
 }
 
-// appendCanonicalOrdered is AppendCanonicalCircuit with the sorted
-// orders already known.
+// appendCanonicalOrdered appends the canonical rendering of c in the
+// given orders.
 func appendCanonicalOrdered(dst []byte, c *netlist.Circuit, ports, devs []int32) []byte {
 	dst = append(dst, "module "...)
 	dst = append(dst, c.Name...)
@@ -187,6 +233,7 @@ type Plan struct {
 	procBlob []byte        // proc rendered once (tech.Append); reused by every Delta child hash
 	stats    *netlist.Stats
 	hash     Hash
+	mid      Midstate // state after the canonical rendering; hash continues it over procBlob
 	// canonPorts/canonDevs are the canonical (name-sorted) visit
 	// orders behind hash; a Delta child whose script leaves the
 	// element sets alone inherits them instead of re-sorting.
@@ -204,7 +251,6 @@ type Plan struct {
 
 	mu     sync.Mutex
 	sc     map[scKey]*core.SCEstimate
-	prof   map[scKey]*core.SCEstimate
 	sweeps map[sweepKey][]*core.SCEstimate
 	fc     [2]*core.FCEstimate // by core.FCMode
 	bundle map[scKey]*core.Result
@@ -217,12 +263,20 @@ func Compile(c *netlist.Circuit, p *tech.Process) (*Plan, error) {
 }
 
 // CompileCtx is Compile with observability: a "compile" span plus the
-// compilation metrics.  Compilation validates the process, classifies
-// the module's methodology (mixing cells and transistors in one
-// module is rejected, as in the paper), gathers the §3 statistics,
-// and freezes the tech-scaled constants — all the per-circuit work no
-// execute method should ever repeat.
-func CompileCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process) (pl *Plan, err error) {
+// compilation metrics.
+func CompileCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process) (*Plan, error) {
+	k := canonicalize(c, p)
+	return CompileCanon(ctx, &k)
+}
+
+// CompileCanon compiles the circuit and process a Canon was derived
+// from, taking its orders, midstate and hash as they are.  Compilation
+// validates the process, classifies the module's methodology (mixing
+// cells and transistors in one module is rejected, as in the paper),
+// gathers the §3 statistics, and freezes the tech-scaled constants —
+// all the per-circuit work no execute method should ever repeat.
+func CompileCanon(ctx context.Context, k *Canon) (pl *Plan, err error) {
+	c, p := k.circ, k.proc
 	_, sp := obs.Start(ctx, "compile")
 	sp.SetString("module", c.Name)
 	defer func(t0 time.Time) {
@@ -263,16 +317,15 @@ func CompileCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process) (pl *P
 	if err != nil {
 		return nil, estErr("module %q: %v", c.Name, err)
 	}
-	procBlob := tech.Append(nil, proc)
-	canonPorts, canonDevs := canonOrders(c)
 	pl = &Plan{
 		circ:         c,
 		proc:         proc,
-		procBlob:     procBlob,
+		procBlob:     k.procBlob,
 		stats:        s,
-		hash:         hashOrdered(c, procBlob, canonPorts, canonDevs),
-		canonPorts:   canonPorts,
-		canonDevs:    canonDevs,
+		hash:         k.hash,
+		mid:          k.mid,
+		canonPorts:   k.ports,
+		canonDevs:    k.devs,
 		cellLevel:    nCells > 0,
 		nCells:       nCells,
 		nTransistors: nTransistors,
@@ -296,7 +349,6 @@ func CompileCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process) (pl *P
 // key, are equal.
 func (pl *Plan) initMemos(parent *Plan) {
 	pl.sc = make(map[scKey]*core.SCEstimate)
-	pl.prof = make(map[scKey]*core.SCEstimate)
 	pl.sweeps = make(map[sweepKey][]*core.SCEstimate)
 	pl.bundle = make(map[scKey]*core.Result)
 	pl.maps = make(map[congKey]*congest.Map)
@@ -319,6 +371,10 @@ func (pl *Plan) rowsFor(rows int) int {
 
 // Hash returns the Plan's content address.
 func (pl *Plan) Hash() Hash { return pl.hash }
+
+// Midstate returns the state after the circuit's canonical rendering,
+// shared and read-only.
+func (pl *Plan) Midstate() *Midstate { return &pl.mid }
 
 // Circuit returns the compiled circuit.  It is shared, not copied;
 // treat it as read-only (mutating it invalidates the Plan).

@@ -56,8 +56,8 @@ end
 	if got, want := a.Hash().String(), PlanHash(a.Circuit(), p).String(); got != want {
 		t.Fatalf("Hash() = %s, PlanHash = %s", got, want)
 	}
-	if got := HashCanonical(AppendCanonicalCircuit(nil, b.Circuit()), p); got != a.Hash() {
-		t.Fatalf("HashCanonical = %s, Hash() = %s", got, a.Hash())
+	if k, _ := Canonicalize(nil, b.Circuit(), p); k.Hash() != a.Hash() || *k.Midstate() != *a.Midstate() {
+		t.Fatalf("Canonicalize hash %s, Hash() = %s (midstates equal: %t)", k.Hash(), a.Hash(), *k.Midstate() == *a.Midstate())
 	}
 	other := compileMnet(t, `
 module m

@@ -38,6 +38,9 @@ func FuzzParseMnet(f *testing.F) {
 		if c2.NumDevices() != c.NumDevices() || c2.NumNets() != c.NumNets() {
 			t.Fatalf("round trip changed shape")
 		}
+		if d := checkComponents(c2); d != "" {
+			t.Fatalf("reparse of own output: %s", d)
+		}
 	})
 }
 
@@ -56,6 +59,9 @@ func FuzzParseBench(f *testing.F) {
 		}
 		if c.NumDevices() == 0 {
 			t.Fatal("successful parse produced empty circuit")
+		}
+		if d := checkComponents(c); d != "" {
+			t.Fatal(d)
 		}
 	})
 }

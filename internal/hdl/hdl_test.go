@@ -180,10 +180,12 @@ func TestParseMnetPaddingCostsNothing(t *testing.T) {
 
 // parseMnetAllocCeiling is the allocation budget of parsing the
 // 250-gate module below.  The source is read into one string, fields
-// are substrings of it and the circuit is carved from the Builder's
-// arenas, which holds it near 690 objects; a line scanner with a
-// string per line and a heap object per element cost about 2,700.
-const parseMnetAllocCeiling = 800
+// are substrings of it, the circuit is carved from the Builder's
+// arenas and Build links every net's components from one more, which
+// holds it at 55 objects.  Growing each net's component list one
+// append at a time cost about 690, and a line scanner with a string
+// per line and a heap object per element about 2,700.
+const parseMnetAllocCeiling = 60
 
 // BenchmarkParseMnet times the cold front end on a 250-gate generated
 // module, held to parseMnetAllocCeiling.

@@ -14,9 +14,11 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"maest/internal/cells"
 	"maest/internal/engine"
 	"maest/internal/gen"
 	"maest/internal/netlist"
+	"maest/internal/pla"
 	"maest/internal/tech"
 )
 
@@ -167,7 +169,8 @@ func diffCircuits(got, want *netlist.Circuit) string {
 				i, p.Name, p.Dir, netName(p.Net), w.Name, w.Dir, netName(w.Net))
 		}
 	}
-	if g, w := engine.AppendCanonicalCircuit(nil, got), engine.AppendCanonicalCircuit(nil, want); !bytes.Equal(g, w) {
+	_, g := engine.Canonicalize(nil, got, nil)
+	if _, w := engine.Canonicalize(nil, want, nil); !bytes.Equal(g, w) {
 		return fmt.Sprintf("canonical rendering differs:\n%s\nwant:\n%s", g, w)
 	}
 	return ""
@@ -374,5 +377,68 @@ func TestParseMnetReadError(t *testing.T) {
 	_, err := ParseMnet(iotest.OneByteReader(strings.NewReader(smallMnet)))
 	if err != nil {
 		t.Fatalf("one-byte reads: %v", err)
+	}
+}
+
+// TestBuilderUsersLinkComponents runs checkComponents over every
+// Builder user: the .mnet, .bench and Verilog front ends, the generated
+// suites and random modules, the transistor expansion of cell-level
+// modules, and the PLA generator.  Build links the component lists in
+// one pass; this holds them to the device pins in every shape those
+// users build.
+func TestBuilderUsersLinkComponents(t *testing.T) {
+	p := tech.NMOS25()
+	var circs []*netlist.Circuit
+	add := func(c *netlist.Circuit, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		circs = append(circs, c)
+	}
+	open := func(name string) *os.File {
+		t.Helper()
+		f, err := os.Open(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	add(ParseMnet(open("demo.mnet")))
+	add(ParseMnet(open("ladder.mnet")))
+	add(ParseBench(open("c17.bench"), "c17", p))
+	add(ParseBench(open("rand180.bench"), "rand180", p))
+	add(ParseVerilog(open("fa.v"), p))
+	fc, err := gen.FullCustomSuite(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := gen.StandardCellSuite(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circs = append(append(circs, fc...), sc...)
+	add(gen.RandomCircuit(gen.RandomConfig{Name: "links", Gates: 120, Inputs: 6, Outputs: 4, Seed: 5}, p))
+	add(gen.Chain("chain", 9, p))
+	chip, err := gen.RandomChip(gen.ChipConfig{Name: "chip", Modules: 3, MinGates: 10, MaxGates: 30, Seed: 2}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circs = append(circs, chip.Modules...)
+	for _, c := range circs {
+		if c.Devices[0].Type != "ENH" && c.Devices[0].Type != "DEP" {
+			add(cells.ExpandTransistors(c, p))
+		}
+	}
+	q, err := pla.Random(5, 3, 8, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(q.Circuit("pla", p))
+	for _, c := range circs {
+		if d := checkComponents(c); d != "" {
+			t.Errorf("%s: %s", c.Name, d)
+		}
 	}
 }

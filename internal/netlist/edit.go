@@ -104,7 +104,7 @@ func editErr(format string, args ...any) error {
 }
 
 // internNet returns the named net, creating (and appending) it when
-// absent.
+// absent.  The caller has checked the name (checkName).
 func (c *Circuit) internNet(name string) *Net {
 	if n := c.NetByName(name); n != nil {
 		return n
@@ -118,11 +118,19 @@ func (c *Circuit) internNet(name string) *Net {
 // named nets in pin order, creating nets as needed (Builder.AddDevice
 // semantics: an empty net name leaves that pin unconnected).
 func (c *Circuit) AddDevice(name, typ string, netNames ...string) (*Device, error) {
-	if name == "" {
-		return nil, editErr("empty device name")
+	if err := checkName("device", name); err != nil {
+		return nil, editErr("%v", err)
 	}
-	if typ == "" {
-		return nil, editErr("device %q: empty type", name)
+	if err := checkName("type", typ); err != nil {
+		return nil, editErr("device %q: %v", name, err)
+	}
+	for _, netName := range netNames {
+		if netName == "" {
+			continue // an open pin
+		}
+		if err := checkName("net", netName); err != nil {
+			return nil, editErr("device %q: %v", name, err)
+		}
 	}
 	if c.DeviceByName(name) != nil {
 		return nil, editErr("duplicate device %q", name)
@@ -175,8 +183,8 @@ func (c *Circuit) RemoveDevice(name string) error {
 // counts once toward the degree).  At least one device is required — a
 // pinless, portless net would be dangling.
 func (c *Circuit) AddNet(name string, deviceNames ...string) (*Net, error) {
-	if name == "" {
-		return nil, editErr("empty net name")
+	if err := checkName("net", name); err != nil {
+		return nil, editErr("%v", err)
 	}
 	if c.NetByName(name) != nil {
 		return nil, editErr("duplicate net %q", name)
@@ -229,8 +237,8 @@ func (c *Circuit) ConnectPin(device, net string) error {
 	if d == nil {
 		return editErr("unknown device %q", device)
 	}
-	if net == "" {
-		return editErr("device %q: empty net name", device)
+	if err := checkName("net", net); err != nil {
+		return editErr("device %q: %v", device, err)
 	}
 	n := c.internNet(net)
 	d.Pins = append(d.Pins, n)

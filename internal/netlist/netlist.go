@@ -15,6 +15,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // PortDir is the direction of an external port.
@@ -160,6 +163,37 @@ func (c *Circuit) NumPorts() int { return len(c.Ports) }
 // ErrInvalidCircuit wraps all builder validation failures.
 var ErrInvalidCircuit = errors.New("netlist: invalid circuit")
 
+// checkName applies the one name rule of every module, device, net
+// and port name and device type: it is exactly one .mnet field —
+// non-empty, holding no white space (unicode.IsSpace), and not "-",
+// the spelling of an unconnected pin.  The canonical rendering
+// separates fields with ' ' and lines with '\n' and writes an open
+// pin as "-", so the rule is what keeps two different circuits from
+// rendering, and content-addressing, alike.
+func checkName(kind, name string) error {
+	if name == "" {
+		return fmt.Errorf("empty %s name", kind)
+	}
+	if name == "-" || hasSpace(name) {
+		return fmt.Errorf("%s name %q is not one field (white space, or the open-pin \"-\")", kind, name)
+	}
+	return nil
+}
+
+// hasSpace reports whether s holds a unicode.IsSpace rune, scanning
+// ASCII bytewise.
+func hasSpace(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			return strings.ContainsFunc(s[i:], unicode.IsSpace)
+		case c == ' ' || c >= '\t' && c <= '\r':
+			return true
+		}
+	}
+	return false
+}
+
 // Builder incrementally assembles a Circuit, interning nets by name.
 // All errors are deferred to Build so construction code stays linear.
 //
@@ -245,12 +279,12 @@ func (b *Builder) fail(format string, args ...any) {
 
 // Net interns (creating if necessary) the named net.
 func (b *Builder) Net(name string) *Net {
-	if name == "" {
-		b.fail("empty net name")
-		return nil
-	}
 	if n, ok := b.nets[name]; ok {
 		return n
+	}
+	if err := checkName("net", name); err != nil {
+		b.errs = append(b.errs, err)
+		return nil
 	}
 	n := &b.netArena.take(1)[0]
 	n.Index, n.Name = len(b.c.Nets), name
@@ -261,13 +295,14 @@ func (b *Builder) Net(name string) *Net {
 
 // AddDevice adds an instance of the given type connected to the named
 // nets, in pin order.  An empty net name leaves that pin unconnected.
+// It counts each net's pins; Build links the nets' component lists.
 func (b *Builder) AddDevice(name, typ string, nets ...string) *Device {
-	if name == "" {
-		b.fail("empty device name")
+	if err := checkName("device", name); err != nil {
+		b.errs = append(b.errs, err)
 		return nil
 	}
-	if typ == "" {
-		b.fail("device %q: empty type", name)
+	if err := checkName("type", typ); err != nil {
+		b.fail("device %q: %v", name, err)
 		return nil
 	}
 	if _, dup := b.devices[name]; dup {
@@ -281,8 +316,9 @@ func (b *Builder) AddDevice(name, typ string, nets ...string) *Device {
 	}
 	for i, netName := range nets {
 		if netName != "" {
-			d.Pins[i] = b.Net(netName)
-			d.Pins[i].attachNew(d)
+			if d.Pins[i] = b.Net(netName); d.Pins[i] != nil {
+				d.Pins[i].PinCount++
+			}
 		}
 	}
 	b.c.Devices = append(b.c.Devices, d)
@@ -290,7 +326,7 @@ func (b *Builder) AddDevice(name, typ string, nets ...string) *Device {
 	return d
 }
 
-// attachNew records one pin of the device being added on the net.  A
+// attachNew records one pin of a device an edit adds on the net.  A
 // new device's pins are connected one after another, so it is already
 // among the net's components exactly when it is the last of them.
 func (n *Net) attachNew(d *Device) {
@@ -303,8 +339,8 @@ func (n *Net) attachNew(d *Device) {
 // AddPort declares an external port on the named net (interned if
 // new).
 func (b *Builder) AddPort(name string, dir PortDir, netName string) *Port {
-	if name == "" {
-		b.fail("empty port name")
+	if err := checkName("port", name); err != nil {
+		b.errs = append(b.errs, err)
 		return nil
 	}
 	if _, dup := b.ports[name]; dup {
@@ -326,19 +362,40 @@ func (b *Builder) AddPort(name string, dir PortDir, netName string) *Port {
 // Build validates and returns the circuit.  After Build the builder
 // must not be reused.
 func (b *Builder) Build() (*Circuit, error) {
-	if b.c.Name == "" {
-		b.fail("empty circuit name")
+	if err := checkName("circuit", b.c.Name); err != nil {
+		b.errs = append(b.errs, err)
 	}
 	if len(b.c.Devices) == 0 {
 		b.fail("circuit %q has no devices", b.c.Name)
 	}
+	pins := 0
 	for _, n := range b.c.Nets {
 		if n.PinCount == 0 && !n.External() {
 			b.fail("net %q is dangling (no pins, no ports)", n.Name)
 		}
+		pins += n.PinCount
 	}
 	if len(b.errs) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrInvalidCircuit, joinErrs(b.errs))
+	}
+	// Link every net's components in one pass over the devices, each
+	// list carved from one arena with room for the net's pin count.
+	// Visiting devices in index order and their pins in pin order is
+	// first-connection order, the order attachNew keeps for edits.
+	arena := make([]*Device, pins)
+	for _, n := range b.c.Nets {
+		if n.PinCount > 0 {
+			n.Devices, arena = arena[:0:n.PinCount], arena[n.PinCount:]
+		}
+	}
+	for _, d := range b.c.Devices {
+		for _, n := range d.Pins {
+			if n != nil {
+				if k := len(n.Devices); k == 0 || n.Devices[k-1] != d {
+					n.Devices = append(n.Devices, d)
+				}
+			}
+		}
 	}
 	return b.c, nil
 }

@@ -249,3 +249,61 @@ func TestPortDirParseAndString(t *testing.T) {
 		t.Fatal("unknown dir String mismatch")
 	}
 }
+
+// TestNameRule pins the one name rule at the Builder and the edit
+// mutators: every name is one .mnet field, so no white space (ASCII or
+// Unicode) and not the open-pin "-"; other runes are fine.
+func TestNameRule(t *testing.T) {
+	build := func(module, port, dev, typ string, nets ...string) error {
+		b := NewBuilder(module)
+		b.AddPort(port, In, "a")
+		b.AddDevice(dev, typ, append([]string{"a"}, nets...)...)
+		_, err := b.Build()
+		return err
+	}
+	if err := build("mé", "a", "gé", "INV", "ç", ""); err != nil {
+		t.Fatalf("non-ASCII names and an open pin refused: %v", err)
+	}
+	for _, tc := range []struct {
+		label                 string
+		module, port, dev, ty string
+		net                   string
+	}{
+		{"module with a line break", "m\nport in x", "a", "g", "INV", "y"},
+		{"port with a space", "m", "a b", "g", "INV", "y"},
+		{"device with a tab", "m", "a", "g\t1", "INV", "y"},
+		{"type with a space", "m", "a", "g", "INV x", "y"},
+		{"net named -", "m", "a", "g", "INV", "-"},
+		{"net with a no-break space", "m", "a", "g", "INV", "n 1"},
+		{"net with a next-line", "m", "a", "g", "INV", "n\u00851"},
+		{"empty type", "m", "a", "g", "", "y"},
+	} {
+		if err := build(tc.module, tc.port, tc.dev, tc.ty, tc.net); !errors.Is(err, ErrInvalidCircuit) {
+			t.Errorf("%s: err = %v, want ErrInvalidCircuit", tc.label, err)
+		}
+	}
+
+	b := NewBuilder("m")
+	b.AddDevice("g", "INV", "a", "b")
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, err := range map[string]error{
+		"AddDevice name":   second(c.AddDevice("h i", "INV", "a")),
+		"AddDevice type":   second(c.AddDevice("h", "INV\n", "a")),
+		"AddDevice net":    second(c.AddDevice("h", "INV", "a", "-")),
+		"AddNet":           second(c.AddNet("n n", "g")),
+		"ConnectPin":       c.ConnectPin("g", "-"),
+		"ConnectPin empty": c.ConnectPin("g", ""),
+	} {
+		if !errors.Is(err, ErrInvalidCircuit) {
+			t.Errorf("%s: err = %v, want ErrInvalidCircuit", label, err)
+		}
+	}
+	if len(c.Devices) != 1 || len(c.Nets) != 2 || len(c.Devices[0].Pins) != 2 {
+		t.Fatalf("refused edits changed the circuit: %d devices, %d nets", len(c.Devices), len(c.Nets))
+	}
+}
+
+func second[T any](_ T, err error) error { return err }

@@ -92,7 +92,7 @@ func checkAliases(t *testing.T, c *PlanCache) int {
 	defer c.mu.Unlock()
 	for a, el := range c.aliases {
 		e := el.Value.(*planEntry)
-		if e.mid == nil || e.alias != a {
+		if !e.aliased || e.alias != a {
 			t.Fatalf("alias %s names an entry that does not name it back", a)
 		}
 		if c.entries[e.key] != el {
@@ -101,7 +101,7 @@ func checkAliases(t *testing.T, c *PlanCache) int {
 	}
 	aliased := 0
 	for _, el := range c.entries {
-		if e := el.Value.(*planEntry); e.mid != nil {
+		if e := el.Value.(*planEntry); e.aliased {
 			aliased++
 			if c.aliases[e.alias] != el {
 				t.Fatalf("plan %s names alias %s, which does not name it", e.key, e.alias)
@@ -128,7 +128,7 @@ func forgetAliases(c *PlanCache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for a, el := range c.aliases {
-		el.Value.(*planEntry).mid = nil
+		el.Value.(*planEntry).aliased = false
 		delete(c.aliases, a)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"maest/internal/gen"
 	"maest/internal/hdl"
+	"maest/internal/netlist"
 	"maest/internal/tech"
 )
 
@@ -77,10 +78,12 @@ func BenchmarkEstimateCacheHit(b *testing.B) {
 
 // cacheMissAllocCeiling is the allocation budget of a cold
 // /v1/estimate, recorder and request included.  The one-pass decoder,
-// the in-place .mnet tokenizer and the Builder's arenas hold it near 246
-// objects; with encoding/json's Decoder it was 262, and a line scanner
-// with a heap object per element cost about 560.
-const cacheMissAllocCeiling = 280
+// the in-place .mnet tokenizer, the Builder's arenas with components
+// linked at Build, and one canonical derivation hold it at 149 objects;
+// a component list grown per append and a second sort, render and
+// three SHA-256 passes made it 245, encoding/json's Decoder 262, and a
+// line scanner with a heap object per element about 560.
+const cacheMissAllocCeiling = 160
 
 // BenchmarkEstimateCacheMiss measures the cold path — full decode →
 // parse → estimate → encode — by disabling the cache so every request
@@ -105,14 +108,21 @@ func BenchmarkEstimateCacheMiss(b *testing.B) {
 // text out made it 3, and encoding/json's Decoder cost 14.
 const decodeBodyAllocCeiling = 3
 
-// body250 is a loadbench-shaped /v1/estimate body: a generated
-// 250-gate module as .mnet text.
-func body250(b *testing.B) []byte {
+// circ250 is the generated 250-gate module behind body250.
+func circ250(b *testing.B) *netlist.Circuit {
 	b.Helper()
 	c, err := gen.RandomCircuit(gen.RandomConfig{Name: "bench250", Gates: 250, Inputs: 6, Outputs: 4, Seed: 1}, tech.NMOS25())
 	if err != nil {
 		b.Fatal(err)
 	}
+	return c
+}
+
+// body250 is a loadbench-shaped /v1/estimate body: a generated
+// 250-gate module as .mnet text.
+func body250(b *testing.B) []byte {
+	b.Helper()
+	c := circ250(b)
 	var src strings.Builder
 	if err := hdl.WriteMnet(&src, c); err != nil {
 		b.Fatal(err)
@@ -192,6 +202,87 @@ func BenchmarkEstimateAliasHit(b *testing.B) {
 	b.StopTimer()
 	if n := bytesPerRun(100, serve); n >= uint64(len(body)) {
 		b.Fatalf("a repeated /v1/estimate allocates %d bytes, not fewer than its %d-byte body", n, len(body))
+	}
+}
+
+// serveLoop returns a call that serves body at path through the whole
+// handler, the request and writer reused so only the server's own
+// allocations count.  It serves once through a recorder first and
+// fails unless that answers 200, because the reused writer discards
+// the status.
+func serveLoop(b *testing.B, s *Server, path string, body []byte) func() {
+	b.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+	}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest("POST", path, io.NopCloser(rd))
+	var w nullResponseWriter
+	return func() {
+		rd.Reset(body)
+		s.ServeHTTP(&w, req)
+	}
+}
+
+// coldEstimateAllocCeiling is the allocation budget of a cold
+// /v1/estimate of the 250-gate body: decode, parse, one canonical
+// derivation, compile, estimate and encode, measured at 149 objects.
+// Growing each net's component list per append, and sorting, rendering
+// and hashing the circuit again in compile, made it 803.
+const coldEstimateAllocCeiling = 160
+
+// BenchmarkEstimateCold times a cold /v1/estimate of the 250-gate
+// body with the plan cache off, so every request parses, derives its
+// canonical form and compiles; held to coldEstimateAllocCeiling.
+func BenchmarkEstimateCold(b *testing.B) {
+	serve := serveLoop(b, New(Options{CacheSize: -1}), "/v1/estimate", body250(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, serve); allocs > coldEstimateAllocCeiling {
+		b.Fatalf("a cold /v1/estimate allocates %.0f objects, ceiling %d", allocs, coldEstimateAllocCeiling)
+	}
+}
+
+// deltaStepAllocCeiling is the allocation budget of one
+// /v1/estimate/delta step on the 250-gate module, measured at 90
+// objects.  The result key finishes from the child plan's midstate;
+// rendering and hashing the child again for it made the step 99.
+const deltaStepAllocCeiling = 95
+
+// BenchmarkDeltaStep times one ECO step through the handler: a
+// connect_pin delta against the resident 250-gate plan.  Every step
+// derives the child plan and its result key; the child's answer is a
+// memo hit after the first.  Held to deltaStepAllocCeiling.
+func BenchmarkDeltaStep(b *testing.B) {
+	s := New(Options{})
+	c := circ250(b)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(body250(b))))
+	var er EstimateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Plan == "" {
+		b.Fatalf("parent estimate: %v: %s", err, rec.Body.String())
+	}
+	body, err := json.Marshal(DeltaRequest{Parent: er.Plan, Edits: []EditBody{
+		{Op: "connect_pin", Device: c.Devices[0].Name, Net: c.Nets[len(c.Nets)-1].Name},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := serveLoop(b, s, "/v1/estimate/delta", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, serve); allocs > deltaStepAllocCeiling {
+		b.Fatalf("a /v1/estimate/delta step allocates %.0f objects, ceiling %d", allocs, deltaStepAllocCeiling)
 	}
 }
 

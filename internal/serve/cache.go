@@ -48,41 +48,18 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 
 // CacheKey computes the content address of an estimate request: the
-// circuit's canonical rendering (engine.AppendCanonicalCircuit) plus
-// the process name and estimator options.  The rendering sorts ports
-// and devices by name, so the key is invariant under comments,
-// whitespace, and declaration order in the source netlist (the
-// estimators themselves are order-invariant, so order-insensitive keys
-// are safe and catch strictly more repeats).
+// circuit's canonical rendering (engine.Canonicalize) plus the process
+// name and estimator options.  The rendering sorts ports and devices
+// by name, so the key is invariant under comments, whitespace, and
+// declaration order in the source netlist (the estimators themselves
+// are order-invariant, so order-insensitive keys are safe and catch
+// strictly more repeats).
 func CacheKey(c *netlist.Circuit, processName string, opts core.SCOptions) Key {
-	return resultKey(canonMidstate(c), processName, opts.Rows, opts.TrackSharing)
-}
-
-// midstate is the SHA-256 state after hashing a circuit's canonical
-// rendering (crypto/sha256's MarshalBinary form): the shared prefix of
-// every answer key about that circuit, so a resident plan can finish
-// any of them without rendering again.
-type midstate []byte
-
-// midstateOf hashes a canonical rendering and returns the state.
-func midstateOf(canon []byte) midstate {
-	h := sha256.New()
-	h.Write(canon)
-	mid, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic(err) // crypto/sha256 always marshals
-	}
-	return mid
-}
-
-// canonMidstate renders c canonically into a pooled buffer and returns
-// the rendering's midstate.
-func canonMidstate(c *netlist.Circuit) midstate {
 	buf := canonPool.Get().(*[]byte)
-	*buf = engine.AppendCanonicalCircuit((*buf)[:0], c)
-	mid := midstateOf(*buf)
+	k, canon := engine.Canonicalize((*buf)[:0], c, nil)
+	*buf = canon
 	canonPool.Put(buf)
-	return mid
+	return resultKey(k.Midstate(), processName, opts.Rows, opts.TrackSharing)
 }
 
 // canonPool recycles canonical renderings and source-alias frames,
@@ -90,7 +67,7 @@ func canonMidstate(c *netlist.Circuit) midstate {
 var canonPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // resultKey is CacheKey finished from a rendering's midstate.
-func resultKey(mid midstate, processName string, rows int, sharing bool) Key {
+func resultKey(mid *engine.Midstate, processName string, rows int, sharing bool) Key {
 	return keyOf(mid, "process %s\nrows %d\nsharing %t\n", processName, rows, sharing)
 }
 
@@ -98,17 +75,17 @@ func resultKey(mid midstate, processName string, rows int, sharing bool) Key {
 // from a rendering's midstate: the same canonical rendering as CacheKey
 // plus every knob the map depends on (process, row count, grid variant,
 // demand model, capacity and feed budget).
-func congestKey(mid midstate, processName string, rows int, gridded bool, opts congest.Options) Key {
+func congestKey(mid *engine.Midstate, processName string, rows int, gridded bool, opts congest.Options) Key {
 	return keyOf(mid, "congest %s\nrows %d\ngridded %t\nmodel %s\ncapacity %d\nfeedbudget %d\n",
 		processName, rows, gridded, opts.Model, opts.Capacity, opts.FeedBudget)
 }
 
 // keyOf resumes a rendering's midstate and appends the formatted knobs:
 // the one derivation of every answer key.
-func keyOf(mid midstate, knobs string, args ...any) Key {
+func keyOf(mid *engine.Midstate, knobs string, args ...any) Key {
 	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(mid); err != nil {
-		panic(err) // mid came from midstateOf
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(mid[:]); err != nil {
+		panic(err) // mid came from engine.Canonicalize
 	}
 	fmt.Fprintf(h, knobs, args...)
 	var k Key
@@ -161,11 +138,10 @@ type PlanCache struct {
 type planEntry struct {
 	key  Key
 	plan *engine.Plan
-	// alias is the source alias naming this entry and mid the midstate
-	// of its canonical rendering; both are set together, mid == nil
-	// meaning no alias.
-	alias Key
-	mid   midstate
+	// alias is the source alias naming this entry, when aliased.  The
+	// answer keys an alias hit finishes come from the plan's midstate.
+	alias   Key
+	aliased bool
 }
 
 // NewPlanCache returns a plan cache holding at most capacity plans;
@@ -218,7 +194,7 @@ func (c *PlanCache) Put(k Key, pl *engine.Plan) *engine.Plan {
 	if c.order.Len() > c.capacity {
 		oldest := c.order.Remove(c.order.Back()).(*planEntry)
 		delete(c.entries, oldest.key)
-		if oldest.mid != nil {
+		if oldest.aliased {
 			delete(c.aliases, oldest.alias)
 		}
 		mPlanEvictions.Inc()
@@ -227,31 +203,29 @@ func (c *PlanCache) Put(k Key, pl *engine.Plan) *engine.Plan {
 	return pl
 }
 
-// lookupAlias returns the plan a source alias names, with the plan's
-// key and rendering midstate, marking it most recently used.  A hit
-// counts as a plan-cache hit; a miss counts nothing, because the
-// caller falls through to Get.
-func (c *PlanCache) lookupAlias(a Key) (pl *engine.Plan, k Key, mid midstate, ok bool) {
+// lookupAlias returns the plan a source alias names, marking it most
+// recently used.  A hit counts as a plan-cache hit; a miss counts
+// nothing, because the caller falls through to Get.
+func (c *PlanCache) lookupAlias(a Key) (*engine.Plan, bool) {
 	if c == nil {
-		return nil, k, nil, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.aliases[a]
 	if !ok {
-		return nil, k, nil, false
+		return nil, false
 	}
 	c.order.MoveToFront(el)
 	mPlanHits.Inc()
-	e := el.Value.(*planEntry)
-	return e.plan, e.key, e.mid, true
+	return el.Value.(*planEntry).plan, true
 }
 
-// setAlias points source alias a at the plan resident under k, whose
-// rendering hashes to mid, replacing that entry's previous alias.  It
-// is a no-op when k is no longer resident.  A source always parses to
-// the same plan key, so a never names two entries.
-func (c *PlanCache) setAlias(a, k Key, mid midstate) {
+// setAlias points source alias a at the plan resident under k,
+// replacing that entry's previous alias.  It is a no-op when k is no
+// longer resident.  A source always parses to the same plan key, so a
+// never names two entries.
+func (c *PlanCache) setAlias(a, k Key) {
 	if c == nil {
 		return
 	}
@@ -262,10 +236,10 @@ func (c *PlanCache) setAlias(a, k Key, mid midstate) {
 		return
 	}
 	e := el.Value.(*planEntry)
-	if e.mid != nil {
+	if e.aliased {
 		delete(c.aliases, e.alias)
 	}
-	e.alias, e.mid = a, mid
+	e.alias, e.aliased = a, true
 	c.aliases[a] = el
 }
 

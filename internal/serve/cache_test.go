@@ -119,7 +119,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				case 0:
 					c.Put(k, new(engine.Plan))
 				case 1:
-					c.setAlias(alias, k, midstate{byte(i)})
+					c.setAlias(alias, k)
 				case 2:
 					c.lookupAlias(alias)
 				default:

@@ -15,10 +15,8 @@ import (
 
 	"maest/internal/engine"
 	"maest/internal/floorplan"
-	"maest/internal/netlist"
 	"maest/internal/obs"
 	"maest/internal/store"
-	"maest/internal/tech"
 )
 
 // The async floorplan job subsystem.  POST /v1/floorplan validates
@@ -65,9 +63,7 @@ type job struct {
 
 	chip     string
 	procName string
-	proc     *tech.Process
-	circs    []*netlist.Circuit
-	planKeys []Key // plan hash of each circuit, in circs order
+	modules  []engine.Canon // each module's canonical derivation under the process
 	nets     []floorplan.Net
 	cfg      jobConfig
 
@@ -86,7 +82,7 @@ type job struct {
 // and has set the terminal state.  A finished job keeps only what its
 // snapshot renders, not the parsed circuits.
 func (j *job) finish() {
-	j.circs, j.planKeys, j.nets = nil, nil, nil
+	j.modules, j.nets = nil, nil
 	close(j.done)
 }
 
@@ -308,18 +304,18 @@ func (jm *jobManager) runJob(j *job) {
 func (jm *jobManager) execute(ctx context.Context, j *job) (*FloorplanResult, error) {
 	ctx, sp := obs.Start(ctx, "floorplan.job")
 	sp.SetString("job", j.id)
-	sp.SetInt("modules", int64(len(j.circs)))
+	sp.SetInt("modules", int64(len(j.modules)))
 	var err error
 	defer func() { sp.EndErr(err) }()
 
-	mods := make([]floorplan.PlanModule, len(j.circs))
-	for i, c := range j.circs {
+	mods := make([]floorplan.PlanModule, len(j.modules))
+	for i := range j.modules {
 		var pl *engine.Plan
-		pl, err = jm.s.plan(ctx, j.planKeys[i], c, j.proc)
+		pl, err = jm.s.plan(ctx, &j.modules[i])
 		if err != nil {
 			return nil, err
 		}
-		mods[i] = floorplan.PlanModule{Name: c.Name, Plan: pl}
+		mods[i] = floorplan.PlanModule{Name: pl.Circuit().Name, Plan: pl}
 	}
 	var plan *floorplan.Plan
 	plan, err = floorplan.PlanModules(ctx, j.chip, mods, j.nets,
@@ -479,9 +475,8 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 		s.fail(w, info, err)
 		return
 	}
-	circs := make([]*netlist.Circuit, len(req.Modules))
+	mods := make([]engine.Canon, len(req.Modules))
 	canons := make([][]byte, len(req.Modules))
-	planKeys := make([]Key, len(req.Modules))
 	names := make(map[string]bool, len(req.Modules))
 	for i, m := range req.Modules {
 		c, err := parseCircuit(m.Format, m.Name, m.Netlist, proc)
@@ -494,8 +489,7 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 			return
 		}
 		names[c.Name] = true
-		circs[i] = c
-		canons[i], planKeys[i] = render(nil, c, proc)
+		mods[i], canons[i] = engine.Canonicalize(nil, c, proc)
 	}
 	nets := make([]floorplan.Net, len(req.Nets))
 	for i, n := range req.Nets {
@@ -556,8 +550,8 @@ func (s *Server) handleFloorplan(w http.ResponseWriter, r *http.Request, info *r
 	info.setDigest(key)
 	j := &job{
 		id: id, key: key,
-		chip: chip, procName: procName, proc: proc,
-		circs: circs, planKeys: planKeys, nets: nets, cfg: cfg,
+		chip: chip, procName: procName,
+		modules: mods, nets: nets, cfg: cfg,
 		state: JobAccepted,
 		done:  make(chan struct{}),
 	}

@@ -181,7 +181,7 @@ func TestJobReleasesInputs(t *testing.T) {
 		j := s.jobs.jobs[id]
 		s.jobs.mu.Unlock()
 		j.mu.Lock()
-		state, held := j.state, j.circs != nil || j.planKeys != nil || j.nets != nil
+		state, held := j.state, j.modules != nil || j.nets != nil
 		j.mu.Unlock()
 		if held {
 			t.Errorf("%s job still holds its inputs", state)

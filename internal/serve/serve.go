@@ -200,49 +200,42 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // PlanCache returns the compiled-plan cache (nil when disabled).
 func (s *Server) PlanCache() *PlanCache { return s.plans }
 
-// plan returns the compiled plan under content address k (the plan
-// hash of circ under proc), compiling on a plan-cache miss.  Every
-// endpoint resolves plans here, which is what makes an estimate
-// followed by a congestion question on the same body share one
-// parse/gather — and one memo.
-func (s *Server) plan(ctx context.Context, k Key, circ *netlist.Circuit, proc *tech.Process) (*engine.Plan, error) {
-	if pl, ok := s.plans.Get(k); ok {
+// plan returns the compiled plan of a canonical derivation, compiling
+// on a plan-cache miss.  Every endpoint resolves plans here, which is
+// what makes an estimate followed by a congestion question on the same
+// body share one parse/gather — and one memo.
+func (s *Server) plan(ctx context.Context, k *engine.Canon) (*engine.Plan, error) {
+	key := Key(k.Hash())
+	if pl, ok := s.plans.Get(key); ok {
 		return pl, nil
 	}
-	pl, err := engine.CompileCtx(ctx, circ, proc)
+	pl, err := engine.CompileCanon(ctx, k)
 	if err != nil {
 		return nil, err
 	}
-	return s.plans.Put(k, pl), nil
+	return s.plans.Put(key, pl), nil
 }
 
-// render appends a circuit's canonical rendering to dst and returns it
-// with the circuit's plan hash.
-func render(dst []byte, circ *netlist.Circuit, proc *tech.Process) ([]byte, Key) {
-	canon := engine.AppendCanonicalCircuit(dst, circ)
-	return canon, Key(engine.HashCanonical(canon, proc))
-}
-
-// resolve routes one circuit source to its compiled plan, returning the
-// plan, its content address and the midstate its answer keys finish
-// from.  The source is raw, a netlist decodeFast left in the body, or
-// else the decoded text.  A raw source the plan cache has seen under
-// this process takes the alias: no unescape, parse, render or hash of
-// the text.  Any other source takes the canonical route — parse,
-// render, plan hash, plan (compile on a miss) — and a raw one then
-// registers its alias, so the next repeat takes the alias.  A body the
-// fast path declined never looks up or registers an alias, so there is
-// one alias derivation.  Errors register nothing.  info (nil in batch)
-// gets the route's stages: "alias", or "parse" and "compile".
-func (s *Server) resolve(ctx context.Context, info *reqInfo, format, name, text string, raw jsonText, proc *tech.Process, procName string) (*engine.Plan, Key, midstate, error) {
+// resolve routes one circuit source to its compiled plan, whose hash
+// and midstate key the answers.  The source is raw, a netlist
+// decodeFast left in the body, or else the decoded text.  A raw source
+// the plan cache has seen under this process takes the alias: no
+// unescape, parse, render or hash of the text.  Any other source takes
+// the canonical route — parse, one canonical derivation, plan (compile
+// on a miss) — and a raw one then registers its alias, so the next
+// repeat takes the alias.  A body the fast path declined never looks
+// up or registers an alias, so there is one alias derivation.  Errors
+// register nothing.  info (nil in batch) gets the route's stages:
+// "alias", or "parse" and "compile".
+func (s *Server) resolve(ctx context.Context, info *reqInfo, format, name, text string, raw jsonText, proc *tech.Process, procName string) (*engine.Plan, error) {
 	aliased := raw.ok && s.plans != nil
 	var alias Key
 	if aliased {
 		alias = sourceAlias(procName, format, name, raw.raw)
-		if pl, planKey, mid, ok := s.plans.lookupAlias(alias); ok {
-			info.setPlan(planKey)
+		if pl, ok := s.plans.lookupAlias(alias); ok {
+			info.setPlan(Key(pl.Hash()))
 			info.mark("alias")
-			return pl, planKey, mid, nil
+			return pl, nil
 		}
 	}
 	if raw.ok {
@@ -250,24 +243,24 @@ func (s *Server) resolve(ctx context.Context, info *reqInfo, format, name, text 
 	}
 	circ, err := parseCircuit(format, name, text, proc)
 	if err != nil {
-		return nil, Key{}, nil, err
+		return nil, err
 	}
 	info.mark("parse")
 	buf := canonPool.Get().(*[]byte)
-	canon, planKey := render((*buf)[:0], circ, proc)
-	mid := midstateOf(canon)
+	k, canon := engine.Canonicalize((*buf)[:0], circ, proc)
 	*buf = canon
 	canonPool.Put(buf)
+	planKey := Key(k.Hash())
 	info.setPlan(planKey)
-	pl, err := s.plan(ctx, planKey, circ, proc)
+	pl, err := s.plan(ctx, &k)
 	if err != nil {
-		return nil, Key{}, nil, err
+		return nil, err
 	}
 	info.mark("compile")
 	if aliased {
-		s.plans.setAlias(alias, planKey, mid)
+		s.plans.setAlias(alias, planKey)
 	}
-	return pl, planKey, mid, nil
+	return pl, nil
 }
 
 // checkRows rejects a row count above the module's N devices, with the
@@ -477,7 +470,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 	// answer's plan key stays chainable: a warm restart serves results
 	// this process never computed, and an ECO delta against them must
 	// find the parent plan, not a 404.
-	pl, planKey, mid, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, req.rawNetlist, proc, procName)
+	pl, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, req.rawNetlist, proc, procName)
 	if err == nil {
 		err = checkRows(req.Rows, pl)
 	}
@@ -485,7 +478,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 		s.fail(w, info, err)
 		return
 	}
-	key := resultKey(mid, procName, req.Rows, req.TrackSharing)
+	key := resultKey(pl.Midstate(), procName, req.Rows, req.TrackSharing)
 	info.setDigest(key)
 	res, hit, err := s.estimate(ctx, pl, key, estimateOpts(req.Rows, req.TrackSharing), info)
 	if err != nil {
@@ -493,7 +486,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 		return
 	}
 	resp := encodeResult(res, procName, key, hit)
-	resp.Plan = planKey.String()
+	resp.Plan = Key(pl.Hash()).String()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -566,7 +559,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 		s.fail(w, info, err)
 		return
 	}
-	key := resultKey(canonMidstate(child.Circuit()), procName, rows, req.TrackSharing)
+	key := resultKey(child.Midstate(), procName, rows, req.TrackSharing)
 	info.setDigest(key)
 	info.setPlan(childKey)
 	res, hit, err := s.estimate(ctx, child, key, estimateOpts(rows, req.TrackSharing), info)
@@ -654,7 +647,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 	var missPlans []*engine.Plan
 	var missIdx []int
 	for i, m := range req.Modules {
-		pl, _, mid, err := s.resolve(ctx, nil, m.Format, m.Name, m.Netlist, m.rawNetlist, proc, procName)
+		pl, err := s.resolve(ctx, nil, m.Format, m.Name, m.Netlist, m.rawNetlist, proc, procName)
 		if err == nil {
 			err = checkRows(req.Rows, pl)
 		}
@@ -666,7 +659,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 			s.fail(w, info, err)
 			return
 		}
-		keys[i] = resultKey(mid, procName, req.Rows, req.TrackSharing)
+		keys[i] = resultKey(pl.Midstate(), procName, req.Rows, req.TrackSharing)
 		// Store hits count as cached modules: the disk tier is part of
 		// the cache from the wire's view.
 		if res, hit, _ := s.cachedEstimate(pl, keys[i], opts); hit {
@@ -754,7 +747,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 	// any earlier /v1/estimate on the same body via the plan cache)
 	// and the resolved row count the content address names: §5
 	// automatic rows for standard cells, the ⌈√N⌉ grid for full custom.
-	pl, _, mid, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, req.rawNetlist, proc, procName)
+	pl, err := s.resolve(ctx, info, req.Format, req.Name, req.Netlist, req.rawNetlist, proc, procName)
 	if err == nil {
 		err = checkRows(req.Rows, pl)
 	}
@@ -770,7 +763,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 			rows = pl.InitialRows()
 		}
 	}
-	key := congestKey(mid, procName, rows, req.Gridded,
+	key := congestKey(pl.Midstate(), procName, rows, req.Gridded,
 		congest.Options{Model: model, Capacity: req.Capacity, FeedBudget: req.FeedBudget})
 	info.setDigest(key)
 	opts := []engine.Option{engine.WithRows(rows), engine.WithGridded(req.Gridded), engine.WithCongestModel(model),

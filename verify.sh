@@ -92,10 +92,12 @@ go test -race -run 'TestTwoProcessTraceStitch|TestTraceStoreRestartEndToEnd' ./c
 # Bench smoke: every benchmark must still compile and survive one
 # iteration (catches bit-rot in the perf harness without timing it).
 # The exact allocation ceilings ride along: BenchmarkParseMnet,
-# BenchmarkDecodeBody, BenchmarkEstimateCacheHit and
-# BenchmarkEstimateCacheMiss fail when testing.AllocsPerRun exceeds
-# their budgets, and BenchmarkEstimateAliasHit when a repeated
-# 250-gate /v1/estimate allocates as many bytes as its body.
+# BenchmarkDecodeBody, BenchmarkEstimateCacheHit,
+# BenchmarkEstimateCacheMiss, BenchmarkEstimateCold (a cold 250-gate
+# /v1/estimate) and BenchmarkDeltaStep (one /v1/estimate/delta step)
+# fail when testing.AllocsPerRun exceeds their budgets, and
+# BenchmarkEstimateAliasHit when a repeated 250-gate /v1/estimate
+# allocates as many bytes as its body.
 go test -run=NONE -bench=. -benchtime=1x ./...
 # ECO gate: the incremental route (Plan.Delta + re-estimate, warm
 # memo) must stay at least 5x faster per edit than the from-scratch
