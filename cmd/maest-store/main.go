@@ -109,7 +109,7 @@ func runStats(args []string) error {
 	}
 	fmt.Printf("dir:          %s\n", stats.Dir)
 	fmt.Printf("status:       %s\n", status)
-	fmt.Printf("segments:     %d sealed (%d cold) + WAL\n", stats.Segments, stats.ColdSegments)
+	fmt.Printf("segments:     %d sealed + WAL\n", stats.Segments)
 	fmt.Printf("bytes:        %d (WAL %d)\n", stats.Bytes, stats.WALBytes)
 	fmt.Printf("records:      %d on disk, %d keys indexed\n", stats.Records, stats.IndexedKeys)
 	if stats.TruncatedTails > 0 {

@@ -137,14 +137,6 @@ func (pl *Plan) DeltaCtx(ctx context.Context, edits ...Edit) (np *Plan, err erro
 		nTransistors: nTransistors,
 		defaultRows:  rows,
 		initialRows:  core.InitialRows(s, pl.proc),
-		consts: Constants{
-			RowHeight:        float64(pl.proc.RowHeight),
-			TrackPitch:       float64(pl.proc.TrackPitch),
-			FeedThroughWidth: float64(pl.proc.FeedThroughWidth),
-			PortPitch:        float64(pl.proc.PortPitch),
-			AvgDeviceWidth:   s.AvgWidth(),
-			AvgDeviceHeight:  s.AvgHeight(),
-		},
 	}
 	buf := renderPool.Get().(*[]byte)
 	*buf, np.hash = seal((*buf)[:0], &np.mid, edited, pl.procBlob, canonPorts, canonDevs)
@@ -173,7 +165,6 @@ func (pl *Plan) childWithRows(rows int) *Plan {
 		nTransistors: pl.nTransistors,
 		defaultRows:  rows,
 		initialRows:  pl.initialRows,
-		consts:       pl.consts,
 	}
 	np.initMemos(pl)
 	return np

@@ -251,8 +251,17 @@ func TestDeltaMaxDegreeShrinks(t *testing.T) {
 
 // TestDeltaReclassifiesMethodology: a transistor-level module whose
 // transistors are all replaced by cells becomes cell-level, exactly
-// as a recompile would classify it.
+// as a recompile would classify it.  The classification shows in the
+// estimate: only a cell-level module gets a standard-cell answer.
 func TestDeltaReclassifiesMethodology(t *testing.T) {
+	estimate := func(pl *Plan) *core.Result {
+		t.Helper()
+		res, err := pl.Estimate(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	p := tech.NMOS25()
 	pl := compileMnet(t, `
 module mini
@@ -262,7 +271,7 @@ device m1 ENH a mid y
 device m2 ENH mid a y
 end
 `, p)
-	if pl.CellLevel() {
+	if estimate(pl).SC != nil {
 		t.Fatal("transistor module classified cell-level")
 	}
 	np, err := pl.Delta(
@@ -275,14 +284,15 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !np.CellLevel() {
+	got := estimate(np)
+	if got.SC == nil {
 		t.Fatal("all-cell module still classified transistor-level after delta")
 	}
 	want, err := Compile(np.Circuit(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if np.Hash() != want.Hash() || np.CellLevel() != want.CellLevel() {
+	if np.Hash() != want.Hash() || !reflect.DeepEqual(got, estimate(want)) {
 		t.Fatal("reclassified delta diverged from recompile")
 	}
 }

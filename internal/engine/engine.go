@@ -2,8 +2,8 @@
 // estimation pipeline.  Compile turns one circuit + process pair into
 // an immutable, content-addressed Plan holding everything the Eq.
 // 2–14 math needs but never changes between calls — the gathered
-// netlist statistics (§3), the methodology classification, the
-// tech-scaled constants of Eq. 12–14, and the §5 initial row count —
+// netlist statistics (§3), the methodology classification, a private
+// clone of the process, and the §5 initial row count —
 // and the Plan's execute methods (Estimate, EstimateStandardCell,
 // EstimateFullCustom, Candidates, Distributions, Congestion) run the
 // internal/core math kernels and internal/congest distribution

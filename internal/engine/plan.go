@@ -180,25 +180,6 @@ func appendCanonicalOrdered(dst []byte, c *netlist.Circuit, ports, devs []int32)
 	return dst
 }
 
-// Constants are the process-derived scale factors of Eq. 12–14,
-// resolved once at compile time (lengths in λ).
-type Constants struct {
-	// RowHeight is the standard-cell row height of Eq. 12's n·h term.
-	RowHeight float64
-	// TrackPitch scales routing tracks into channel height (Eq. 12)
-	// and full-custom wiring area (Eq. 13).
-	TrackPitch float64
-	// FeedThroughWidth is f_w, the width of one feed-through column.
-	FeedThroughWidth float64
-	// PortPitch spaces module ports along an edge (§5 control
-	// criterion).
-	PortPitch float64
-	// AvgDeviceWidth is W_avg, the module's mean device width.
-	AvgDeviceWidth float64
-	// AvgDeviceHeight is the module's mean device height.
-	AvgDeviceHeight float64
-}
-
 // memo keys.  Every execute result is memoized under the knobs it
 // depends on — nothing more, so e.g. a congestion map computed for
 // the estimate's row count is shared with an explicit request for the
@@ -240,7 +221,6 @@ type Plan struct {
 	canonPorts, canonDevs []int32
 	cellLevel             bool // standard-cell methodology applies (library cells, not transistors)
 	initialRows           int
-	consts                Constants
 	// nCells/nTransistors record the methodology classification so
 	// Delta can re-derive it incrementally after add/remove edits.
 	nCells, nTransistors int
@@ -273,8 +253,8 @@ func CompileCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process) (*Plan
 // from, taking its orders, midstate and hash as they are.  Compilation
 // validates the process, classifies the module's methodology (mixing
 // cells and transistors in one module is rejected, as in the paper),
-// gathers the §3 statistics, and freezes the tech-scaled constants —
-// all the per-circuit work no execute method should ever repeat.
+// gathers the §3 statistics, and clones the process — all the
+// per-circuit work no execute method should ever repeat.
 func CompileCanon(ctx context.Context, k *Canon) (pl *Plan, err error) {
 	c, p := k.circ, k.proc
 	_, sp := obs.Start(ctx, "compile")
@@ -330,14 +310,6 @@ func CompileCanon(ctx context.Context, k *Canon) (pl *Plan, err error) {
 		nCells:       nCells,
 		nTransistors: nTransistors,
 		initialRows:  core.InitialRows(s, proc),
-		consts: Constants{
-			RowHeight:        float64(proc.RowHeight),
-			TrackPitch:       float64(proc.TrackPitch),
-			FeedThroughWidth: float64(proc.FeedThroughWidth),
-			PortPitch:        float64(proc.PortPitch),
-			AvgDeviceWidth:   s.AvgWidth(),
-			AvgDeviceHeight:  s.AvgHeight(),
-		},
 	}
 	pl.initMemos(nil)
 	return pl, nil
@@ -385,13 +357,6 @@ func (pl *Plan) Process() *tech.Process { return pl.proc }
 
 // Stats returns the §3 statistics gathered at compile time.
 func (pl *Plan) Stats() *netlist.Stats { return pl.stats }
-
-// Constants returns the tech-scaled Eq. 12–14 constants.
-func (pl *Plan) Constants() Constants { return pl.consts }
-
-// CellLevel reports whether the standard-cell methodology applies
-// (the module is built from library cells rather than transistors).
-func (pl *Plan) CellLevel() bool { return pl.cellLevel }
 
 // InitialRows returns the §5 initial row count frozen at compile.
 func (pl *Plan) InitialRows() int { return pl.initialRows }

@@ -186,6 +186,39 @@ func TestServeStoreWarmRestart(t *testing.T) {
 	}
 }
 
+// TestFailedSealReadsDegraded: once the store cannot seal its WAL
+// (here its directory is gone), every later write fails, and /healthz
+// must say so instead of reading ok.
+func TestFailedSealReadsDegraded(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := New(Options{Store: st})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	demo := testdata(t, "demo.mnet")
+	for _, r := range []struct{ path, body string }{
+		{"/v1/estimate", marshal(t, EstimateRequest{Netlist: demo})},
+		{"/v1/congestion", marshal(t, CongestionRequest{Netlist: demo})},
+	} {
+		if w := do(s, "POST", r.path, r.body); w.Code != 200 {
+			t.Fatalf("%s: %d %s", r.path, w.Code, w.Body.String())
+		}
+	}
+	s.FlushStore()
+	var h HealthResponse
+	if err := json.Unmarshal(do(s, "GET", "/healthz", "").Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Store == nil || h.Store.Status != "degraded" {
+		t.Fatalf("healthz store block after a failed seal: %+v", h.Store)
+	}
+}
+
 // TestStoreHitInstallsIntoMemo: after a restart, the first repeat of a
 // persisted estimate and of a persisted congestion map is a store hit
 // that installs the answer into the plan's memo, so the second repeat

@@ -22,19 +22,11 @@ type segment struct {
 	size int64
 
 	// index maps (ns, key) → the segment's LAST record for that key.
-	// nil on a demoted ("cold") segment: lookups then go through the
-	// bloom filter and, on a maybe, a file scan.  The active segment
-	// is never demoted.
+	// Every segment keeps its index resident (about 128 B per key).
 	index map[idxKey]recLoc
-	// filter is the segment's Bloom filter over every (ns, key) it
-	// contains.  Built incrementally on the active segment so sealing
-	// costs nothing; rebuilt from the open-time scan for sealed ones.
-	filter *bloom
 
-	// records counts log records in the file; distinct counts index
-	// entries (kept when the index is demoted).
-	records  int64
-	distinct int64
+	// records counts log records in the file.
+	records int64
 }
 
 // idxKey is the full lookup key: namespace byte + content address.
@@ -140,9 +132,9 @@ func scanBytes(buf []byte, visit func(r *record, off, size int64)) (scanOutcome,
 	return out, nil
 }
 
-// scanFile is scanBytes over a whole file read into memory.  Cold
-// lookups and Verify use it instead of seeking a shared fd, so
-// concurrent readers never race on a file offset.
+// scanFile is scanBytes over a whole file read into memory.  Open and
+// Verify use it instead of seeking a shared fd, so concurrent readers
+// never race on a file offset.
 func scanFile(path string, visit func(r *record, off, size int64)) (scanOutcome, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -152,11 +144,11 @@ func scanFile(path string, visit func(r *record, off, size int64)) (scanOutcome,
 }
 
 // loadSegment opens and scans one sealed segment, building its
-// in-memory index and bloom filter.  Corruption inside a sealed
-// segment cannot be truncated away (the file is immutable and records
-// after the bad region are unreachable); the valid prefix is served
-// and the store marks itself degraded.  A file whose header is
-// unreadable returns an ErrCorrupt error, and Open skips it.
+// in-memory index.  Corruption inside a sealed segment cannot be
+// truncated away (the file is immutable and records after the bad
+// region are unreachable); the valid prefix is served and the store
+// marks itself degraded.  A file whose header is unreadable returns
+// an ErrCorrupt error, and Open skips it.
 func loadSegment(path string, seq uint64) (*segment, int64, error) {
 	seg := &segment{seq: seq, path: path, index: make(map[idxKey]recLoc)}
 	out, err := scanFile(path, func(r *record, off, size int64) {
@@ -172,11 +164,6 @@ func loadSegment(path string, seq uint64) (*segment, int64, error) {
 	}
 	seg.f = f
 	seg.size = out.goodSize
-	seg.distinct = int64(len(seg.index))
-	seg.filter = newBloom(len(seg.index))
-	for ik := range seg.index {
-		seg.filter.add(bloomHashes(ik.ns, ik.key))
-	}
 	corrupt := out.corrupt
 	if out.torn {
 		// A sealed segment should never be torn (sealing syncs before
@@ -184,58 +171,6 @@ func loadSegment(path string, seq uint64) (*segment, int64, error) {
 		corrupt++
 	}
 	return seg, corrupt, nil
-}
-
-// lookup resolves a key inside this segment: via the index when
-// resident, else bloom filter + file scan.  found=false means the
-// segment definitively does not hold the key (and the caller probes
-// the next-older segment).  scanned reports that the cold path
-// touched the disk, for the metrics.
-func (s *segment) lookup(ik idxKey) (loc recLoc, found bool, scanned bool, err error) {
-	if s.index != nil {
-		loc, found = s.index[ik]
-		return loc, found, false, nil
-	}
-	if !s.filter.mayContain(bloomHashes(ik.ns, ik.key)) {
-		return recLoc{}, false, false, nil
-	}
-	// Cold segment, bloom maybe: scan for the LAST record matching the
-	// key (later appends supersede).  Bloom false positives land here
-	// too; they scan and find nothing.
-	_, err = scanFile(s.path, func(r *record, off, size int64) {
-		if r.ns == ik.ns && r.key == ik.key {
-			loc = recLoc{off: off, size: size}
-			found = true
-		}
-	})
-	if err != nil {
-		return recLoc{}, false, true, err
-	}
-	return loc, found, true, nil
-}
-
-// reindex rebuilds a demoted segment's index map (Scan needs exact
-// membership, not bloom maybes).  The result is returned rather than
-// installed so the segment stays cold.
-func (s *segment) reindex() (map[idxKey]recLoc, error) {
-	if s.index != nil {
-		return s.index, nil
-	}
-	m := make(map[idxKey]recLoc, s.distinct)
-	_, err := scanFile(s.path, func(r *record, off, size int64) {
-		m[idxKey{r.ns, r.key}] = recLoc{off: off, size: size}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// demote drops the segment's index map, keeping the bloom filter: the
-// segment's keys stop costing index memory and misses still skip it
-// in O(1).
-func (s *segment) demote() {
-	s.index = nil
 }
 
 func (s *segment) close() {

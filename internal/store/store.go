@@ -12,9 +12,10 @@
 // when it reaches the segment size it is fsynced and atomically
 // renamed to a sealed, immutable `NNNNNNNN.seg` (write-temp-then-
 // rename).  Open rebuilds an in-memory hash index by scanning every
-// segment; beyond a configurable index budget the oldest segments
-// demote their index to a per-segment Bloom filter, so misses still
-// skip them at memory speed while the store itself scales past RAM.
+// segment, and every segment keeps its index resident: about 128 B
+// per key, so a full default (1 GiB) store of estimate and congestion
+// records indexes in about 108 MB, and a full trace store in about
+// 380 MB.
 //
 // The store is write-once: a record is never rewritten or deleted in
 // place.  A key written again supersedes its older records (lookups
@@ -54,19 +55,19 @@ var (
 	mEvicted   = obs.DefCounter("maest_store_evicted_segments_total", "sealed segments evicted by the byte budget")
 	mCorrupt   = obs.DefCounter("maest_store_corrupt_records_skipped_total", "corrupt records detected and skipped, never served")
 	mTruncated = obs.DefCounter("maest_store_torn_tails_truncated_total", "torn WAL tails truncated on reopen")
-	mColdScans = obs.DefCounter("maest_store_cold_scans_total", "lookups that scanned a demoted (cold) segment after a bloom maybe")
 	gBytes     = obs.DefGauge("maest_store_bytes", "total bytes across WAL and sealed segments")
 	gSegments  = obs.DefGauge("maest_store_segments", "sealed segment count")
 	gRecords   = obs.DefGauge("maest_store_records", "log records across all segments")
-	gIndexKeys = obs.DefGauge("maest_store_indexed_keys", "keys resident in the in-memory hash index")
+	gIndexed   = obs.DefGauge("maest_store_indexed_keys", "keys resident in the in-memory hash index")
 )
 
 // ErrClosed is returned by every operation on a closed store.
 var ErrClosed = errors.New("store: closed")
 
 // Options configures Open.  The zero value (plus a Dir) selects
-// production defaults: 1 GiB byte budget, 8 MiB segments, 2M indexed
-// keys, fsync on seal only.
+// production defaults: 1 GiB byte budget, 8 MiB segments, fsync on
+// seal only.  The byte budget also bounds the index, which holds every
+// key on disk.
 type Options struct {
 	// Dir is the store directory, created if missing.
 	Dir string
@@ -76,10 +77,6 @@ type Options struct {
 	MaxBytes int64
 	// SegmentBytes is the WAL size at which it seals.  0 selects 8 MiB.
 	SegmentBytes int64
-	// IndexKeys budgets the in-memory hash index; beyond it the oldest
-	// sealed segments demote to bloom-filter-only ("cold").  0 selects
-	// 2^21 (~2M keys); negative keeps every segment indexed.
-	IndexKeys int
 }
 
 func (o Options) withDefaults() Options {
@@ -91,9 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes < int64(len(segMagic))+recOverhead {
 		o.SegmentBytes = int64(len(segMagic)) + recOverhead
-	}
-	if o.IndexKeys == 0 {
-		o.IndexKeys = 1 << 21
 	}
 	return o
 }
@@ -112,8 +106,9 @@ type Store struct {
 	closed  bool
 
 	// degraded is latched when corrupt records were detected (at open
-	// or at read time): the store keeps serving everything that
-	// verifies, but operators should know the disk lied once.
+	// or at read time) or a seal failed: the store keeps serving
+	// everything that verifies, but operators should know the disk
+	// lied or refused once.
 	// Atomic (like the counters below) because Get mutates it under
 	// the read lock.
 	degraded atomic.Bool
@@ -121,9 +116,9 @@ type Store struct {
 	// Per-store counters, mirrored into the process-global metrics, so
 	// Stats() is meaningful with several stores in one process (tests,
 	// the bench harness).
-	nHits, nMisses, nPuts  atomic.Int64
-	nEvicted, nCorrupt     atomic.Int64
-	nTruncated, nColdScans atomic.Int64
+	nHits, nMisses, nPuts atomic.Int64
+	nEvicted, nCorrupt    atomic.Int64
+	nTruncated            atomic.Int64
 }
 
 // Open opens (creating if needed) the store under opts.Dir, rebuilds
@@ -171,7 +166,6 @@ func Open(opts Options) (*Store, error) {
 		s.closeAll()
 		return nil, err
 	}
-	s.enforceIndexBudget()
 	s.evictOverBudget()
 	s.publishGauges()
 	return s, nil
@@ -234,11 +228,6 @@ func (s *Store) openWAL() error {
 	}
 	wal.f = f
 	wal.size = out.goodSize
-	wal.distinct = int64(len(wal.index))
-	wal.filter = newBloom(maxInt(len(wal.index), 64))
-	for ik := range wal.index {
-		wal.filter.add(bloomHashes(ik.ns, ik.key))
-	}
 	s.wal = wal
 	return nil
 }
@@ -258,11 +247,10 @@ func (s *Store) createWAL(path string) error {
 		return err
 	}
 	s.wal = &segment{
-		path:   path,
-		f:      f,
-		size:   int64(len(segMagic)),
-		index:  make(map[idxKey]recLoc),
-		filter: newBloom(64),
+		path:  path,
+		f:     f,
+		size:  int64(len(segMagic)),
+		index: make(map[idxKey]recLoc),
 	}
 	return syncDir(s.opts.Dir)
 }
@@ -277,15 +265,7 @@ func (s *Store) Get(ns Namespace, key Key) (val []byte, ok bool, err error) {
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	ik := idxKey{ns, key}
-	loc, seg, scanned, err := s.locate(ik)
-	if scanned {
-		s.nColdScans.Add(1)
-		mColdScans.Inc()
-	}
-	if err != nil {
-		return nil, false, err
-	}
+	loc, seg := s.locate(idxKey{ns, key})
 	if seg == nil {
 		s.nMisses.Add(1)
 		mMisses.Inc()
@@ -346,11 +326,7 @@ func (s *Store) Scan(ns Namespace, fn func(key Key, payload []byte) error) error
 	}
 	winners := make(map[Key]winner)
 	for _, seg := range s.sealed {
-		idx, err := seg.reindex()
-		if err != nil {
-			return err
-		}
-		for ik, loc := range idx {
+		for ik, loc := range seg.index {
 			if ik.ns == ns {
 				winners[ik.key] = winner{seg, loc}
 			}
@@ -389,23 +365,16 @@ func (s *Store) Scan(ns Namespace, fn func(key Key, payload []byte) error) error
 // locate resolves (ns, key) to the newest record holding it: the WAL
 // first, then sealed segments newest→oldest.  seg == nil means the
 // key is nowhere.  Caller holds at least the read lock.
-func (s *Store) locate(ik idxKey) (recLoc, *segment, bool, error) {
-	coldScanned := false
+func (s *Store) locate(ik idxKey) (recLoc, *segment) {
 	if loc, ok := s.wal.index[ik]; ok {
-		return loc, s.wal, false, nil
+		return loc, s.wal
 	}
 	for i := len(s.sealed) - 1; i >= 0; i-- {
-		seg := s.sealed[i]
-		loc, found, scanned, err := seg.lookup(ik)
-		coldScanned = coldScanned || scanned
-		if err != nil {
-			return recLoc{}, nil, coldScanned, err
-		}
-		if found {
-			return loc, seg, coldScanned, nil
+		if loc, ok := s.sealed[i].index[ik]; ok {
+			return loc, s.sealed[i]
 		}
 	}
-	return recLoc{}, nil, coldScanned, nil
+	return recLoc{}, nil
 }
 
 // Put stores val under (ns, key), superseding any earlier record.
@@ -423,19 +392,17 @@ func (s *Store) Put(ns Namespace, key Key, val []byte) error {
 	if _, err := s.wal.f.WriteAt(buf, s.wal.size); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	ik := idxKey{ns, key}
-	if _, ok := s.wal.index[ik]; !ok {
-		s.wal.distinct++
-	}
-	s.wal.index[ik] = recLoc{off: s.wal.size, size: r.size()}
+	s.wal.index[idxKey{ns, key}] = recLoc{off: s.wal.size, size: r.size()}
 	s.wal.size += r.size()
 	s.wal.records++
-	s.wal.filter.add(bloomHashes(ns, key))
 	s.nPuts.Add(1)
 	mPuts.Inc()
 
 	if s.wal.size >= s.opts.SegmentBytes {
 		if err := s.seal(); err != nil {
+			// A seal that fails at any step leaves no usable WAL, so
+			// every later Put fails too; say so on /healthz.
+			s.degraded.Store(true)
 			return err
 		}
 	}
@@ -479,33 +446,8 @@ func (s *Store) seal() error {
 	if err := s.createWAL(filepath.Join(s.opts.Dir, walName)); err != nil {
 		return err
 	}
-	s.enforceIndexBudget()
 	s.evictOverBudget()
 	return nil
-}
-
-// enforceIndexBudget demotes the oldest indexed sealed segments until
-// the resident index fits the key budget.  Caller holds the write
-// lock.
-func (s *Store) enforceIndexBudget() {
-	if s.opts.IndexKeys < 0 {
-		return
-	}
-	total := int64(len(s.wal.index))
-	for _, seg := range s.sealed {
-		if seg.index != nil {
-			total += int64(len(seg.index))
-		}
-	}
-	for _, seg := range s.sealed { // oldest first
-		if total <= int64(s.opts.IndexKeys) {
-			break
-		}
-		if seg.index != nil {
-			total -= int64(len(seg.index))
-			seg.demote()
-		}
-	}
 }
 
 // evictOverBudget drops the oldest sealed segments while the store
@@ -543,9 +485,7 @@ func (s *Store) totalRecords() int64 {
 func (s *Store) indexedKeys() int64 {
 	total := int64(len(s.wal.index))
 	for _, seg := range s.sealed {
-		if seg.index != nil {
-			total += int64(len(seg.index))
-		}
+		total += int64(len(seg.index))
 	}
 	return total
 }
@@ -555,7 +495,7 @@ func (s *Store) publishGauges() {
 	gBytes.Set(float64(s.totalBytes()))
 	gSegments.Set(float64(len(s.sealed)))
 	gRecords.Set(float64(s.totalRecords()))
-	gIndexKeys.Set(float64(s.indexedKeys()))
+	gIndexed.Set(float64(s.indexedKeys()))
 }
 
 // Stats is a point-in-time snapshot of the store's state.
@@ -563,17 +503,16 @@ type Stats struct {
 	Dir      string `json:"dir"`
 	Degraded bool   `json:"degraded"`
 	// Segments counts sealed segments; the WAL is extra.
-	Segments     int   `json:"segments"`
-	ColdSegments int   `json:"cold_segments"`
-	Bytes        int64 `json:"bytes"`
-	WALBytes     int64 `json:"wal_bytes"`
-	Records      int64 `json:"records"`
-	IndexedKeys  int64 `json:"indexed_keys"`
+	Segments int   `json:"segments"`
+	Bytes    int64 `json:"bytes"`
+	WALBytes int64 `json:"wal_bytes"`
+	Records  int64 `json:"records"`
+	// IndexedKeys counts the index's entries, about 128 B each.
+	IndexedKeys int64 `json:"indexed_keys"`
 
 	Hits            int64 `json:"hits"`
 	Misses          int64 `json:"misses"`
 	Puts            int64 `json:"puts"`
-	ColdScans       int64 `json:"cold_scans"`
 	EvictedSegments int64 `json:"evicted_segments"`
 	CorruptRecords  int64 `json:"corrupt_records_skipped"`
 	TruncatedTails  int64 `json:"torn_tails_truncated"`
@@ -583,17 +522,10 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cold := 0
-	for _, seg := range s.sealed {
-		if seg.index == nil {
-			cold++
-		}
-	}
 	return Stats{
 		Dir:             s.opts.Dir,
 		Degraded:        s.degraded.Load(),
 		Segments:        len(s.sealed),
-		ColdSegments:    cold,
 		Bytes:           s.totalBytes(),
 		WALBytes:        s.wal.size,
 		Records:         s.totalRecords(),
@@ -601,7 +533,6 @@ func (s *Store) Stats() Stats {
 		Hits:            s.nHits.Load(),
 		Misses:          s.nMisses.Load(),
 		Puts:            s.nPuts.Load(),
-		ColdScans:       s.nColdScans.Load(),
 		EvictedSegments: s.nEvicted.Load(),
 		CorruptRecords:  s.nCorrupt.Load(),
 		TruncatedTails:  s.nTruncated.Load(),
@@ -631,11 +562,4 @@ func (s *Store) closeAll() {
 	for _, seg := range s.sealed {
 		seg.close()
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

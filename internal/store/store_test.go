@@ -192,30 +192,57 @@ func TestSealingAndSegmentFiles(t *testing.T) {
 	}
 }
 
-func TestColdSegmentBloomPath(t *testing.T) {
+// TestReopenIndexesEverySegment: a reopened multi-segment store indexes
+// every key it holds, in every segment, and answers each from the index.
+func TestReopenIndexesEverySegment(t *testing.T) {
 	dir := t.TempDir()
-	// IndexKeys=1 forces every sealed segment cold immediately.
-	s := openTest(t, Options{Dir: dir, SegmentBytes: 2 << 10, IndexKeys: 1})
-	for i := 0; i < 120; i++ {
+	const keys = 120
+	s := openTest(t, Options{Dir: dir, SegmentBytes: 2 << 10})
+	for i := 0; i < keys; i++ {
 		mustPut(t, s, NSResult, i)
 	}
-	st := s.Stats()
-	if st.ColdSegments == 0 {
-		t.Fatalf("want cold segments under IndexKeys=1, got %+v", st)
+	s.Close()
+
+	s2 := openTest(t, Options{Dir: dir, SegmentBytes: 2 << 10})
+	st := s2.Stats()
+	if st.Segments < 2 {
+		t.Fatalf("want several sealed segments, got %+v", st)
 	}
-	// Hits on cold keys must still return exact payloads (scan path).
-	for i := 0; i < 120; i++ {
-		mustGet(t, s, NSResult, i)
+	if st.IndexedKeys != keys {
+		t.Fatalf("IndexedKeys = %d after reopen, want %d", st.IndexedKeys, keys)
 	}
-	if got := s.Stats(); got.ColdScans == 0 {
-		t.Fatalf("expected cold scans, got %+v", got)
+	for i := 0; i < keys; i++ {
+		mustGet(t, s2, NSResult, i)
 	}
-	// Misses on absent keys should mostly skip cold segments via bloom;
-	// correctness here is just that they miss.
 	for i := 1000; i < 1050; i++ {
-		if _, ok, err := s.Get(NSResult, testKey(i)); err != nil || ok {
+		if _, ok, err := s2.Get(NSResult, testKey(i)); err != nil || ok {
 			t.Fatalf("absent key %d: ok=%v err=%v", i, ok, err)
 		}
+	}
+}
+
+// TestFailedSealLatchesDegraded: a seal that fails leaves no usable
+// WAL, so the store must say it is degraded rather than fail every
+// later Put while reporting healthy.
+func TestFailedSealLatchesDegraded(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, Options{Dir: dir, SegmentBytes: 1 << 10})
+	// Appends still land in the unlinked WAL; the seal's rename fails.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	for i := 0; i < 100 && err == nil; i++ {
+		err = s.Put(NSResult, testKey(i), testVal(i))
+	}
+	if err == nil {
+		t.Fatal("no Put failed after the store directory was removed")
+	}
+	if !s.Stats().Degraded {
+		t.Fatalf("failed seal (%v) left the store healthy", err)
+	}
+	if err := s.Put(NSResult, testKey(500), testVal(500)); err == nil {
+		t.Fatal("Put after a failed seal succeeded")
 	}
 }
 
@@ -253,6 +280,76 @@ func TestVerifyClean(t *testing.T) {
 	}
 	if rep.Records != 50 {
 		t.Fatalf("verify counted %d records, want 50", rep.Records)
+	}
+}
+
+// TestVerifyReportString pins the text maest-store verify prints for a
+// clean store, a torn WAL and a corrupt sealed segment.
+func TestVerifyReportString(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		want   string
+	}{
+		{"clean", func(*testing.T, string) {}, `00000000.seg          216 B        3 rec        3 keys  ok
+active.wal            148 B        2 rec        2 keys  ok
+total: 5 records, 364 bytes, clean
+`},
+		{"torn WAL", func(t *testing.T, dir string) {
+			// Half a record appended behind the open store's back.
+			f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			r := &record{ns: NSResult, key: testKey(99), payload: testVal(99)}
+			if _, err := f.Write(appendRecord(nil, r)[:r.size()/2]); err != nil {
+				t.Fatal(err)
+			}
+		}, `00000000.seg          216 B        3 rec        3 keys  ok
+active.wal            148 B        2 rec        2 keys  CORRUPT(1)
+total: 5 records, 364 bytes, 1 corrupt records
+`},
+		{"torn segment", func(t *testing.T, dir string) {
+			// Cut behind the open store's back: the report says TORN but
+			// clean; a reopen is what counts the tail corrupt.
+			if err := os.Truncate(filepath.Join(dir, segName(0)), 200); err != nil {
+				t.Fatal(err)
+			}
+		}, `00000000.seg          216 B        2 rec        2 keys  TORN
+active.wal            148 B        2 rec        2 keys  ok
+total: 4 records, 364 bytes, clean
+`},
+		{"corrupt segment", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, segName(0))
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[len(buf)/2] ^= 0xFF
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, `00000000.seg          216 B        1 rec        1 keys  CORRUPT(1)
+active.wal            148 B        2 rec        2 keys  ok
+total: 3 records, 364 bytes, 1 corrupt records
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTest(t, Options{Dir: dir, SegmentBytes: 200})
+			for i := 0; i < 5; i++ {
+				mustPut(t, s, NSResult, i)
+			}
+			tc.damage(t, dir)
+			rep, err := s.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.String(); got != tc.want {
+				t.Errorf("report:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -376,7 +473,7 @@ func TestClosedStoreErrors(t *testing.T) {
 }
 
 func TestConcurrentReadersWriters(t *testing.T) {
-	s := openTest(t, Options{SegmentBytes: 2 << 10, IndexKeys: 32})
+	s := openTest(t, Options{SegmentBytes: 2 << 10})
 	const keys = 64
 	done := make(chan struct{})
 	var readers sync.WaitGroup
@@ -426,30 +523,6 @@ func TestPayloadCap(t *testing.T) {
 	s := openTest(t, Options{})
 	if err := s.Put(NSResult, testKey(1), make([]byte, MaxPayload+1)); err == nil {
 		t.Fatal("oversized payload accepted")
-	}
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := newBloom(1000)
-	keys := make([]Key, 1000)
-	for i := range keys {
-		keys[i] = testKey(i)
-		b.add(bloomHashes(NSResult, keys[i]))
-	}
-	for i, k := range keys {
-		if !b.mayContain(bloomHashes(NSResult, k)) {
-			t.Fatalf("false negative for key %d", i)
-		}
-	}
-	// False-positive rate sanity: absent keys should mostly be skipped.
-	fp := 0
-	for i := 10000; i < 11000; i++ {
-		if b.mayContain(bloomHashes(NSResult, testKey(i))) {
-			fp++
-		}
-	}
-	if fp > 100 { // ~1% expected; 10% is a broken filter
-		t.Fatalf("bloom false-positive rate %d/1000", fp)
 	}
 }
 

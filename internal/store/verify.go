@@ -13,7 +13,6 @@ type SegmentInfo struct {
 	Bytes   int64  `json:"bytes"`
 	Records int64  `json:"records"`
 	Keys    int64  `json:"keys"`
-	Cold    bool   `json:"cold,omitempty"`
 	// Corrupt counts unreadable regions found by the full re-scan;
 	// Torn reports a file that ends mid-record.
 	Corrupt int64 `json:"corrupt,omitempty"`
@@ -45,7 +44,6 @@ func (s *Store) Verify() (*VerifyReport, error) {
 			Seq:   seg.seq,
 			WAL:   wal,
 			Bytes: seg.size,
-			Cold:  !wal && seg.index == nil,
 		}
 		keys := make(map[idxKey]struct{})
 		out, err := scanFile(seg.path, func(r *record, off, size int64) {
@@ -94,8 +92,6 @@ func (r *VerifyReport) String() string {
 			state = fmt.Sprintf("CORRUPT(%d)", seg.Corrupt)
 		case seg.Torn:
 			state = "TORN"
-		case seg.Cold:
-			state = "ok (cold)"
 		}
 		s += fmt.Sprintf("%-14s %10d B %8d rec %8d keys  %s\n",
 			seg.Name, seg.Bytes, seg.Records, seg.Keys, state)

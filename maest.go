@@ -404,7 +404,7 @@ func ParseCongestModel(s string) (CongestModel, error) { return congest.ParseMod
 //	cmap, err := pl.Congestion(ctx)   // reuses the compiled stats
 type (
 	// Plan is an immutable compiled circuit: memoized statistics and
-	// tech constants every estimator executes against.  Safe for
+	// the process every estimator executes against.  Safe for
 	// concurrent use.
 	Plan = engine.Plan
 	// EngineOption mutates the engine's execution options.
