@@ -92,11 +92,11 @@ end
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c, err := maest.ParseMnet(strings.NewReader(mnet))
+		c, err := maest.ParseMnet(context.Background(), strings.NewReader(mnet))
 		if err != nil {
 			b.Fatal(err)
 		}
-		pl, err := maest.Compile(c, p)
+		pl, err := maest.Compile(context.Background(), c, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func BenchmarkTrackSharingAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	real, err := maest.LayoutStandardCell(c, p, 4, 1)
+	real, err := maest.LayoutStandardCell(context.Background(), c, p, 4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -384,11 +384,11 @@ func BenchmarkDetailedRouting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := maest.PlaceCircuitCtx(context.Background(), c, p, maest.PlaceOptions{Rows: 4, Seed: 1})
+	pl, err := maest.PlaceCircuit(context.Background(), c, p, maest.PlaceOptions{Rows: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	coarse, err := route.RouteModule(pl, route.Options{TrackSharing: true})
+	coarse, err := route.RouteModule(context.Background(), pl, route.Options{TrackSharing: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func BenchmarkEstimateObservabilityOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl, err := maest.CompileCtx(ctx, c, p)
+		pl, err := maest.Compile(ctx, c, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -551,7 +551,7 @@ func BenchmarkEstimateObservabilityOn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl, err := maest.CompileCtx(ctx, c, p)
+		pl, err := maest.Compile(ctx, c, p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -81,20 +81,20 @@ func run(o options, args []string) (err error) {
 		return err
 	}
 	defer f.Close()
-	circ, err := maest.ParseMnetCtx(ctx, f)
+	circ, err := maest.ParseMnet(ctx, f)
 	if err != nil {
 		return err
 	}
 
 	// The estimate side goes through a compiled plan — the same
 	// statistics serve whichever methodology is being laid out.
-	plan, err := maest.CompileCtx(ctx, circ, proc)
+	plan, err := maest.Compile(ctx, circ, proc)
 	if err != nil {
 		return err
 	}
 
 	if o.fc {
-		m, err := maest.SynthesizeFullCustomCtx(ctx, circ, proc, o.seed)
+		m, err := maest.SynthesizeFullCustom(ctx, circ, proc, o.seed)
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func run(o options, args []string) (err error) {
 		return nil
 	}
 
-	m, err := maest.LayoutStandardCellCtx(ctx, circ, proc, o.rows, o.seed)
+	m, err := maest.LayoutStandardCell(ctx, circ, proc, o.rows, o.seed)
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func run(o options, args []string) (err error) {
 	fmt.Printf("estimator: %.0f λ², %d tracks  (overestimate %+.1f%%)\n",
 		est.Area, est.Tracks, (est.Area/float64(m.Area())-1)*100)
 	if o.cifOut != "" || o.svgOut != "" {
-		pl, err := maest.PlaceCircuitCtx(ctx, circ, proc, maest.PlaceOptions{Rows: o.rows, Seed: o.seed})
+		pl, err := maest.PlaceCircuit(ctx, circ, proc, maest.PlaceOptions{Rows: o.rows, Seed: o.seed})
 		if err != nil {
 			return err
 		}

@@ -103,11 +103,11 @@ func run(o options, args []string) (err error) {
 	case o.bench && o.verilog:
 		return fmt.Errorf("-bench and -verilog are mutually exclusive")
 	case o.bench:
-		circ, err = maest.ParseBenchCtx(ctx, in, o.name, proc)
+		circ, err = maest.ParseBench(ctx, in, o.name, proc)
 	case o.verilog:
-		circ, err = maest.ParseVerilogCtx(ctx, in, proc)
+		circ, err = maest.ParseVerilog(ctx, in, proc)
 	default:
-		circ, err = maest.ParseMnetCtx(ctx, in)
+		circ, err = maest.ParseMnet(ctx, in)
 	}
 	if err != nil {
 		return err
@@ -116,7 +116,7 @@ func run(o options, args []string) (err error) {
 	// -congest -db combination runs both a congestion analysis and the
 	// full estimate against the same plan, sharing the gathered
 	// statistics and degree classes.
-	pl, err := maest.CompileCtx(ctx, circ, proc)
+	pl, err := maest.Compile(ctx, circ, proc)
 	if err != nil {
 		return err
 	}

@@ -14,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	proc := maest.NMOS25()
 
 	chip, err := maest.RandomChip(maest.ChipConfig{
@@ -27,11 +28,11 @@ func main() {
 	// (Fig. 1) and collect the records.
 	plans := make([]*maest.Plan, len(chip.Modules))
 	for i, mod := range chip.Modules {
-		if plans[i], err = maest.Compile(mod, proc); err != nil {
+		if plans[i], err = maest.Compile(ctx, mod, proc); err != nil {
 			log.Fatal(err)
 		}
 	}
-	results, err := maest.EstimatePlans(context.Background(), plans, maest.WithTrackSharing(true))
+	results, err := maest.EstimatePlans(ctx, plans, maest.WithTrackSharing(true))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func main() {
 	// The records become fixed-shape planner modules; the greedy
 	// slicing pass (no annealing) picks one shape per module.
 	mods, nets := maest.FloorplanInputs(d)
-	plan, err := maest.PlanModules(context.Background(), d.Chip, mods, nets, maest.WithBudget(0))
+	plan, err := maest.PlanModules(ctx, d.Chip, mods, nets, maest.WithBudget(0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 	// One compile covers both device-area modes (the two Table 1
 	// column groups): the transistor statistics are gathered once.
 	ctx := context.Background()
-	plan, err := maest.Compile(xtors, proc)
+	plan, err := maest.Compile(ctx, xtors, proc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func main() {
 
 	// Ground truth: synthesize the layout (the manual-layout
 	// stand-in) and measure it.
-	real, err := maest.SynthesizeFullCustom(xtors, proc, 1)
+	real, err := maest.SynthesizeFullCustom(ctx, xtors, proc, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,9 +26,10 @@ end
 `
 
 func main() {
+	ctx := context.Background()
 	proc := maest.NMOS25() // the paper's nMOS λ = 2.5 µm process
 
-	circ, err := maest.ParseMnet(strings.NewReader(netlist))
+	circ, err := maest.ParseMnet(ctx, strings.NewReader(netlist))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,12 +37,12 @@ func main() {
 	// Compile once, then execute: the plan holds the gathered
 	// statistics, so every further question about this circuit
 	// (estimates at other row counts, congestion maps) is incremental.
-	plan, err := maest.Compile(circ, proc)
+	plan, err := maest.Compile(ctx, circ, proc)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := plan.Estimate(context.Background())
+	res, err := plan.Estimate(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	// One compile serves all eight estimator questions below; each
 	// (rows, sharing) variant is an incremental execution on the plan.
 	ctx := context.Background()
-	plan, err := maest.Compile(circ, proc)
+	plan, err := maest.Compile(ctx, circ, proc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		real, err := maest.LayoutStandardCell(circ, proc, rows, 1)
+		real, err := maest.LayoutStandardCell(ctx, circ, proc, rows, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := maest.Compile(circ, proc)
+		plan, err := maest.Compile(ctx, circ, proc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		real, err := maest.LayoutStandardCell(circ, proc, est.Rows, 1)
+		real, err := maest.LayoutStandardCell(ctx, circ, proc, est.Rows, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := maest.Compile(circ, proc)
+		plan, err := maest.Compile(ctx, circ, proc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		real, err := maest.LayoutStandardCell(circ, proc, 4, 1)
+		real, err := maest.LayoutStandardCell(ctx, circ, proc, 4, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func TestMnetRoundTripProperty(t *testing.T) {
 		if err := maest.WriteMnet(&buf, c); err != nil {
 			return false
 		}
-		back, err := maest.ParseMnet(&buf)
+		back, err := maest.ParseMnet(context.Background(), &buf)
 		if err != nil {
 			return false
 		}
@@ -194,7 +194,7 @@ func TestFullFlowBothProcesses(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", procName, c.Name, err)
 			}
-			real, err := maest.LayoutStandardCell(c, p, 3, 1)
+			real, err := maest.LayoutStandardCell(context.Background(), c, p, 3, 1)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", procName, c.Name, err)
 			}
@@ -215,7 +215,7 @@ func TestFullFlowBothProcesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		real, err := maest.SynthesizeFullCustom(c, p, 1)
+		real, err := maest.SynthesizeFullCustom(context.Background(), c, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestGeometryFlowOnSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range suite {
-		pl, err := maest.PlaceCircuitCtx(context.Background(), c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
+		pl, err := maest.PlaceCircuit(context.Background(), c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestRand180BenchWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := maest.LayoutStandardCell(c, p, est.Rows, 1)
+	real, err := maest.LayoutStandardCell(context.Background(), c, p, est.Rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

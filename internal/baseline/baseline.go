@@ -14,6 +14,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -61,7 +62,7 @@ func CalibratePLEST(train []*netlist.Circuit, p *tech.Process, rows int, seed in
 	}
 	totTracksPerNet := 0.0
 	for _, c := range train {
-		m, err := layout.LayoutStandardCell(c, p, rows, seed)
+		m, err := layout.LayoutStandardCell(context.TODO(), c, p, rows, seed)
 		if err != nil {
 			return nil, fmt.Errorf("%w: calibrating on %q: %v", ErrBaseline, c.Name, err)
 		}

@@ -183,19 +183,26 @@ type Map struct {
 	Hotspots []Hotspot
 }
 
-// Analyze builds the congestion map of a standard-cell module over
-// rows rows from its gathered statistics.  All degenerate inputs are
-// well-defined: a module with no routable nets gets an all-zero map,
-// and a single-row module gets zero feed-through pressure with all
-// channel demand in the one channel above the row.
-func Analyze(s *netlist.Stats, rows int, opts Options) (*Map, error) {
-	return AnalyzeCtx(context.Background(), s, rows, opts)
-}
-
-// AnalyzeCtx is Analyze with observability: a "congest" span carrying
-// the hotspot summary plus the analysis metrics.
-func AnalyzeCtx(ctx context.Context, s *netlist.Stats, rows int, opts Options) (m *Map, err error) {
-	_, sp := obs.Start(ctx, "congest")
+// Analyze builds the congestion map of one module over rows rows
+// from its gathered statistics: it computes the distributions, then
+// scores them, under one span ("congest", or "congest.grid" for the
+// gridded variant) carrying the hotspot summary plus the analysis
+// metrics.  All degenerate inputs are well-defined: a module with no
+// routable nets gets an all-zero map, and a single-row module gets
+// zero feed-through pressure with all channel demand in the one
+// channel above the row.
+//
+// gridded selects the full-custom variant of the Eq. 13 model on a
+// virtual grid of rows rows (GridRows gives the default): the map
+// carries no feed-through pressure, since full-custom layouts have no
+// feed-through cells, and excludes two-component nets from demand,
+// like Eq. 13 itself.
+func Analyze(ctx context.Context, s *netlist.Stats, rows int, gridded bool, opts Options) (m *Map, err error) {
+	name := "congest"
+	if gridded {
+		name = "congest.grid"
+	}
+	_, sp := obs.Start(ctx, name)
 	sp.SetString("module", s.CircuitName)
 	defer func(t0 time.Time) {
 		mAnalyzeSec.Observe(time.Since(t0).Seconds())
@@ -205,6 +212,9 @@ func AnalyzeCtx(ctx context.Context, s *netlist.Stats, rows int, opts Options) (
 			mAnalyses.Inc()
 			sp.SetString("model", m.Model.String())
 			sp.SetInt("rows", int64(m.Rows))
+			if gridded {
+				sp.SetInt("grid_rows", int64(m.Rows))
+			}
 			sp.SetInt("channels", int64(len(m.Channels)))
 			sp.SetFloat("expected_tracks", m.TotalExpectedTracks)
 			sp.SetFloat("expected_feeds", m.TotalExpectedFeeds)
@@ -214,14 +224,6 @@ func AnalyzeCtx(ctx context.Context, s *netlist.Stats, rows int, opts Options) (
 		}
 		sp.EndErr(err)
 	}(time.Now())
-	return analyze(s, rows, false, opts)
-}
-
-// analyze is the shared engine behind the standard-cell and gridded
-// full-custom entry points: compute the distributions, then score
-// them.  The two halves are exported separately (ComputeDistributions
-// / AnalyzeDistributionsCtx) for the engine's Plan.Congestion.
-func analyze(s *netlist.Stats, rows int, gridded bool, opts Options) (*Map, error) {
 	if opts.Capacity < 0 {
 		return nil, anaErr("module %q: negative channel capacity %d", s.CircuitName, opts.Capacity)
 	}
@@ -232,7 +234,7 @@ func analyze(s *netlist.Stats, rows int, gridded bool, opts Options) (*Map, erro
 	if err != nil {
 		return nil, err
 	}
-	return scoreDistributions(d, opts)
+	return scoreDistributions(d, opts), nil
 }
 
 // Distributions is the expensive, score-independent half of a
@@ -302,45 +304,9 @@ func ComputeDistributions(s *netlist.Stats, rows int, gridded bool, model Model)
 	return d, nil
 }
 
-// AnalyzeDistributionsCtx scores precomputed distributions into a
-// full congestion map, under the same span name ("congest" or
-// "congest.grid") and metrics as the from-scratch entry point it
-// replaces.  opts.Model must match the model the distributions were
-// computed under; capacity and feed-budget knobs are free.
-func AnalyzeDistributionsCtx(ctx context.Context, d *Distributions, opts Options) (m *Map, err error) {
-	name := "congest"
-	if d.Gridded {
-		name = "congest.grid"
-	}
-	_, sp := obs.Start(ctx, name)
-	sp.SetString("module", d.Module)
-	defer func(t0 time.Time) {
-		mAnalyzeSec.Observe(time.Since(t0).Seconds())
-		if err != nil {
-			mAnalyzeErr.Inc()
-		} else {
-			mAnalyses.Inc()
-			sp.SetString("model", m.Model.String())
-			sp.SetInt("rows", int64(m.Rows))
-			sp.SetFloat("expected_tracks", m.TotalExpectedTracks)
-		}
-		sp.EndErr(err)
-	}(time.Now())
-	if opts.Capacity < 0 {
-		return nil, anaErr("module %q: negative channel capacity %d", d.Module, opts.Capacity)
-	}
-	if opts.FeedBudget < 0 {
-		return nil, anaErr("module %q: negative feed-through budget %d", d.Module, opts.FeedBudget)
-	}
-	return scoreDistributions(d, opts)
-}
-
 // scoreDistributions scores the distributions into a Map, which keeps
 // the scores and none of the distributions.
-func scoreDistributions(d *Distributions, opts Options) (*Map, error) {
-	if opts.Model != d.Model {
-		return nil, anaErr("module %q: scoring model %s against %s distributions", d.Module, opts.Model, d.Model)
-	}
+func scoreDistributions(d *Distributions, opts Options) *Map {
 	m := &Map{
 		Module:  d.Module,
 		Rows:    d.Rows,
@@ -361,7 +327,7 @@ func scoreDistributions(d *Distributions, opts Options) (*Map, error) {
 		}
 	}
 	m.score(d, opts)
-	return m, nil
+	return m
 }
 
 // score fills in capacities, utilizations, overflow probabilities and

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"maest/internal/hdl"
@@ -54,7 +53,7 @@ func TestParseModel(t *testing.T) {
 // hotspots — not NaN.
 func TestZeroNetsZeroDemand(t *testing.T) {
 	for _, model := range []Model{ModelOccupancy, ModelCrossing} {
-		m, err := Analyze(stats("empty", nil), 4, Options{Model: model})
+		m, err := Analyze(context.Background(), stats("empty", nil), 4, false, Options{Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +84,7 @@ func TestZeroNetsZeroDemand(t *testing.T) {
 func TestSingleRow(t *testing.T) {
 	s := stats("onerow", map[int]int{2: 3, 5: 2})
 	for _, model := range []Model{ModelOccupancy, ModelCrossing} {
-		m, err := Analyze(s, 1, Options{Model: model})
+		m, err := Analyze(context.Background(), s, 1, false, Options{Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +116,7 @@ func TestSingleRow(t *testing.T) {
 func TestHugeDegreeStaysFinite(t *testing.T) {
 	s := stats("huge", map[int]int{10000: 3, 2: 1})
 	for _, model := range []Model{ModelOccupancy, ModelCrossing} {
-		m, err := Analyze(s, 3, Options{Model: model})
+		m, err := Analyze(context.Background(), s, 3, false, Options{Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +147,7 @@ func TestHugeDegreeStaysFinite(t *testing.T) {
 func TestOccupancyMatchesEq3(t *testing.T) {
 	s := stats("eq3", map[int]int{2: 7, 3: 4, 4: 2, 9: 1})
 	for rows := 1; rows <= 7; rows++ {
-		m, err := Analyze(s, rows, Options{Model: ModelOccupancy})
+		m, err := Analyze(context.Background(), s, rows, false, Options{Model: ModelOccupancy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +170,7 @@ func TestOccupancyMatchesEq3(t *testing.T) {
 // above row 0, and the profile must be symmetric about the middle.
 func TestCrossingConcentratesCentrally(t *testing.T) {
 	s := stats("central", map[int]int{2: 10, 3: 5})
-	m, err := Analyze(s, 6, Options{Model: ModelCrossing})
+	m, err := Analyze(context.Background(), s, 6, false, Options{Model: ModelCrossing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestCrossingConcentratesCentrally(t *testing.T) {
 // worst-case row).
 func TestFeedPressurePeaksCentrally(t *testing.T) {
 	s := stats("feeds", map[int]int{3: 6, 5: 3})
-	m, err := Analyze(s, 7, Options{})
+	m, err := Analyze(context.Background(), s, 7, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +211,7 @@ func TestFeedPressurePeaksCentrally(t *testing.T) {
 
 func TestHotspotsRanked(t *testing.T) {
 	s := stats("rank", map[int]int{2: 8, 4: 4, 6: 2})
-	m, err := Analyze(s, 5, Options{Model: ModelCrossing, Capacity: 3})
+	m, err := Analyze(context.Background(), s, 5, false, Options{Model: ModelCrossing, Capacity: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestHotspotsRanked(t *testing.T) {
 func TestGridVariant(t *testing.T) {
 	s := stats("grid", map[int]int{2: 5, 3: 2, 4: 1})
 	s.N = 9 // → 3 grid rows
-	m, err := AnalyzeGrid(s, 0, Options{})
+	m, err := Analyze(context.Background(), s, GridRows(s), true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +251,8 @@ func TestGridVariant(t *testing.T) {
 	}
 	// All-two-component modules (the Table 1 footnote case) get a
 	// zero-demand grid map.
-	zero, err := AnalyzeGrid(stats("ladder", map[int]int{2: 9}), 0, Options{})
+	ladder := stats("ladder", map[int]int{2: 9})
+	zero, err := Analyze(context.Background(), ladder, GridRows(ladder), true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,74 +261,26 @@ func TestGridVariant(t *testing.T) {
 	}
 }
 
+// Bad knobs fail before any convolution, with pinned ErrCongest
+// texts, gridded or not.
 func TestAnalyzeRejectsBadInputs(t *testing.T) {
-	s := stats("bad", map[int]int{2: 1})
-	if _, err := Analyze(s, 0, Options{}); err == nil {
-		t.Fatal("rows 0 accepted")
-	}
-	if _, err := Analyze(s, 3, Options{Capacity: -1}); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	if _, err := Analyze(s, 3, Options{FeedBudget: -2}); err == nil {
-		t.Fatal("negative feed budget accepted")
-	}
-}
-
-// AnalyzeDistributionsCtx is the engine's route to a congestion map:
-// distributions computed once, scored per knob set.  Scoring them must
-// give exactly the map the from-scratch entry points build, for both
-// models, gridded or not, at every capacity and feed budget; bad knobs
-// must fail with the same ErrCongest text.
-func TestAnalyzeDistributionsMatchesAnalyze(t *testing.T) {
 	ctx := context.Background()
-	s := stats("dist", map[int]int{2: 5, 3: 3, 4: 2, 6: 1})
-	const rows = 3
-	for _, model := range []Model{ModelOccupancy, ModelCrossing} {
-		for _, gridded := range []bool{false, true} {
-			d, err := ComputeDistributions(s, rows, gridded, model)
-			if err != nil {
-				t.Fatal(err)
+	s := stats("bad", map[int]int{2: 1})
+	for _, gridded := range []bool{false, true} {
+		for _, c := range []struct {
+			rows int
+			opts Options
+			want string
+		}{
+			{0, Options{}, `congest: analysis failed: module "bad": row count 0 < 1`},
+			{3, Options{Capacity: -1}, `congest: analysis failed: module "bad": negative channel capacity -1`},
+			{3, Options{FeedBudget: -2}, `congest: analysis failed: module "bad": negative feed-through budget -2`},
+			{0, Options{Capacity: -1}, `congest: analysis failed: module "bad": negative channel capacity -1`},
+		} {
+			_, err := Analyze(ctx, s, c.rows, gridded, c.opts)
+			if !errors.Is(err, ErrCongest) || err.Error() != c.want {
+				t.Errorf("gridded=%t rows=%d %+v: error %v, want %q wrapping ErrCongest", gridded, c.rows, c.opts, err, c.want)
 			}
-			for _, capacity := range []int{0, 1, 3, 40} {
-				for _, budget := range []int{0, 1, 5} {
-					opts := Options{Model: model, Capacity: capacity, FeedBudget: budget}
-					var want *Map
-					if gridded {
-						want, err = AnalyzeGridCtx(ctx, s, rows, opts)
-					} else {
-						want, err = AnalyzeCtx(ctx, s, rows, opts)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := AnalyzeDistributionsCtx(ctx, d, opts)
-					if err != nil {
-						t.Fatalf("%v gridded=%t %+v: %v", model, gridded, opts, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v gridded=%t %+v: scored distributions differ from the direct analysis\ngot  %+v\nwant %+v",
-							model, gridded, opts, got, want)
-					}
-				}
-			}
-		}
-	}
-
-	d, err := ComputeDistributions(s, rows, false, ModelOccupancy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		opts Options
-		want string
-	}{
-		{Options{Capacity: -1}, `congest: analysis failed: module "dist": negative channel capacity -1`},
-		{Options{FeedBudget: -2}, `congest: analysis failed: module "dist": negative feed-through budget -2`},
-		{Options{Model: ModelCrossing}, `congest: analysis failed: module "dist": scoring model crossing against occupancy distributions`},
-	} {
-		_, err := AnalyzeDistributionsCtx(ctx, d, c.opts)
-		if !errors.Is(err, ErrCongest) || err.Error() != c.want {
-			t.Errorf("%+v: error %v, want %q wrapping ErrCongest", c.opts, err, c.want)
 		}
 	}
 }
@@ -344,7 +296,7 @@ func TestRenderGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, model := range []Model{ModelOccupancy, ModelCrossing} {
-		m, err := Analyze(s, 3, Options{Model: model})
+		m, err := Analyze(context.Background(), s, 3, false, Options{Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +309,7 @@ func TestRenderGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, err := AnalyzeGrid(g, 0, Options{})
+	gm, err := Analyze(context.Background(), g, GridRows(g), true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,9 @@
 package congest
 
 import (
-	"context"
 	"math"
-	"time"
 
 	"maest/internal/netlist"
-	"maest/internal/obs"
 )
 
 // The gridded full-custom variant of the Eq. 13 model.  The paper's
@@ -17,7 +14,8 @@ import (
 // rows (g ≈ √N, the §5 1:1 aspect-ratio assumption), the nets scatter
 // over the grid rows under the same Eq. 2 uniform model, and each
 // inter-row gutter becomes a channel of the standard machinery — with
-// D = 2 nets excluded, matching the Eq. 13 footnote.
+// D = 2 nets excluded, matching the Eq. 13 footnote.  Analyze with
+// gridded set runs it.
 
 // GridRows returns the default virtual row count of the gridded
 // full-custom model: ⌈√N⌉, at least 1 — the §5 unit-aspect-ratio grid.
@@ -27,35 +25,4 @@ func GridRows(s *netlist.Stats) int {
 		g = 1
 	}
 	return g
-}
-
-// AnalyzeGrid builds the congestion map of a full-custom module on a
-// virtual grid of gridRows rows (0 selects GridRows(s)).  The
-// resulting map carries no feed-through pressure — full-custom layouts
-// have no feed-through cells — and excludes two-component nets from
-// demand, like Eq. 13 itself.
-func AnalyzeGrid(s *netlist.Stats, gridRows int, opts Options) (*Map, error) {
-	return AnalyzeGridCtx(context.Background(), s, gridRows, opts)
-}
-
-// AnalyzeGridCtx is AnalyzeGrid with observability under a
-// "congest.grid" span.
-func AnalyzeGridCtx(ctx context.Context, s *netlist.Stats, gridRows int, opts Options) (m *Map, err error) {
-	_, sp := obs.Start(ctx, "congest.grid")
-	sp.SetString("module", s.CircuitName)
-	defer func(t0 time.Time) {
-		mAnalyzeSec.Observe(time.Since(t0).Seconds())
-		if err != nil {
-			mAnalyzeErr.Inc()
-		} else {
-			mAnalyses.Inc()
-			sp.SetInt("grid_rows", int64(m.Rows))
-			sp.SetFloat("expected_tracks", m.TotalExpectedTracks)
-		}
-		sp.EndErr(err)
-	}(time.Now())
-	if gridRows == 0 {
-		gridRows = GridRows(s)
-	}
-	return analyze(s, gridRows, true, opts)
 }

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestPropertyOverflowIsProbability(t *testing.T) {
 		rows := rng.Intn(8) + 1
 		model := Model(rng.Intn(2))
 		capacity := rng.Intn(6) // 0 derives the balanced default
-		m, err := Analyze(s, rows, Options{Model: model, Capacity: capacity})
+		m, err := Analyze(context.Background(), s, rows, false, Options{Model: model, Capacity: capacity})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -74,7 +75,7 @@ func TestPropertyOccupancyTotalEqualsEq3(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		s := randomStats(rng)
 		rows := rng.Intn(10) + 1
-		m, err := Analyze(s, rows, Options{Model: ModelOccupancy})
+		m, err := Analyze(context.Background(), s, rows, false, Options{Model: ModelOccupancy})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -103,7 +104,7 @@ func TestPropertyDemandMonotoneInNetCount(t *testing.T) {
 		rows := rng.Intn(6) + 1
 		model := Model(rng.Intn(2))
 		opts := Options{Model: model, Capacity: rng.Intn(5) + 1, FeedBudget: rng.Intn(3) + 1}
-		base, err := Analyze(s, rows, opts)
+		base, err := Analyze(context.Background(), s, rows, false, opts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -118,7 +119,7 @@ func TestPropertyDemandMonotoneInNetCount(t *testing.T) {
 		grown.DegreeCount[d]++
 		grown.H++
 
-		more, err := Analyze(grown, rows, opts)
+		more, err := Analyze(context.Background(), grown, rows, false, opts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

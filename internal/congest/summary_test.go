@@ -2,6 +2,7 @@ package congest
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"maest/internal/db"
@@ -11,7 +12,7 @@ import (
 // round trip inside a validated database.
 func TestDBSummary(t *testing.T) {
 	s := stats("sum", map[int]int{2: 6, 4: 3})
-	m, err := Analyze(s, 4, Options{Model: ModelCrossing})
+	m, err := Analyze(context.Background(), s, 4, false, Options{Model: ModelCrossing})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"maest/internal/netlist"
@@ -95,27 +94,6 @@ func (f *FeedThroughProfile) Total() float64 {
 // *under*-counts their feed-throughs (Eq. 5's probability grows with
 // D), which the profile corrects.
 func EstimateStandardCellProfiled(s *netlist.Stats, p *tech.Process, opts SCOptions) (*SCEstimate, error) {
-	return EstimateStandardCellProfiledCtx(context.Background(), s, p, opts)
-}
-
-// EstimateStandardCellProfiledCtx is EstimateStandardCellProfiled
-// under an "estimate.sc_profiled" span carrying the profile's
-// headline numbers.
-func EstimateStandardCellProfiledCtx(ctx context.Context, s *netlist.Stats, p *tech.Process, opts SCOptions) (est *SCEstimate, err error) {
-	_, sp := obs.Start(ctx, "estimate.sc_profiled")
-	sp.SetString("module", s.CircuitName)
-	defer func() {
-		if est != nil {
-			sp.SetInt("rows", int64(est.Rows))
-			sp.SetInt("feedthroughs", int64(est.FeedThroughs))
-			sp.SetFloat("area", est.Area)
-		}
-		sp.EndErr(err)
-	}()
-	return estimateStandardCellProfiled(s, p, opts)
-}
-
-func estimateStandardCellProfiled(s *netlist.Stats, p *tech.Process, opts SCOptions) (*SCEstimate, error) {
 	base, err := EstimateStandardCell(s, p, opts)
 	if err != nil {
 		return nil, err

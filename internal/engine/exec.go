@@ -279,11 +279,7 @@ func (pl *Plan) Congestion(ctx context.Context, opts ...Option) (*congest.Map, e
 	if ok {
 		return m, nil
 	}
-	d, err := congest.ComputeDistributions(pl.stats, k.rows, k.gridded, k.model)
-	if err != nil {
-		return nil, err
-	}
-	m, err = congest.AnalyzeDistributionsCtx(ctx, d, o.CongestOptions())
+	m, err := congest.Analyze(ctx, pl.stats, k.rows, k.gridded, o.CongestOptions())
 	if err != nil {
 		return nil, err
 	}

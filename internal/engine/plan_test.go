@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"maest/internal/cells"
@@ -13,6 +14,7 @@ import (
 	"maest/internal/gen"
 	"maest/internal/hdl"
 	"maest/internal/netlist"
+	"maest/internal/obs"
 	"maest/internal/tech"
 )
 
@@ -482,5 +484,68 @@ func BenchmarkPlanSecondConsumer(b *testing.B) {
 		}
 	}); allocs != 0 {
 		b.Fatalf("warm Congestion allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// spanSink collects every completed span.
+type spanSink struct {
+	mu    sync.Mutex
+	spans []*obs.SpanData
+}
+
+func (s *spanSink) Record(d *obs.SpanData) {
+	s.mu.Lock()
+	s.spans = append(s.spans, d)
+	s.mu.Unlock()
+}
+
+// Plan.Congestion runs the whole analysis, convolutions and scoring,
+// under one "congest" (or "congest.grid") span carrying the map's
+// summary; a memo hit records none.
+func TestCongestionSpanCoversAnalysis(t *testing.T) {
+	pl := chipPlans(t, 1)[0]
+	for _, c := range []struct {
+		gridded bool
+		rows    int
+		want    string
+	}{
+		{false, 4, "congest"},
+		{true, 0, "congest.grid"},
+	} {
+		sink := &spanSink{}
+		ctx := obs.WithSink(context.Background(), sink)
+		m, err := pl.Congestion(ctx, WithGridded(c.gridded), WithRows(c.rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pl.Congestion(ctx, WithGridded(c.gridded), WithRows(c.rows)); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.spans) != 1 || sink.spans[0].Name != c.want {
+			var names []string
+			for _, d := range sink.spans {
+				names = append(names, d.Name)
+			}
+			t.Fatalf("gridded=%t: spans %q, want one %q", c.gridded, names, c.want)
+		}
+		attrs := map[string]any{}
+		for _, a := range sink.spans[0].Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if len(m.Hotspots) == 0 || c.gridded != (m.TotalExpectedFeeds == 0) {
+			t.Fatalf("gridded=%t: test module has %d hotspots, %g expected feed-throughs", c.gridded, len(m.Hotspots), m.TotalExpectedFeeds)
+		}
+		for key, val := range map[string]any{
+			"module":            m.Module,
+			"rows":              int64(m.Rows),
+			"channels":          int64(len(m.Channels)),
+			"expected_tracks":   m.TotalExpectedTracks,
+			"expected_feeds":    m.TotalExpectedFeeds,
+			"top_hotspot_score": m.Hotspots[0].Score,
+		} {
+			if got, ok := attrs[key]; !ok || got != val {
+				t.Errorf("gridded=%t: span attribute %s = %v (present %t), want %v", c.gridded, key, got, ok, val)
+			}
+		}
 	}
 }

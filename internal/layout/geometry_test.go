@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func buildGeo(t testing.TB, gates, rows int, seed int64) (*Geometry, *tech.Proce
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: rows, Seed: seed})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: rows, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestBuildGeometryFeedThroughs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: 5, Seed: 2})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := route.RouteModule(pl, route.Options{})
+	coarse, err := route.RouteModule(context.Background(), pl, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestBuildGeometryShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: 2, Seed: 1})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

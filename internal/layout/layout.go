@@ -103,14 +103,9 @@ func assemble(pl *place.Placement, rr *route.Result, p *tech.Process, pitch, ftW
 // LayoutStandardCell is the full ground-truth flow for one row count:
 // place (simulated annealing), route with the era-router sharing
 // model (TimberWolf 3.2-generation layouts shared tracks weakly in
-// single-metal nMOS; see route.Options.MaxShare), and measure.
-func LayoutStandardCell(c *netlist.Circuit, p *tech.Process, rows int, seed int64) (*Module, error) {
-	return LayoutStandardCellCtx(context.Background(), c, p, rows, seed)
-}
-
-// LayoutStandardCellCtx is LayoutStandardCell with observability: a
-// "layout.sc" span parenting the place and route spans.
-func LayoutStandardCellCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process, rows int, seed int64) (m *Module, err error) {
+// single-metal nMOS; see route.Options.MaxShare), and measure, under
+// a "layout.sc" span parenting the place and route spans.
+func LayoutStandardCell(ctx context.Context, c *netlist.Circuit, p *tech.Process, rows int, seed int64) (m *Module, err error) {
 	ctx, sp := obs.Start(ctx, "layout.sc")
 	sp.SetString("module", c.Name)
 	sp.SetInt("rows", int64(rows))
@@ -121,11 +116,11 @@ func LayoutStandardCellCtx(ctx context.Context, c *netlist.Circuit, p *tech.Proc
 		}
 		sp.EndErr(err)
 	}()
-	pl, err := place.PlaceCtx(ctx, c, p, place.Options{Rows: rows, Seed: seed})
+	pl, err := place.Place(ctx, c, p, place.Options{Rows: rows, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrLayout, err)
 	}
-	rr, err := route.RouteModuleCtx(ctx, pl, route.Options{TrackSharing: true, MaxShare: 2})
+	rr, err := route.RouteModule(ctx, pl, route.Options{TrackSharing: true, MaxShare: 2})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrLayout, err)
 	}
@@ -136,15 +131,9 @@ func LayoutStandardCellCtx(ctx context.Context, c *netlist.Circuit, p *tech.Proc
 // careful manual designer would shape a small module: it sweeps
 // candidate row counts, places each with annealing, routes with track
 // sharing, and keeps the minimum-area result (ties broken toward
-// squareness).  The circuit must be transistor-level.
-func SynthesizeFullCustom(c *netlist.Circuit, p *tech.Process, seed int64) (*Module, error) {
-	return SynthesizeFullCustomCtx(context.Background(), c, p, seed)
-}
-
-// SynthesizeFullCustomCtx is SynthesizeFullCustom with observability:
-// a "layout.fc" span parenting one place/route pair per candidate row
-// count.
-func SynthesizeFullCustomCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process, seed int64) (m *Module, err error) {
+// squareness).  The circuit must be transistor-level.  A "layout.fc"
+// span parents one place/route pair per candidate row count.
+func SynthesizeFullCustom(ctx context.Context, c *netlist.Circuit, p *tech.Process, seed int64) (m *Module, err error) {
 	ctx, sp := obs.Start(ctx, "layout.fc")
 	sp.SetString("module", c.Name)
 	defer func() {
@@ -155,10 +144,6 @@ func SynthesizeFullCustomCtx(ctx context.Context, c *netlist.Circuit, p *tech.Pr
 		}
 		sp.EndErr(err)
 	}()
-	return synthesizeFullCustom(ctx, c, p, seed)
-}
-
-func synthesizeFullCustom(ctx context.Context, c *netlist.Circuit, p *tech.Process, seed int64) (*Module, error) {
 	if c.NumDevices() == 0 {
 		return nil, fmt.Errorf("%w: circuit %q has no devices", ErrLayout, c.Name)
 	}
@@ -175,13 +160,13 @@ func synthesizeFullCustom(ctx context.Context, c *netlist.Circuit, p *tech.Proce
 	maxRows := isqrt(c.NumDevices()) + 2
 	var best *Module
 	for rows := 1; rows <= maxRows; rows++ {
-		pl, err := place.PlaceCtx(ctx, c, p, place.Options{Rows: rows, Seed: seed + int64(rows)})
+		pl, err := place.Place(ctx, c, p, place.Options{Rows: rows, Seed: seed + int64(rows)})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrLayout, err)
 		}
 		// Manual-style full-custom wiring: share tracks and abut
 		// adjacent two-pin neighbours (diffusion sharing).
-		rr, err := route.RouteModuleCtx(ctx, pl, route.Options{TrackSharing: true, AbutAdjacentPairs: true})
+		rr, err := route.RouteModule(ctx, pl, route.Options{TrackSharing: true, AbutAdjacentPairs: true})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrLayout, err)
 		}

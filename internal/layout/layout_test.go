@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"context"
 	"testing"
 
 	"maest/internal/gen"
@@ -19,7 +20,7 @@ func TestLayoutStandardCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LayoutStandardCell(c, p, 3, 1)
+	m, err := LayoutStandardCell(context.Background(), c, p, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestAssembleShapeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: 2, Seed: 1})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := route.RouteModule(pl, route.Options{})
+	rr, err := route.RouteModule(context.Background(), pl, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestFeedThroughsWidenRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: 5, Seed: 2})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := route.RouteModule(pl, route.Options{TrackSharing: true})
+	rr, err := route.RouteModule(context.Background(), pl, route.Options{TrackSharing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestSynthesizeFullCustom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range suite {
-		m, err := SynthesizeFullCustom(c, p, 11)
+		m, err := SynthesizeFullCustom(context.Background(), c, p, 11)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -109,7 +110,7 @@ func TestSynthesizeFullCustom(t *testing.T) {
 		}
 		// The synthesizer must beat or match the worst single-row
 		// strip layout.
-		strip, err := LayoutStandardCell(c, p, 1, 11)
+		strip, err := LayoutStandardCell(context.Background(), c, p, 1, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestSynthesizeRejectsCellCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SynthesizeFullCustom(c, p, 1); err == nil {
+	if _, err := SynthesizeFullCustom(context.Background(), c, p, 1); err == nil {
 		t.Fatal("cell-level circuit accepted")
 	}
 	// Unknown device type.
@@ -137,7 +138,7 @@ func TestSynthesizeRejectsCellCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SynthesizeFullCustom(cu, p, 1); err == nil {
+	if _, err := SynthesizeFullCustom(context.Background(), cu, p, 1); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
@@ -148,11 +149,11 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := SynthesizeFullCustom(c, p, 3)
+	a, err := SynthesizeFullCustom(context.Background(), c, p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SynthesizeFullCustom(c, p, 3)
+	b, err := SynthesizeFullCustom(context.Background(), c, p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

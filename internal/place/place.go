@@ -62,17 +62,12 @@ type Placement struct {
 var ErrPlace = errors.New("place: placement failed")
 
 // Place builds a balanced initial placement and improves it with
-// simulated annealing.  The result is deterministic for a given
-// (circuit, options) pair.
-func Place(c *netlist.Circuit, p *tech.Process, opts Options) (*Placement, error) {
-	return PlaceCtx(context.Background(), c, p, opts)
-}
-
-// PlaceCtx is Place with observability: a "place" span carrying the
-// annealing statistics (moves, accept ratio, cost trajectory) plus
-// the placement metrics.  Tracing does not perturb the anneal — the
+// simulated annealing, under a "place" span carrying the annealing
+// statistics (moves, accept ratio, cost trajectory) plus the
+// placement metrics.  The result is deterministic for a given
+// (circuit, options) pair: tracing does not perturb the anneal — the
 // RNG stream and move sequence are identical with and without a sink.
-func PlaceCtx(ctx context.Context, c *netlist.Circuit, p *tech.Process, opts Options) (pl *Placement, err error) {
+func Place(ctx context.Context, c *netlist.Circuit, p *tech.Process, opts Options) (pl *Placement, err error) {
 	_, sp := obs.Start(ctx, "place")
 	sp.SetString("module", c.Name)
 	defer func(t0 time.Time) {

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestPlaceLegal(t *testing.T) {
 	p := tech.NMOS25()
 	c := circuit(t, 60, 1)
 	for _, rows := range []int{1, 2, 3, 5} {
-		pl, err := Place(c, p, Options{Rows: rows, Seed: 42})
+		pl, err := Place(context.Background(), c, p, Options{Rows: rows, Seed: 42})
 		if err != nil {
 			t.Fatalf("rows=%d: %v", rows, err)
 		}
@@ -42,11 +43,11 @@ func TestPlaceLegal(t *testing.T) {
 func TestPlaceDeterministic(t *testing.T) {
 	p := tech.NMOS25()
 	c := circuit(t, 40, 2)
-	a, err := Place(c, p, Options{Rows: 3, Seed: 7})
+	a, err := Place(context.Background(), c, p, Options{Rows: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Place(c, p, Options{Rows: 3, Seed: 7})
+	b, err := Place(context.Background(), c, p, Options{Rows: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,11 @@ func TestAnnealingImprovesWireLength(t *testing.T) {
 	p := tech.NMOS25()
 	c := circuit(t, 80, 3)
 	// Zero-move placement = initial round-robin deal.
-	initial, err := Place(c, p, Options{Rows: 4, Seed: 9, Moves: 1})
+	initial, err := Place(context.Background(), c, p, Options{Rows: 4, Seed: 9, Moves: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	annealed, err := Place(c, p, Options{Rows: 4, Seed: 9})
+	annealed, err := Place(context.Background(), c, p, Options{Rows: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestAnnealingImprovesWireLength(t *testing.T) {
 func TestRowBalance(t *testing.T) {
 	p := tech.NMOS25()
 	c := circuit(t, 90, 4)
-	pl, err := Place(c, p, Options{Rows: 3, Seed: 5})
+	pl, err := Place(context.Background(), c, p, Options{Rows: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRowBalance(t *testing.T) {
 func TestPlaceErrors(t *testing.T) {
 	p := tech.NMOS25()
 	c := circuit(t, 10, 6)
-	if _, err := Place(c, p, Options{Rows: 0}); err == nil {
+	if _, err := Place(context.Background(), c, p, Options{Rows: 0}); err == nil {
 		t.Error("rows=0 accepted")
 	}
 	// Unknown device type.
@@ -117,7 +118,7 @@ func TestPlaceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Place(bad, p, Options{Rows: 2}); err == nil {
+	if _, err := Place(context.Background(), bad, p, Options{Rows: 2}); err == nil {
 		t.Error("unknown device type accepted")
 	}
 }
@@ -125,7 +126,7 @@ func TestPlaceErrors(t *testing.T) {
 func TestSwapAndMovePrimitives(t *testing.T) {
 	p := tech.NMOS25()
 	c := circuit(t, 12, 8)
-	pl, err := Place(c, p, Options{Rows: 3, Seed: 1, Moves: 1})
+	pl, err := Place(context.Background(), c, p, Options{Rows: 3, Seed: 1, Moves: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestSwapAndMovePrimitives(t *testing.T) {
 func TestPositionsMatchRowOrder(t *testing.T) {
 	p := tech.NMOS25()
 	c := circuit(t, 30, 9)
-	pl, err := Place(c, p, Options{Rows: 2, Seed: 2})
+	pl, err := Place(context.Background(), c, p, Options{Rows: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestRowHeightTransistorRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Place(c, p, Options{Rows: 1, Seed: 3, Moves: 1})
+	pl, err := Place(context.Background(), c, p, Options{Rows: 1, Seed: 3, Moves: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestAnnealChainQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Place(c, p, Options{Rows: 1, Seed: 4})
+	pl, err := Place(context.Background(), c, p, Options{Rows: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

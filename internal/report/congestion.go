@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -78,19 +79,20 @@ func RunCongestValidation(p *tech.Process, seed int64) ([]CongestRow, error) {
 // congestRow analyzes, places, routes, and validates one module at a
 // fixed row count.
 func congestRow(c *netlist.Circuit, p *tech.Process, n int, seed int64) (CongestRow, error) {
+	ctx := context.TODO()
 	s, err := netlist.Gather(c, p)
 	if err != nil {
 		return CongestRow{}, err
 	}
-	m, err := congest.Analyze(s, n, congest.Options{Model: congest.ModelCrossing})
+	m, err := congest.Analyze(ctx, s, n, false, congest.Options{Model: congest.ModelCrossing})
 	if err != nil {
 		return CongestRow{}, err
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: n, Seed: seed})
+	pl, err := place.Place(ctx, c, p, place.Options{Rows: n, Seed: seed})
 	if err != nil {
 		return CongestRow{}, err
 	}
-	routed, err := route.RouteModule(pl, route.Options{})
+	routed, err := route.RouteModule(ctx, pl, route.Options{})
 	if err != nil {
 		return CongestRow{}, err
 	}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -61,15 +62,15 @@ func TestValidateRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rows = 3
-	m, err := congest.Analyze(s, rows, congest.Options{Model: congest.ModelCrossing})
+	m, err := congest.Analyze(context.Background(), s, rows, false, congest.Options{Model: congest.ModelCrossing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(circ, p, place.Options{Rows: rows, Seed: 1})
+	pl, err := place.Place(context.Background(), circ, p, place.Options{Rows: rows, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := route.RouteModule(pl, route.Options{})
+	routed, err := route.RouteModule(context.Background(), pl, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestValidateRoute(t *testing.T) {
 	}
 
 	// Mismatched row counts are rejected with the congest error.
-	m2, err := congest.Analyze(s, rows+1, congest.Options{})
+	m2, err := congest.Analyze(context.Background(), s, rows+1, false, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func RunTable1(p *tech.Process, seed int64) ([]FCRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		real, err := layout.SynthesizeFullCustom(c, p, seed)
+		real, err := layout.SynthesizeFullCustom(ctx, c, p, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func RunTable2(p *tech.Process, seed int64) ([]SCRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			real, err := layout.LayoutStandardCell(c, p, n, seed)
+			real, err := layout.LayoutStandardCell(ctx, c, p, n, seed)
 			if err != nil {
 				return nil, err
 			}

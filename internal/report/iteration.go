@@ -126,7 +126,7 @@ func IterationExperiment(chip *gen.Chip, p *tech.Process, src ShapeSource, opts 
 		if m, ok := layCache[k]; ok {
 			return m, nil
 		}
-		m, err := layout.LayoutStandardCell(circuits[name], p, rows, opts.Seed)
+		m, err := layout.LayoutStandardCell(context.TODO(), circuits[name], p, rows, opts.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 
 	"maest/internal/gen"
@@ -39,7 +40,7 @@ func TestDetailRouteTrackCountsAtLeastDensity(t *testing.T) {
 	// left-edge count.
 	for seed := int64(1); seed <= 4; seed++ {
 		pl := placed(t, 50, 3, seed)
-		coarse, err := RouteModule(pl, Options{TrackSharing: true})
+		coarse, err := RouteModule(context.Background(), pl, Options{TrackSharing: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestDetailRouteVerticalConstraintForced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: 2, Seed: 1, Moves: 1})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: 2, Seed: 1, Moves: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestDetailRouteSuiteCircuits(t *testing.T) {
 	}
 	for _, c := range suite {
 		for rows := 1; rows <= 5; rows++ {
-			pl, err := place.Place(c, p, place.Options{Rows: rows, Seed: 3})
+			pl, err := place.Place(context.Background(), c, p, place.Options{Rows: rows, Seed: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +225,7 @@ func BenchmarkDetailRoute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: 4, Seed: 1})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

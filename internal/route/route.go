@@ -78,15 +78,10 @@ type segment struct {
 	iv geom.Interval
 }
 
-// RouteModule routes every net of the placement's circuit.
-func RouteModule(pl *place.Placement, opts Options) (*Result, error) {
-	return RouteModuleCtx(context.Background(), pl, opts)
-}
-
-// RouteModuleCtx is RouteModule with observability: a "route" span
-// carrying the segment/track/feed-through counts plus the router
-// metrics.
-func RouteModuleCtx(ctx context.Context, pl *place.Placement, opts Options) (res *Result, err error) {
+// RouteModule routes every net of the placement's circuit under a
+// "route" span carrying the segment/track/feed-through counts plus the
+// router metrics.
+func RouteModule(ctx context.Context, pl *place.Placement, opts Options) (res *Result, err error) {
 	_, sp := obs.Start(ctx, "route")
 	sp.SetString("module", pl.Circuit.Name)
 	defer func(t0 time.Time) {
@@ -106,15 +101,11 @@ func RouteModuleCtx(ctx context.Context, pl *place.Placement, opts Options) (res
 		}
 		sp.EndErr(err)
 	}(time.Now())
-	return routeModule(pl, opts)
-}
-
-func routeModule(pl *place.Placement, opts Options) (*Result, error) {
 	if err := pl.Check(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRoute, err)
 	}
 	nRows := len(pl.Rows)
-	res := &Result{
+	res = &Result{
 		ChannelTracks: make([]int, nRows+1),
 		FeedThroughs:  make([]int, nRows),
 	}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,7 @@ func placed(t testing.TB, gates, rows int, seed int64) *place.Placement {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: rows, Seed: seed})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: rows, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func placed(t testing.TB, gates, rows int, seed int64) *place.Placement {
 
 func TestRouteModuleBasics(t *testing.T) {
 	pl := placed(t, 60, 3, 1)
-	res, err := RouteModule(pl, Options{})
+	res, err := RouteModule(context.Background(), pl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestRouteModuleBasics(t *testing.T) {
 func TestSharingNeverWorse(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		pl := placed(t, 50, 3, seed)
-		plain, err := RouteModule(pl, Options{})
+		plain, err := RouteModule(context.Background(), pl, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := RouteModule(pl, Options{TrackSharing: true})
+		shared, err := RouteModule(context.Background(), pl, Options{TrackSharing: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestSingleRowRouting(t *testing.T) {
 	// All nets in one row: one segment each in channel 0, no
 	// feed-throughs.
 	pl := placed(t, 20, 1, 2)
-	res, err := RouteModule(pl, Options{})
+	res, err := RouteModule(context.Background(), pl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFeedThroughInsertion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: 3, Seed: 1, Moves: 1})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: 3, Seed: 1, Moves: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestFeedThroughInsertion(t *testing.T) {
 	if pl.RowOf[0] != 0 || pl.RowOf[2] != 2 {
 		t.Skip("initial deal changed; rewrite fixture")
 	}
-	res, err := RouteModule(pl, Options{})
+	res, err := RouteModule(context.Background(), pl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +156,13 @@ func TestNoFeedThroughWhenPinInIntermediateRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(c, p, place.Options{Rows: 3, Seed: 1, Moves: 1})
+	pl, err := place.Place(context.Background(), c, p, place.Options{Rows: 3, Seed: 1, Moves: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Net x touches g0(row0), g1(row1), g2(row2), gd(row0): middle
 	// row has a pin.
-	res, err := RouteModule(pl, Options{})
+	res, err := RouteModule(context.Background(), pl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestDensity(t *testing.T) {
 func TestRouteRejectsBrokenPlacement(t *testing.T) {
 	pl := placed(t, 10, 2, 3)
 	pl.RowOf[0] = 1 // corrupt the index map
-	if _, err := RouteModule(pl, Options{}); err == nil {
+	if _, err := RouteModule(context.Background(), pl, Options{}); err == nil {
 		t.Fatal("corrupted placement accepted")
 	}
 }

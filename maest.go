@@ -26,8 +26,8 @@
 // plan for estimates.
 //
 //	proc := maest.NMOS25()
-//	circ, err := maest.ParseMnet(file)
-//	pl, err := maest.Compile(circ, proc)
+//	circ, err := maest.ParseMnet(ctx, file)
+//	pl, err := maest.Compile(ctx, circ, proc)
 //	res, err := pl.Estimate(ctx)
 //	fmt.Println(res.SC.Area, res.FCExact.Area)
 package maest
@@ -87,22 +87,19 @@ func NewCircuitBuilder(name string) *netlist.Builder { return netlist.NewBuilder
 // HDL front end.
 
 // ParseMnet parses a module in the .mnet structural netlist language.
-func ParseMnet(r io.Reader) (*Circuit, error) { return hdl.ParseMnet(r) }
-
-// ParseMnetCtx is ParseMnet with observability.
-func ParseMnetCtx(ctx context.Context, r io.Reader) (*Circuit, error) {
+func ParseMnet(ctx context.Context, r io.Reader) (*Circuit, error) {
 	return hdl.ParseMnetCtx(ctx, r)
 }
 
-// ParseBenchCtx parses an ISCAS-style .bench gate-level file, mapping
-// its gates onto the process cell library.
-func ParseBenchCtx(ctx context.Context, r io.Reader, name string, p *Process) (*Circuit, error) {
+// ParseBench parses an ISCAS-style .bench gate-level file, mapping its
+// gates onto the process cell library.
+func ParseBench(ctx context.Context, r io.Reader, name string, p *Process) (*Circuit, error) {
 	return hdl.ParseBenchCtx(ctx, r, name, p)
 }
 
-// ParseVerilogCtx parses a structural gate-level Verilog subset
+// ParseVerilog parses a structural gate-level Verilog subset
 // (Verilog-1985 primitives), mapping onto the process cell library.
-func ParseVerilogCtx(ctx context.Context, r io.Reader, p *Process) (*Circuit, error) {
+func ParseVerilog(ctx context.Context, r io.Reader, p *Process) (*Circuit, error) {
 	return hdl.ParseVerilogCtx(ctx, r, p)
 }
 
@@ -155,32 +152,22 @@ type (
 	Geometry = layout.Geometry
 )
 
-// PlaceCircuitCtx places a circuit into rows with simulated annealing
+// PlaceCircuit places a circuit into rows with simulated annealing
 // (annealing statistics on the "place" span).
-func PlaceCircuitCtx(ctx context.Context, c *Circuit, p *Process, opts PlaceOptions) (*Placement, error) {
-	return place.PlaceCtx(ctx, c, p, opts)
+func PlaceCircuit(ctx context.Context, c *Circuit, p *Process, opts PlaceOptions) (*Placement, error) {
+	return place.Place(ctx, c, p, opts)
 }
 
 // LayoutStandardCell places, routes, and measures a standard-cell
 // module (the TimberWolf stand-in of Table 2).
-func LayoutStandardCell(c *Circuit, p *Process, rows int, seed int64) (*layout.Module, error) {
-	return layout.LayoutStandardCell(c, p, rows, seed)
-}
-
-// LayoutStandardCellCtx is LayoutStandardCell with observability.
-func LayoutStandardCellCtx(ctx context.Context, c *Circuit, p *Process, rows int, seed int64) (*layout.Module, error) {
-	return layout.LayoutStandardCellCtx(ctx, c, p, rows, seed)
+func LayoutStandardCell(ctx context.Context, c *Circuit, p *Process, rows int, seed int64) (*layout.Module, error) {
+	return layout.LayoutStandardCell(ctx, c, p, rows, seed)
 }
 
 // SynthesizeFullCustom constructs and measures a transistor-level
 // layout (the manual-layout stand-in of Table 1).
-func SynthesizeFullCustom(c *Circuit, p *Process, seed int64) (*layout.Module, error) {
-	return layout.SynthesizeFullCustom(c, p, seed)
-}
-
-// SynthesizeFullCustomCtx is SynthesizeFullCustom with observability.
-func SynthesizeFullCustomCtx(ctx context.Context, c *Circuit, p *Process, seed int64) (*layout.Module, error) {
-	return layout.SynthesizeFullCustomCtx(ctx, c, p, seed)
+func SynthesizeFullCustom(ctx context.Context, c *Circuit, p *Process, seed int64) (*layout.Module, error) {
+	return layout.SynthesizeFullCustom(ctx, c, p, seed)
 }
 
 // DetailRoutePlacement performs detailed (per-track, vertical-
@@ -306,11 +293,10 @@ func CircuitDegrees(c *Circuit) *metrics.DegreeStats { return metrics.Degrees(c)
 func RentExponent(c *Circuit) (*metrics.RentResult, error) { return metrics.Rent(c) }
 
 // Observability: hierarchical spans and a process-wide metrics
-// registry across the estimate/place/route pipeline.  Pass a context
-// prepared with WithTraceSink to CompileCtx, the Plan methods,
-// PlanModules or any of the *Ctx functions and every stage records a
-// span; without a sink the instrumentation is free (nil-span fast
-// path, no allocations).
+// registry across the estimate/place/route pipeline.  Every
+// operation takes a context first: pass one prepared with
+// WithTraceSink and every stage records a span; without a sink the
+// instrumentation is free (nil-span fast path, no allocations).
 
 // TraceSink receives completed spans; implementations must be
 // concurrency-safe.
@@ -399,7 +385,7 @@ func ParseCongestModel(s string) (CongestModel, error) { return congest.ParseMod
 // (candidate sweeps, congestion after an estimate, a floorplanner
 // loop) should compile once and share the plan.
 //
-//	pl, err := maest.Compile(circ, proc)
+//	pl, err := maest.Compile(ctx, circ, proc)
 //	res, err := pl.Estimate(ctx, maest.WithTrackSharing(true))
 //	cmap, err := pl.Congestion(ctx)   // reuses the compiled stats
 type (
@@ -411,11 +397,9 @@ type (
 	EngineOption = engine.Option
 )
 
-// Compile compiles a circuit against a process into a Plan.
-func Compile(c *Circuit, p *Process) (*Plan, error) { return engine.Compile(c, p) }
-
-// CompileCtx is Compile with observability (a "compile" span).
-func CompileCtx(ctx context.Context, c *Circuit, p *Process) (*Plan, error) {
+// Compile compiles a circuit against a process into a Plan under a
+// "compile" span.
+func Compile(ctx context.Context, c *Circuit, p *Process) (*Plan, error) {
 	return engine.CompileCtx(ctx, c, p)
 }
 

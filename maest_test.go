@@ -36,7 +36,7 @@ end
 // once, then estimate the plan.
 func estimate(t *testing.T, c *maest.Circuit, p *maest.Process, opts ...maest.EngineOption) *maest.Result {
 	t.Helper()
-	pl, err := maest.Compile(c, p)
+	pl, err := maest.Compile(context.Background(), c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func estimate(t *testing.T, c *maest.Circuit, p *maest.Process, opts ...maest.En
 
 func TestPublicPipeline(t *testing.T) {
 	p := maest.NMOS25()
-	c, err := maest.ParseMnet(strings.NewReader(demoMnet))
+	c, err := maest.ParseMnet(context.Background(), strings.NewReader(demoMnet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,18 +107,18 @@ func TestPublicGroundTruthFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := maest.LayoutStandardCell(c, p, 2, 1)
+	m, err := maest.LayoutStandardCell(context.Background(), c, p, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Area() <= 0 {
 		t.Fatal("empty layout")
 	}
-	pl, err := maest.PlaceCircuitCtx(context.Background(), c, p, maest.PlaceOptions{Rows: 2, Seed: 1})
+	pl, err := maest.PlaceCircuit(context.Background(), c, p, maest.PlaceOptions{Rows: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := route.RouteModule(pl, route.Options{TrackSharing: true})
+	rr, err := route.RouteModule(context.Background(), pl, route.Options{TrackSharing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestPublicSuitesAndBaselines(t *testing.T) {
 	if model.Density <= 0 {
 		t.Fatal("bad PLEST calibration")
 	}
-	if _, err := maest.SynthesizeFullCustom(fc[0], p, 1); err != nil {
+	if _, err := maest.SynthesizeFullCustom(context.Background(), fc[0], p, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,7 +226,7 @@ func TestPublicExtendedSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Parallel chip estimation.
-	cpl, err := maest.Compile(c, p)
+	cpl, err := maest.Compile(context.Background(), c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestPublicExtendedSurface(t *testing.T) {
 		t.Fatalf("EstimatePlans: %v", err)
 	}
 	// Geometry + DRC + SVG + CIF.
-	pl, err := maest.PlaceCircuitCtx(context.Background(), c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
+	pl, err := maest.PlaceCircuit(context.Background(), c, p, maest.PlaceOptions{Rows: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
